@@ -8,8 +8,9 @@
 #include "bench_common.h"
 
 int main() {
+  const pp::context ctx = bench::env_context();
   bench::banner("Ablation: activity selection frontier structure (PA-BST vs flat)",
-                "Sec. 6.1 / footnote 5");
+                "Sec. 6.1 / footnote 5", ctx);
   size_t n = bench::scaled(1'000'000);
   constexpr int64_t t_range = 1'000'000'000;
   std::printf("n = %zu\n\n", n);
@@ -19,8 +20,8 @@ int main() {
     double mean = static_cast<double>(t_range) / target;
     auto acts = pp::random_activities(n, t_range, mean, mean / 4, 1000, 3);
     pp::activity_result tree, flat;
-    double tt = bench::time_s([&] { tree = pp::activity_select_type1(acts); });
-    double tf = bench::time_s([&] { flat = pp::activity_select_type1_flat(acts); });
+    double tt = bench::time_s([&] { tree = pp::activity_select_type1(acts, ctx); });
+    double tf = bench::time_s([&] { flat = pp::activity_select_type1_flat(acts, ctx); });
     if (tree.dp != flat.dp) {
       std::printf("MISMATCH!\n");
       return 1;

@@ -9,7 +9,8 @@
 #include "bench_common.h"
 
 int main() {
-  bench::banner("Ablation: LIS pivot policy (random vs rightmost)", "Sec. 6.4 heuristic");
+  const pp::context ctx = bench::env_context();
+  bench::banner("Ablation: LIS pivot policy (random vs rightmost)", "Sec. 6.4 heuristic", ctx);
   size_t n = bench::scaled(300'000);
   std::printf("%-10s %8s | %12s %12s | %12s %12s\n", "pattern", "output", "rand-wakeup",
               "right-wakeup", "rand(s)", "right(s)");
@@ -24,8 +25,13 @@ int main() {
   };
   for (auto& c : cases) {
     pp::lis_result rnd, rgt;
-    double trnd = bench::time_s([&] { rnd = pp::lis_parallel(c.a, pp::pivot_policy::uniform_random, 9); });
-    double trgt = bench::time_s([&] { rgt = pp::lis_parallel(c.a, pp::pivot_policy::rightmost, 9); });
+    const pp::context run_ctx = ctx.with_seed(9);
+    double trnd = bench::time_s([&] {
+      rnd = pp::lis_parallel(c.a, run_ctx.with_pivot(pp::pivot_policy::uniform_random));
+    });
+    double trgt = bench::time_s([&] {
+      rgt = pp::lis_parallel(c.a, run_ctx.with_pivot(pp::pivot_policy::rightmost));
+    });
     if (rnd.length != rgt.length) {
       std::printf("MISMATCH!\n");
       return 1;

@@ -8,8 +8,9 @@
 
 namespace {
 
-void emit(const char* name, const std::vector<int64_t>& a, size_t points) {
-  auto len = pp::lis_sequential(a).length;
+void emit(const char* name, const std::vector<int64_t>& a, size_t points,
+          const pp::context& ctx) {
+  auto len = pp::lis_sequential(a, ctx).length;
   std::printf("\n# pattern=%s n=%zu lis=%lld (sampled to %zu points)\n", name, a.size(),
               (long long)len, points);
   std::printf("i,a_i\n");
@@ -21,11 +22,12 @@ void emit(const char* name, const std::vector<int64_t>& a, size_t points) {
 }  // namespace
 
 int main() {
-  bench::banner("LIS input patterns (CSV samples)", "Fig. 10, Sec. 6.4");
+  const pp::context ctx = bench::env_context();
+  bench::banner("LIS input patterns (CSV samples)", "Fig. 10, Sec. 6.4", ctx);
   size_t n = bench::scaled(100'000);
-  emit("segment-k10", pp::lis_segment_pattern(n, 10, 1), 40);
-  emit("segment-k300", pp::lis_segment_pattern(n, 300, 2), 40);
-  emit("line-shallow", pp::lis_line_pattern(n, 10, 4'000'000, 3), 40);
-  emit("line-steep", pp::lis_line_pattern(n, 40, 4'000'000, 4), 40);
+  emit("segment-k10", pp::lis_segment_pattern(n, 10, 1), 40, ctx);
+  emit("segment-k300", pp::lis_segment_pattern(n, 300, 2), 40, ctx);
+  emit("line-shallow", pp::lis_line_pattern(n, 10, 4'000'000, 3), 40, ctx);
+  emit("line-steep", pp::lis_line_pattern(n, 40, 4'000'000, 4), 40, ctx);
   return 0;
 }

@@ -16,7 +16,8 @@
 #include "bench_common.h"
 
 int main() {
-  bench::banner("Activity selection: time vs rank (fixed n)", "Fig. 5(a), Sec. 6.1");
+  const pp::context ctx = bench::env_context();
+  bench::banner("Activity selection: time vs rank (fixed n)", "Fig. 5(a), Sec. 6.1", ctx);
   size_t n = bench::scaled(2'000'000);
   constexpr int64_t t_range = 1'000'000'000;
   std::printf("n = %zu activities, time range [0, %lld)\n\n", n, (long long)t_range);
@@ -26,10 +27,10 @@ int main() {
     double mean = static_cast<double>(t_range) / target;
     auto acts = pp::random_activities(n, t_range, mean, mean / 4, 1u << 30, 42);
     pp::activity_result t1, t1f, t2, seq;
-    double ts = bench::time_s([&] { seq = pp::activity_select_seq(acts); });
-    double tt1 = bench::time_s([&] { t1 = pp::activity_select_type1(acts); });
-    double tt1f = bench::time_s([&] { t1f = pp::activity_select_type1_flat(acts); });
-    double tt2 = bench::time_s([&] { t2 = pp::activity_select_type2(acts); });
+    double ts = bench::time_s([&] { seq = pp::activity_select_seq(acts, ctx); });
+    double tt1 = bench::time_s([&] { t1 = pp::activity_select_type1(acts, ctx); });
+    double tt1f = bench::time_s([&] { t1f = pp::activity_select_type1_flat(acts, ctx); });
+    double tt2 = bench::time_s([&] { t2 = pp::activity_select_type2(acts, ctx); });
     if (t1.best != seq.best || t2.best != seq.best || t1f.best != seq.best) {
       std::printf("MISMATCH!\n");
       return 1;

@@ -12,7 +12,8 @@
 #include "bench_common.h"
 
 int main() {
-  bench::banner("Activity selection: time vs n (fixed rank)", "Fig. 5(b), Sec. 6.1");
+  const pp::context ctx = bench::env_context();
+  bench::banner("Activity selection: time vs n (fixed rank)", "Fig. 5(b), Sec. 6.1", ctx);
   constexpr int64_t t_range = 1'000'000'000;
   constexpr double target_rank = 4500;
   double mean = static_cast<double>(t_range) / target_rank;
@@ -23,9 +24,9 @@ int main() {
     size_t n = bench::scaled(base);
     auto acts = pp::random_activities(n, t_range, mean, mean / 4, 1u << 30, 7);
     pp::activity_result seq, t1, t2;
-    double ts = bench::time_s([&] { seq = pp::activity_select_seq(acts); });
-    double tt1 = bench::time_s([&] { t1 = pp::activity_select_type1(acts); });
-    double tt2 = bench::time_s([&] { t2 = pp::activity_select_type2(acts); });
+    double ts = bench::time_s([&] { seq = pp::activity_select_seq(acts, ctx); });
+    double tt1 = bench::time_s([&] { t1 = pp::activity_select_type1(acts, ctx); });
+    double tt2 = bench::time_s([&] { t2 = pp::activity_select_type2(acts, ctx); });
     if (t1.best != seq.best || t2.best != seq.best) {
       std::printf("MISMATCH!\n");
       return 1;

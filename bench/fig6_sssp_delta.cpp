@@ -19,19 +19,19 @@
 
 namespace {
 
-void sweep(const pp::wgraph& wg, const char* name) {
+void sweep(const pp::wgraph& wg, const char* name, const pp::context& ctx) {
   std::printf("\n--- %s: n=%u, m=%zu, w*=%u, wmax=%u ---\n", name, wg.num_vertices(),
               wg.num_edges(), wg.min_weight(), wg.max_weight());
   std::printf("%10s %10s %10s %12s %12s\n", "log2(dlt)", "time(s)", "buckets", "substeps",
               "relax/m");
-  auto dj = pp::sssp_dijkstra(wg, 0);
-  pp::scoped_scheduler sched(pp::current_context());  // one pool lease for the whole sweep
+  auto dj = pp::sssp_dijkstra(wg, 0, ctx);
+  pp::scoped_scheduler sched(ctx);  // one pool lease for the whole sweep
   double best_t = 1e100;
   uint32_t best_delta = 0;
   for (uint32_t ld = 14; ld <= 26; ld += 2) {
     uint32_t delta = 1u << ld;
     pp::sssp_result r;
-    double t = bench::time_s([&] { r = pp::sssp_delta_stepping(wg, 0, delta); });
+    double t = bench::time_s([&] { r = pp::sssp_delta_stepping(wg, 0, delta, ctx); });
     if (r.dist != dj.dist) {
       std::printf("MISMATCH at delta=2^%u!\n", ld);
       std::exit(1);
@@ -50,7 +50,8 @@ void sweep(const pp::wgraph& wg, const char* name) {
 }  // namespace
 
 int main() {
-  bench::banner("SSSP: Delta-stepping time vs Delta for several w*", "Fig. 6, Sec. 6.3");
+  const pp::context ctx = bench::env_context();
+  bench::banner("SSSP: Delta-stepping time vs Delta for several w*", "Fig. 6, Sec. 6.3", ctx);
   constexpr uint32_t wmax = 1u << 23;
 
   // Low-diameter power-law proxy for Twitter/Friendster.
@@ -58,7 +59,7 @@ int main() {
                                bench::scaled(1u << 21), 11);
   for (uint32_t lw : {22u, 20u, 17u}) {
     auto wg = pp::add_weights(social, 1u << lw, wmax, 13);
-    sweep(wg, "rmat-social");
+    sweep(wg, "rmat-social", ctx);
   }
 
   // High-diameter grid proxy for road networks.
@@ -66,7 +67,7 @@ int main() {
   auto grid = pp::grid_graph(side, side);
   {
     auto wg = pp::add_weights(grid, 1u << 22, wmax, 17);
-    sweep(wg, "grid-road");
+    sweep(wg, "grid-road", ctx);
   }
 
   std::printf("\nShape check vs paper: on the low-diameter graph the best Delta is\n"

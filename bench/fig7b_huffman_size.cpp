@@ -11,7 +11,8 @@
 #include "bench_common.h"
 
 int main() {
-  bench::banner("Huffman: time vs input size, 3 distributions", "Fig. 7(b), Sec. 6.2");
+  const pp::context ctx = bench::env_context();
+  bench::banner("Huffman: time vs input size, 3 distributions", "Fig. 7(b), Sec. 6.2", ctx);
   std::printf("%10s %-13s %10s %10s %8s %8s\n", "n", "distribution", "seq(s)", "par(s)",
               "spdup", "rounds");
   for (size_t base : {100'000ull, 400'000ull, 1'600'000ull, 6'400'000ull}) {
@@ -26,8 +27,8 @@ int main() {
     };
     for (auto& g : gens) {
       pp::huffman_result s, p;
-      double ts = bench::time_s([&] { s = pp::huffman_seq(g.freqs); });
-      double tp = bench::time_s([&] { p = pp::huffman_parallel(g.freqs); });
+      double ts = bench::time_s([&] { s = pp::huffman_seq(g.freqs, ctx); });
+      double tp = bench::time_s([&] { p = pp::huffman_parallel(g.freqs, ctx); });
       if (s.wpl != p.wpl) {
         std::printf("WPL MISMATCH!\n");
         return 1;

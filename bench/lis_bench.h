@@ -22,22 +22,21 @@ inline void lis_table(const char* pattern_name,
               pattern_name);
   std::printf("%10s | %12s %12s %12s | %10s %12s | %8s\n", "output", "classic(s)", "ours-seq(s)",
               "ours-par(s)", "self-spd", "avg-wakeup", "rounds");
+  const pp::context ctx =
+      env_context().with_pivot(pp::pivot_policy::rightmost).with_seed(1);
   for (size_t target : target_outputs) {
     auto a = make_input(n, target);
     pp::lis_result classic, ours_seq, ours_par;
-    double tc = time_s([&] { classic = pp::lis_sequential(a); });
-    double tos;
-    {
-      pp::scoped_backend sb(pp::backend_kind::sequential);
-      tos = time_s([&] { ours_seq = pp::lis_parallel(a, pp::pivot_policy::rightmost, 1); });
-    }
+    double tc = time_s([&] { classic = pp::lis_sequential(a, ctx); });
+    double tos = time_s([&] {
+      ours_seq = pp::lis_parallel(a, ctx.with_backend(pp::backend_kind::sequential));
+    });
     double top;
     {
-      // Lease the run's pool once, outside the clock — round-heavy Type-2
-      // solves would otherwise pay a lease per parallel region inside the
-      // timed section.
-      pp::scoped_scheduler sched(pp::current_context());
-      top = time_s([&] { ours_par = pp::lis_parallel(a, pp::pivot_policy::rightmost, 1); });
+      // Lease the run's pool once, outside the clock, so the timed section
+      // measures the solve rather than the pool spin-up.
+      pp::scoped_scheduler sched(ctx);
+      top = time_s([&] { ours_par = pp::lis_parallel(a, ctx); });
     }
     if (classic.length != ours_par.length || ours_seq.length != ours_par.length) {
       std::printf("LIS LENGTH MISMATCH!\n");
@@ -50,7 +49,7 @@ inline void lis_table(const char* pattern_name,
   std::printf("\nShape check vs paper (Fig. 8/9, Tab. 2): parallel time grows with the\n"
               "output size; classic seq gets slightly faster; avg wake-ups stays well\n"
               "below log2(n); self-speedup bounded by the machine's %u workers.\n",
-              pp::num_workers());
+              pp::num_workers(ctx));
 }
 
 }  // namespace bench

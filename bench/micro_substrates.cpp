@@ -95,11 +95,12 @@ void BM_TasTreeMark(benchmark::State& state) {
   uint32_t m = static_cast<uint32_t>(state.range(0));
   std::vector<uint32_t> counts = {m};
   uint32_t leaf = 0;
-  pp::tas_forest f(counts);
+  const pp::context ctx{};
+  pp::tas_forest f(counts, ctx);
   for (auto _ : state) {
     if (leaf == m) {
       state.PauseTiming();
-      f = pp::tas_forest(counts);
+      f = pp::tas_forest(counts, ctx);
       leaf = 0;
       state.ResumeTiming();
     }

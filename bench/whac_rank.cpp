@@ -7,7 +7,8 @@
 #include "bench_common.h"
 
 int main() {
-  bench::banner("Whac-A-Mole: time vs rank", "Appendix B");
+  const pp::context ctx = bench::env_context();
+  bench::banner("Whac-A-Mole: time vs rank", "Appendix B", ctx);
   size_t n = bench::scaled(300'000);
   constexpr int64_t t_range = 100'000'000;
   std::printf("n = %zu moles, time range [0, %lld)\n\n", n, (long long)t_range);
@@ -16,8 +17,10 @@ int main() {
   for (int64_t p_range : {100'000'000ll, 10'000'000ll, 1'000'000ll, 100'000ll}) {
     auto moles = pp::random_moles(n, t_range, p_range, 5);
     pp::whac_result seq, par;
-    double ts = bench::time_s([&] { seq = pp::whac_sequential(moles); });
-    double tp = bench::time_s([&] { par = pp::whac_parallel(moles, pp::pivot_policy::rightmost, 1); });
+    double ts = bench::time_s([&] { seq = pp::whac_sequential(moles, ctx); });
+    double tp = bench::time_s([&] {
+      par = pp::whac_parallel(moles, ctx.with_pivot(pp::pivot_policy::rightmost).with_seed(1));
+    });
     if (seq.dp != par.dp) {
       std::printf("MISMATCH!\n");
       return 1;

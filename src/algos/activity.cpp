@@ -45,7 +45,8 @@ void sort_activities(std::vector<activity>& acts) {
   });
 }
 
-activity_result activity_select_seq(std::span<const activity> acts) {
+activity_result activity_select_seq(std::span<const activity> acts, const context& ctx) {
+  run_scope scope(ctx);
   check_sorted(acts);
   size_t n = acts.size();
   activity_result res;
@@ -66,7 +67,8 @@ activity_result activity_select_seq(std::span<const activity> acts) {
 
 // --- Type 1, PA-BST version (Algorithm 2) --------------------------------------
 
-activity_result activity_select_type1(std::span<const activity> acts) {
+activity_result activity_select_type1(std::span<const activity> acts, const context& ctx) {
+  run_scope scope(ctx);
   check_sorted(acts);
   size_t n = acts.size();
   activity_result res;
@@ -129,7 +131,8 @@ activity_result activity_select_type1(std::span<const activity> acts) {
 
 // --- Type 1, flat-array ablation -------------------------------------------------
 
-activity_result activity_select_type1_flat(std::span<const activity> acts) {
+activity_result activity_select_type1_flat(std::span<const activity> acts, const context& ctx) {
+  run_scope scope(ctx);
   check_sorted(acts);
   size_t n = acts.size();
   activity_result res;
@@ -175,7 +178,8 @@ activity_result activity_select_type1_flat(std::span<const activity> acts) {
 
 // --- Type 2 (exact pivots, Lemma 5.1) --------------------------------------------
 
-activity_result activity_select_type2(std::span<const activity> acts) {
+activity_result activity_select_type2(std::span<const activity> acts, const context& ctx) {
+  run_scope scope(ctx);
   check_sorted(acts);
   size_t n = acts.size();
   activity_result res;
@@ -256,26 +260,6 @@ std::vector<activity> random_activities(size_t n, int64_t t_range, double mean_l
   });
   sort_activities(acts);
   return acts;
-}
-
-activity_result activity_select_seq(std::span<const activity> acts, const context& ctx) {
-  run_scope scope(ctx);
-  return activity_select_seq(acts);
-}
-
-activity_result activity_select_type1(std::span<const activity> acts, const context& ctx) {
-  run_scope scope(ctx);
-  return activity_select_type1(acts);
-}
-
-activity_result activity_select_type1_flat(std::span<const activity> acts, const context& ctx) {
-  run_scope scope(ctx);
-  return activity_select_type1_flat(acts);
-}
-
-activity_result activity_select_type2(std::span<const activity> acts, const context& ctx) {
-  run_scope scope(ctx);
-  return activity_select_type2(acts);
 }
 
 }  // namespace pp

@@ -50,12 +50,6 @@ struct activity_result {
 // Sort into the canonical sequential order (end, then start, stable).
 void sort_activities(std::vector<activity>& acts);
 
-activity_result activity_select_seq(std::span<const activity> acts);
-activity_result activity_select_type1(std::span<const activity> acts);
-activity_result activity_select_type1_flat(std::span<const activity> acts);
-activity_result activity_select_type2(std::span<const activity> acts);
-
-// Context forms: run the same solvers under an explicit execution context.
 activity_result activity_select_seq(std::span<const activity> acts, const context& ctx);
 activity_result activity_select_type1(std::span<const activity> acts, const context& ctx);
 activity_result activity_select_type1_flat(std::span<const activity> acts, const context& ctx);

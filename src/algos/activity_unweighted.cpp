@@ -34,7 +34,9 @@ std::vector<uint32_t> pivot_forest(std::span<const activity> acts) {
 
 }  // namespace
 
-unweighted_activity_result activity_unweighted_greedy_seq(std::span<const activity> acts) {
+unweighted_activity_result activity_unweighted_greedy_seq(std::span<const activity> acts,
+                                                          const context& ctx) {
+  run_scope scope(ctx);
   // Activities are end-sorted: repeatedly take the next one starting at or
   // after the last taken end.
   unweighted_activity_result res;
@@ -51,15 +53,15 @@ unweighted_activity_result activity_unweighted_greedy_seq(std::span<const activi
   return res;
 }
 
-namespace {
-
-unweighted_activity_result euler_impl(std::span<const activity> acts, uint64_t seed) {
+unweighted_activity_result activity_unweighted_euler(std::span<const activity> acts,
+                                                     const context& ctx) {
+  run_scope scope(ctx);
   size_t n = acts.size();
   unweighted_activity_result res;
   res.rank.assign(n, 0);
   if (n == 0) return res;
   auto parent = pivot_forest(acts);  // kRoot == kListEnd == 0xFFFFFFFF
-  auto depths = forest_depths_euler(parent, seed);
+  auto depths = forest_depths_euler(parent, ctx);
   int64_t best = 0;
   parallel_for(0, n, [&](size_t i) { res.rank[i] = static_cast<int32_t>(depths.rank[i]); });
   for (auto r : res.rank) best = std::max<int64_t>(best, r);
@@ -69,13 +71,9 @@ unweighted_activity_result euler_impl(std::span<const activity> acts, uint64_t s
   return res;
 }
 
-}  // namespace
-
-unweighted_activity_result activity_unweighted_euler(std::span<const activity> acts) {
-  return euler_impl(acts, 1);
-}
-
-unweighted_activity_result activity_unweighted_parallel(std::span<const activity> acts) {
+unweighted_activity_result activity_unweighted_parallel(std::span<const activity> acts,
+                                                        const context& ctx) {
+  run_scope scope(ctx);
   size_t n = acts.size();
   unweighted_activity_result res;
   res.rank.assign(n, 0);
@@ -113,24 +111,6 @@ unweighted_activity_result activity_unweighted_parallel(std::span<const activity
   res.best = best;
   res.stats.processed = n;
   return res;
-}
-
-unweighted_activity_result activity_unweighted_greedy_seq(std::span<const activity> acts,
-                                                          const context& ctx) {
-  run_scope scope(ctx);
-  return activity_unweighted_greedy_seq(acts);
-}
-
-unweighted_activity_result activity_unweighted_parallel(std::span<const activity> acts,
-                                                        const context& ctx) {
-  run_scope scope(ctx);
-  return activity_unweighted_parallel(acts);
-}
-
-unweighted_activity_result activity_unweighted_euler(std::span<const activity> acts,
-                                                     const context& ctx) {
-  run_scope scope(ctx);
-  return euler_impl(acts, ctx.seed);
 }
 
 }  // namespace pp

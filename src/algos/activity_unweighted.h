@@ -31,22 +31,17 @@ struct unweighted_activity_result {
 // Classic earliest-end greedy; returns the selected count (and marks ranks
 // of selected activities only as 1,2,3,... along the greedy chain; other
 // entries are 0).
-unweighted_activity_result activity_unweighted_greedy_seq(std::span<const activity> acts);
+unweighted_activity_result activity_unweighted_greedy_seq(std::span<const activity> acts,
+                                                          const context& ctx);
 
 // Pivot-forest + pointer-jumping parallel algorithm (simple variant:
 // O(n log r) work).
-unweighted_activity_result activity_unweighted_parallel(std::span<const activity> acts);
-
-// Pivot-forest + Euler-tour depth computation via weighted list ranking —
-// the contraction-based O(n)-work route of Theorem 5.3. Same output.
-unweighted_activity_result activity_unweighted_euler(std::span<const activity> acts);
-
-// Context forms. The parallel variants draw their contraction seed from
-// ctx.seed.
-unweighted_activity_result activity_unweighted_greedy_seq(std::span<const activity> acts,
-                                                          const context& ctx);
 unweighted_activity_result activity_unweighted_parallel(std::span<const activity> acts,
                                                         const context& ctx);
+
+// Pivot-forest + Euler-tour depth computation via weighted list ranking —
+// the contraction-based O(n)-work route of Theorem 5.3. Same output; the
+// contraction seed is ctx.seed.
 unweighted_activity_result activity_unweighted_euler(std::span<const activity> acts,
                                                      const context& ctx);
 

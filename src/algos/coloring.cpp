@@ -30,7 +30,9 @@ uint32_t mex_color(std::span<const vertex_t> blocking, std::span<const uint32_t>
 
 }  // namespace
 
-coloring_result coloring_sequential(const graph& g, std::span<const uint32_t> priority) {
+coloring_result coloring_sequential(const graph& g, std::span<const uint32_t> priority,
+                                    const context& ctx) {
+  run_scope scope(ctx);
   vertex_t n = g.num_vertices();
   coloring_result res;
   res.color.assign(n, kUncolored);
@@ -90,7 +92,9 @@ struct tas_coloring_state {
 
 }  // namespace
 
-coloring_result coloring_tas(const graph& g, std::span<const uint32_t> priority) {
+coloring_result coloring_tas(const graph& g, std::span<const uint32_t> priority,
+                             const context& ctx) {
+  run_scope scope(ctx);
   vertex_t n = g.num_vertices();
   coloring_result res;
   res.color.assign(n, kUncolored);
@@ -110,7 +114,7 @@ coloring_result coloring_tas(const graph& g, std::span<const uint32_t> priority)
     nblock[v] = b;
   });
 
-  tas_forest forest{std::span<const uint32_t>(nblock), current_context()};  // before nblock is moved
+  tas_forest forest{std::span<const uint32_t>(nblock), ctx};  // before nblock is moved
   tas_coloring_state st{g,          priority,        std::move(sadj), std::move(off),
                         std::move(nblock), res.color, std::move(forest)};
 
@@ -129,18 +133,6 @@ bool is_valid_coloring(const graph& g, std::span<const uint32_t> color) {
       if (color[u] == color[v]) return false;
   }
   return true;
-}
-
-coloring_result coloring_sequential(const graph& g, std::span<const uint32_t> priority,
-                                    const context& ctx) {
-  run_scope scope(ctx);
-  return coloring_sequential(g, priority);
-}
-
-coloring_result coloring_tas(const graph& g, std::span<const uint32_t> priority,
-                             const context& ctx) {
-  run_scope scope(ctx);
-  return coloring_tas(g, priority);
 }
 
 }  // namespace pp

@@ -28,10 +28,6 @@ struct coloring_result {
   phase_stats stats;
 };
 
-coloring_result coloring_sequential(const graph& g, std::span<const uint32_t> priority);
-coloring_result coloring_tas(const graph& g, std::span<const uint32_t> priority);
-
-// Context forms.
 coloring_result coloring_sequential(const graph& g, std::span<const uint32_t> priority,
                                     const context& ctx);
 coloring_result coloring_tas(const graph& g, std::span<const uint32_t> priority,

@@ -51,7 +51,8 @@ void check_sorted(std::span<const uint64_t> freqs) {
 
 }  // namespace
 
-huffman_result huffman_seq(std::span<const uint64_t> freqs) {
+huffman_result huffman_seq(std::span<const uint64_t> freqs, const context& ctx) {
+  run_scope scope(ctx);
   check_sorted(freqs);
   size_t n = freqs.size();
   huffman_result res;
@@ -83,7 +84,8 @@ huffman_result huffman_seq(std::span<const uint64_t> freqs) {
   return res;
 }
 
-huffman_result huffman_parallel(std::span<const uint64_t> freqs) {
+huffman_result huffman_parallel(std::span<const uint64_t> freqs, const context& ctx) {
+  run_scope scope(ctx);
   check_sorted(freqs);
   size_t n = freqs.size();
   huffman_result res;
@@ -185,16 +187,6 @@ std::vector<uint64_t> zipf_freqs(size_t n, double s, uint64_t max_f, uint64_t se
   });
   sort_inplace(std::span<uint64_t>(f));
   return f;
-}
-
-huffman_result huffman_seq(std::span<const uint64_t> freqs, const context& ctx) {
-  run_scope scope(ctx);
-  return huffman_seq(freqs);
-}
-
-huffman_result huffman_parallel(std::span<const uint64_t> freqs, const context& ctx) {
-  run_scope scope(ctx);
-  return huffman_parallel(freqs);
 }
 
 }  // namespace pp

@@ -35,10 +35,6 @@ struct huffman_result {
 inline constexpr uint32_t kNoParent = 0xFFFFFFFFu;
 
 // Precondition for both: freqs sorted ascending, all >= 1.
-huffman_result huffman_seq(std::span<const uint64_t> freqs);
-huffman_result huffman_parallel(std::span<const uint64_t> freqs);
-
-// Context forms.
 huffman_result huffman_seq(std::span<const uint64_t> freqs, const context& ctx);
 huffman_result huffman_parallel(std::span<const uint64_t> freqs, const context& ctx);
 

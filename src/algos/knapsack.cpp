@@ -10,7 +10,9 @@
 
 namespace pp {
 
-knapsack_result knapsack_seq(int64_t W, std::span<const knapsack_item> items) {
+knapsack_result knapsack_seq(int64_t W, std::span<const knapsack_item> items,
+                             const context& ctx) {
+  run_scope scope(ctx);
   knapsack_result res;
   res.dp.assign(static_cast<size_t>(W) + 1, 0);
   for (int64_t j = 1; j <= W; ++j) {
@@ -23,7 +25,9 @@ knapsack_result knapsack_seq(int64_t W, std::span<const knapsack_item> items) {
   return res;
 }
 
-knapsack_result knapsack_parallel(int64_t W, std::span<const knapsack_item> items) {
+knapsack_result knapsack_parallel(int64_t W, std::span<const knapsack_item> items,
+                                  const context& ctx) {
+  run_scope scope(ctx);
   knapsack_result res;
   res.dp.assign(static_cast<size_t>(W) + 1, 0);
   if (items.empty()) return res;
@@ -38,7 +42,7 @@ knapsack_result knapsack_parallel(int64_t W, std::span<const knapsack_item> item
     cancel_point();  // between window rounds: quiescent, cancellable
     int64_t hi = std::min<int64_t>(W + 1, lo + wstar);
     res.stats.record_frontier(static_cast<size_t>(hi - lo));
-    parallel_for(static_cast<size_t>(lo), static_cast<size_t>(hi), [&](size_t j) {
+    parallel_for(ctx, static_cast<size_t>(lo), static_cast<size_t>(hi), [&](size_t j) {
       int64_t best = 0;
       for (const auto& it : items)
         if (it.weight <= static_cast<int64_t>(j))
@@ -56,18 +60,6 @@ std::vector<knapsack_item> random_items(size_t n, int64_t w_min, int64_t w_max, 
   return tabulate<knapsack_item>(n, [&](size_t i) {
     return knapsack_item{rs.ith_range(2 * i, w_min, w_max), rs.ith_range(2 * i + 1, 1, v_max)};
   });
-}
-
-knapsack_result knapsack_seq(int64_t W, std::span<const knapsack_item> items,
-                             const context& ctx) {
-  run_scope scope(ctx);
-  return knapsack_seq(W, items);
-}
-
-knapsack_result knapsack_parallel(int64_t W, std::span<const knapsack_item> items,
-                                  const context& ctx) {
-  run_scope scope(ctx);
-  return knapsack_parallel(W, items);
 }
 
 }  // namespace pp

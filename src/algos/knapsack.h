@@ -28,12 +28,10 @@ struct knapsack_result {
 };
 
 // Classic sequential O(nW) DP.
-knapsack_result knapsack_seq(int64_t W, std::span<const knapsack_item> items);
 knapsack_result knapsack_seq(int64_t W, std::span<const knapsack_item> items,
                              const context& ctx);
 
 // Phase-parallel windows of width w* (Theorem 4.3).
-knapsack_result knapsack_parallel(int64_t W, std::span<const knapsack_item> items);
 knapsack_result knapsack_parallel(int64_t W, std::span<const knapsack_item> items,
                                   const context& ctx);
 

@@ -33,15 +33,9 @@ lis_result lis_seq_impl(std::span<const int64_t> a, std::span<const int32_t> w) 
 
 }  // namespace
 
-lis_result lis_sequential(std::span<const int64_t> a) { return lis_seq_impl(a, {}); }
-
 lis_result lis_sequential(std::span<const int64_t> a, const context& ctx) {
   run_scope scope(ctx);
   return lis_seq_impl(a, {});
-}
-
-lis_result lis_sequential_weighted(std::span<const int64_t> a, std::span<const int32_t> w) {
-  return lis_seq_impl(a, w);
 }
 
 lis_result lis_sequential_weighted(std::span<const int64_t> a, std::span<const int32_t> w,
@@ -50,31 +44,22 @@ lis_result lis_sequential_weighted(std::span<const int64_t> a, std::span<const i
   return lis_seq_impl(a, w);
 }
 
-lis_result lis_parallel(std::span<const int64_t> a, pivot_policy policy, uint64_t seed) {
-  return lis_parallel_weighted(a, {}, policy, seed);
-}
-
 lis_result lis_parallel(std::span<const int64_t> a, const context& ctx) {
   return lis_parallel_weighted(a, {}, ctx);
 }
 
 lis_result lis_parallel_weighted(std::span<const int64_t> a, std::span<const int32_t> w,
-                                 pivot_policy policy, uint64_t seed) {
+                                 const context& ctx) {
+  run_scope scope(ctx);
   size_t n = a.size();
   auto yr = compute_y_ranks(a);
   auto qx = tabulate<uint32_t>(n, [](size_t i) { return static_cast<uint32_t>(i); });
-  auto dom = dominance_dp(yr, qx, w, policy, seed);
+  auto dom = dominance_dp(yr, qx, w, ctx);
   lis_result res;
   res.dp = std::move(dom.dp);
   res.length = dom.best;
   res.stats = dom.stats;
   return res;
-}
-
-lis_result lis_parallel_weighted(std::span<const int64_t> a, std::span<const int32_t> w,
-                                 const context& ctx) {
-  run_scope scope(ctx);
-  return lis_parallel_weighted(a, w, ctx.pivot, ctx.seed);
 }
 
 std::vector<uint32_t> lis_reconstruct(std::span<const int64_t> a, std::span<const int32_t> dp) {

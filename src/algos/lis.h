@@ -35,24 +35,17 @@ struct lis_result {
 };
 
 // Classic sequential O(n log n) DP.
-lis_result lis_sequential(std::span<const int64_t> a);
 lis_result lis_sequential(std::span<const int64_t> a, const context& ctx);
 
 // Sequential weighted LIS: maximize the sum of weights over increasing
 // subsequences. O(n log n).
-lis_result lis_sequential_weighted(std::span<const int64_t> a, std::span<const int32_t> w);
 lis_result lis_sequential_weighted(std::span<const int64_t> a, std::span<const int32_t> w,
                                    const context& ctx);
 
-// Phase-parallel LIS (Algorithm 3). The context form takes pivot policy
-// and seed from ctx; the positional form requires both explicitly (no
-// hidden default seed) and runs under the current context.
-lis_result lis_parallel(std::span<const int64_t> a, pivot_policy policy, uint64_t seed);
+// Phase-parallel LIS (Algorithm 3). Pivot policy and seed come from ctx.
 lis_result lis_parallel(std::span<const int64_t> a, const context& ctx);
 
 // Phase-parallel weighted LIS (weights must be positive).
-lis_result lis_parallel_weighted(std::span<const int64_t> a, std::span<const int32_t> w,
-                                 pivot_policy policy, uint64_t seed);
 lis_result lis_parallel_weighted(std::span<const int64_t> a, std::span<const int32_t> w,
                                  const context& ctx);
 

@@ -9,7 +9,8 @@
 
 namespace pp {
 
-list_ranking_result list_ranking_seq(std::span<const uint32_t> next) {
+list_ranking_result list_ranking_seq(std::span<const uint32_t> next, const context& ctx) {
+  run_scope scope(ctx);
   size_t n = next.size();
   list_ranking_result res;
   res.rank.assign(n, 0);
@@ -26,10 +27,12 @@ list_ranking_result list_ranking_seq(std::span<const uint32_t> next) {
   return res;
 }
 
-list_ranking_result list_ranking_parallel(std::span<const uint32_t> next_in, uint64_t seed) {
+list_ranking_result list_ranking_parallel(std::span<const uint32_t> next_in,
+                                          const context& ctx) {
+  run_scope scope(ctx);
   // unit weights: the weighted rank counts the nodes strictly before v
   auto w = tabulate<int64_t>(next_in.size(), [](size_t) { return int64_t{1}; });
-  auto wres = list_ranking_weighted_parallel(next_in, w, seed);
+  auto wres = list_ranking_weighted_parallel(next_in, w, ctx);
   list_ranking_result res;
   res.rank.assign(next_in.size(), 0);
   parallel_for(0, next_in.size(),
@@ -39,7 +42,9 @@ list_ranking_result list_ranking_parallel(std::span<const uint32_t> next_in, uin
 }
 
 weighted_ranking_result list_ranking_weighted_seq(std::span<const uint32_t> next,
-                                                  std::span<const int64_t> w) {
+                                                  std::span<const int64_t> w,
+                                                  const context& ctx) {
+  run_scope scope(ctx);
   size_t n = next.size();
   weighted_ranking_result res;
   res.rank.assign(n, 0);
@@ -60,13 +65,14 @@ weighted_ranking_result list_ranking_weighted_seq(std::span<const uint32_t> next
 
 weighted_ranking_result list_ranking_weighted_parallel(std::span<const uint32_t> next_in,
                                                        std::span<const int64_t> w,
-                                                       uint64_t seed) {
+                                                       const context& ctx) {
+  run_scope scope(ctx);
   size_t n = next_in.size();
   weighted_ranking_result res;
   res.rank.assign(n, 0);
   if (n == 0) return res;
 
-  auto prio = random_permutation(n, seed);
+  auto prio = random_permutation(n, ctx.seed);
   std::vector<uint32_t> next(next_in.begin(), next_in.end());
   std::vector<uint32_t> prev(n, kListEnd);
   parallel_for(0, n, [&](size_t v) {
@@ -143,7 +149,9 @@ weighted_ranking_result list_ranking_weighted_parallel(std::span<const uint32_t>
   return res;
 }
 
-weighted_ranking_result forest_depths_euler(std::span<const uint32_t> parent, uint64_t seed) {
+weighted_ranking_result forest_depths_euler(std::span<const uint32_t> parent,
+                                            const context& ctx) {
+  run_scope scope(ctx);
   size_t n = parent.size();
   weighted_ranking_result res;
   res.rank.assign(n, 0);
@@ -185,7 +193,7 @@ weighted_ranking_result forest_depths_euler(std::span<const uint32_t> parent, ui
     tour_next[exit_(roots[r])] = enter(roots[r + 1]);
 
   auto weights = tabulate<int64_t>(2 * n, [](size_t i) { return i % 2 == 0 ? 1 : -1; });
-  auto ranked = list_ranking_weighted_parallel(tour_next, weights, seed);
+  auto ranked = list_ranking_weighted_parallel(tour_next, weights, ctx);
   parallel_for(0, n, [&](size_t v) { res.rank[v] = ranked.rank[enter(static_cast<uint32_t>(v))] + 1; });
   res.stats = ranked.stats;
   return res;
@@ -198,36 +206,6 @@ std::vector<uint32_t> random_list(size_t n, uint64_t seed) {
     if (i + 1 < n) next[order[i]] = order[i + 1];
   });
   return next;
-}
-
-list_ranking_result list_ranking_seq(std::span<const uint32_t> next, const context& ctx) {
-  run_scope scope(ctx);
-  return list_ranking_seq(next);
-}
-
-list_ranking_result list_ranking_parallel(std::span<const uint32_t> next, const context& ctx) {
-  run_scope scope(ctx);
-  return list_ranking_parallel(next, ctx.seed);
-}
-
-weighted_ranking_result list_ranking_weighted_seq(std::span<const uint32_t> next,
-                                                  std::span<const int64_t> w,
-                                                  const context& ctx) {
-  run_scope scope(ctx);
-  return list_ranking_weighted_seq(next, w);
-}
-
-weighted_ranking_result list_ranking_weighted_parallel(std::span<const uint32_t> next,
-                                                       std::span<const int64_t> w,
-                                                       const context& ctx) {
-  run_scope scope(ctx);
-  return list_ranking_weighted_parallel(next, w, ctx.seed);
-}
-
-weighted_ranking_result forest_depths_euler(std::span<const uint32_t> parent,
-                                            const context& ctx) {
-  run_scope scope(ctx);
-  return forest_depths_euler(parent, ctx.seed);
 }
 
 }  // namespace pp

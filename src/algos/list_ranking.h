@@ -33,13 +33,10 @@ struct list_ranking_result {
 inline constexpr uint32_t kListEnd = 0xFFFFFFFFu;
 
 // O(n) sequential traversal (baseline).
-list_ranking_result list_ranking_seq(std::span<const uint32_t> next);
 list_ranking_result list_ranking_seq(std::span<const uint32_t> next, const context& ctx);
 
-// Phase-parallel contraction/expansion; same output. The context form
-// draws the contraction priorities from ctx.seed; the positional form
-// requires the seed explicitly (no hidden default).
-list_ranking_result list_ranking_parallel(std::span<const uint32_t> next, uint64_t seed);
+// Phase-parallel contraction/expansion; same output. The contraction
+// priorities are drawn from ctx.seed.
 list_ranking_result list_ranking_parallel(std::span<const uint32_t> next, const context& ctx);
 
 struct weighted_ranking_result {
@@ -51,13 +48,8 @@ struct weighted_ranking_result {
 // before v in list order (weights may be negative — used for Euler-tour
 // depth computation). Same contraction algorithm.
 weighted_ranking_result list_ranking_weighted_seq(std::span<const uint32_t> next,
-                                                  std::span<const int64_t> w);
-weighted_ranking_result list_ranking_weighted_seq(std::span<const uint32_t> next,
                                                   std::span<const int64_t> w,
                                                   const context& ctx);
-weighted_ranking_result list_ranking_weighted_parallel(std::span<const uint32_t> next,
-                                                       std::span<const int64_t> w,
-                                                       uint64_t seed);
 weighted_ranking_result list_ranking_weighted_parallel(std::span<const uint32_t> next,
                                                        std::span<const int64_t> w,
                                                        const context& ctx);
@@ -66,7 +58,6 @@ weighted_ranking_result list_ranking_weighted_parallel(std::span<const uint32_t>
 // ranked with +1/-1 weights — the standard tree-contraction route the
 // paper invokes for Theorem 5.3. parent[v] = kListEnd for roots. O(n)
 // work, polylog span whp.
-weighted_ranking_result forest_depths_euler(std::span<const uint32_t> parent, uint64_t seed);
 weighted_ranking_result forest_depths_euler(std::span<const uint32_t> parent,
                                             const context& ctx);
 

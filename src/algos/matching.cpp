@@ -19,7 +19,9 @@ std::vector<edge> canonical_edges(const graph& g) {
   return out;
 }
 
-matching_result matching_sequential(const graph& g, std::span<const uint32_t> edge_priority) {
+matching_result matching_sequential(const graph& g, std::span<const uint32_t> edge_priority,
+                                    const context& ctx) {
+  run_scope scope(ctx);
   auto edges = canonical_edges(g);
   matching_result res;
   res.partner.assign(g.num_vertices(), kUnmatched);
@@ -37,7 +39,9 @@ matching_result matching_sequential(const graph& g, std::span<const uint32_t> ed
   return res;
 }
 
-matching_result matching_rounds(const graph& g, std::span<const uint32_t> edge_priority) {
+matching_result matching_rounds(const graph& g, std::span<const uint32_t> edge_priority,
+                                const context& ctx) {
+  run_scope scope(ctx);
   auto edges = canonical_edges(g);
   size_t m = edges.size();
   matching_result res;
@@ -142,18 +146,6 @@ bool is_maximal_matching(const graph& g, std::span<const uint32_t> partner) {
       if (partner[u] == kUnmatched) return false;  // both free: not maximal
   }
   return true;
-}
-
-matching_result matching_sequential(const graph& g, std::span<const uint32_t> edge_priority,
-                                    const context& ctx) {
-  run_scope scope(ctx);
-  return matching_sequential(g, edge_priority);
-}
-
-matching_result matching_rounds(const graph& g, std::span<const uint32_t> edge_priority,
-                                const context& ctx) {
-  run_scope scope(ctx);
-  return matching_rounds(g, edge_priority);
 }
 
 }  // namespace pp

@@ -31,10 +31,6 @@ inline constexpr uint32_t kUnmatched = 0xFFFFFFFFu;
 
 // `edge_priority[e]` is a permutation of 0..m-1 over the unique undirected
 // edges of g in the canonical (u < v, sorted) order; smaller = earlier.
-matching_result matching_sequential(const graph& g, std::span<const uint32_t> edge_priority);
-matching_result matching_rounds(const graph& g, std::span<const uint32_t> edge_priority);
-
-// Context forms.
 matching_result matching_sequential(const graph& g, std::span<const uint32_t> edge_priority,
                                     const context& ctx);
 matching_result matching_rounds(const graph& g, std::span<const uint32_t> edge_priority,

@@ -12,7 +12,9 @@
 
 namespace pp {
 
-mis_result mis_sequential(const graph& g, std::span<const uint32_t> priority) {
+mis_result mis_sequential(const graph& g, std::span<const uint32_t> priority,
+                          const context& ctx) {
+  run_scope scope(ctx);
   vertex_t n = g.num_vertices();
   mis_result res;
   res.in_mis.assign(n, 0);
@@ -27,7 +29,8 @@ mis_result mis_sequential(const graph& g, std::span<const uint32_t> priority) {
   return res;
 }
 
-mis_result mis_rounds(const graph& g, std::span<const uint32_t> priority) {
+mis_result mis_rounds(const graph& g, std::span<const uint32_t> priority, const context& ctx) {
+  run_scope scope(ctx);
   vertex_t n = g.num_vertices();
   mis_result res;
   res.in_mis.assign(n, 0);
@@ -152,7 +155,8 @@ void tas_mis_state::wake_up(vertex_t v, size_t depth) {
 
 }  // namespace
 
-mis_result mis_tas(const graph& g, std::span<const uint32_t> priority) {
+mis_result mis_tas(const graph& g, std::span<const uint32_t> priority, const context& ctx) {
+  run_scope scope(ctx);
   vertex_t n = g.num_vertices();
   // adjacency sorted by priority, blocking counts
   std::vector<size_t> off(n + 1, 0);
@@ -170,8 +174,7 @@ mis_result mis_tas(const graph& g, std::span<const uint32_t> priority) {
     nblock[v] = b;
   });
 
-  tas_mis_state st(g, priority, std::move(sadj), std::move(off), std::move(nblock),
-                   current_context());
+  tas_mis_state st(g, priority, std::move(sadj), std::move(off), std::move(nblock), ctx);
 
   // Kick off every vertex with no blocking neighbors (Lines 5-6).
   parallel_for(0, n, [&](size_t v) {
@@ -199,22 +202,6 @@ bool is_maximal_independent_set(const graph& g, std::span<const uint8_t> in_mis)
     if (!in_mis[v] && !has_selected_neighbor) return false;  // not maximal
   }
   return true;
-}
-
-mis_result mis_sequential(const graph& g, std::span<const uint32_t> priority,
-                          const context& ctx) {
-  run_scope scope(ctx);
-  return mis_sequential(g, priority);
-}
-
-mis_result mis_rounds(const graph& g, std::span<const uint32_t> priority, const context& ctx) {
-  run_scope scope(ctx);
-  return mis_rounds(g, priority);
-}
-
-mis_result mis_tas(const graph& g, std::span<const uint32_t> priority, const context& ctx) {
-  run_scope scope(ctx);
-  return mis_tas(g, priority);
 }
 
 }  // namespace pp

@@ -35,11 +35,6 @@ struct mis_result {
   phase_stats stats;  // rounds (mis_rounds), max wake depth proxy in substeps (mis_tas)
 };
 
-mis_result mis_sequential(const graph& g, std::span<const uint32_t> priority);
-mis_result mis_rounds(const graph& g, std::span<const uint32_t> priority);
-mis_result mis_tas(const graph& g, std::span<const uint32_t> priority);
-
-// Context forms.
 mis_result mis_sequential(const graph& g, std::span<const uint32_t> priority,
                           const context& ctx);
 mis_result mis_rounds(const graph& g, std::span<const uint32_t> priority, const context& ctx);

@@ -16,7 +16,9 @@ std::vector<uint32_t> knuth_targets(size_t n, uint64_t seed) {
   });
 }
 
-shuffle_result knuth_shuffle_seq(size_t n, std::span<const uint32_t> targets) {
+shuffle_result knuth_shuffle_seq(size_t n, std::span<const uint32_t> targets,
+                                 const context& ctx) {
+  run_scope scope(ctx);
   shuffle_result res;
   res.perm = tabulate<uint32_t>(n, [](size_t i) { return static_cast<uint32_t>(i); });
   for (size_t i = 1; i < n; ++i) std::swap(res.perm[i], res.perm[targets[i]]);
@@ -25,7 +27,9 @@ shuffle_result knuth_shuffle_seq(size_t n, std::span<const uint32_t> targets) {
   return res;
 }
 
-shuffle_result knuth_shuffle_parallel(size_t n, std::span<const uint32_t> targets) {
+shuffle_result knuth_shuffle_parallel(size_t n, std::span<const uint32_t> targets,
+                                      const context& ctx) {
+  run_scope scope(ctx);
   shuffle_result res;
   res.perm = tabulate<uint32_t>(n, [](size_t i) { return static_cast<uint32_t>(i); });
   if (n <= 1) return res;
@@ -71,18 +75,6 @@ shuffle_result knuth_shuffle_parallel(size_t n, std::span<const uint32_t> target
     remaining = pack(std::span<const uint32_t>(remaining), [&](size_t k) { return done[k] == 0; });
   }
   return res;
-}
-
-shuffle_result knuth_shuffle_seq(size_t n, std::span<const uint32_t> targets,
-                                 const context& ctx) {
-  run_scope scope(ctx);
-  return knuth_shuffle_seq(n, targets);
-}
-
-shuffle_result knuth_shuffle_parallel(size_t n, std::span<const uint32_t> targets,
-                                      const context& ctx) {
-  run_scope scope(ctx);
-  return knuth_shuffle_parallel(n, targets);
 }
 
 }  // namespace pp

@@ -31,13 +31,11 @@ struct shuffle_result {
 std::vector<uint32_t> knuth_targets(size_t n, uint64_t seed);
 
 // Sequential Fisher-Yates/Knuth shuffle with explicit targets.
-shuffle_result knuth_shuffle_seq(size_t n, std::span<const uint32_t> targets);
 shuffle_result knuth_shuffle_seq(size_t n, std::span<const uint32_t> targets,
                                  const context& ctx);
 
 // Phase-parallel shuffle: same output as knuth_shuffle_seq for the same
 // targets, O(depth) rounds (depth = O(log n) whp).
-shuffle_result knuth_shuffle_parallel(size_t n, std::span<const uint32_t> targets);
 shuffle_result knuth_shuffle_parallel(size_t n, std::span<const uint32_t> targets,
                                       const context& ctx);
 

@@ -28,8 +28,8 @@ void fold_counters(phase_stats& st, const mq_counters& c) {
 // selected iff none of them was selected. Two adjacent vertices can never
 // both be "ready" (one blocks the other), so the decision reads only final
 // write-once states and the result is exactly the greedy MIS.
-mis_result mis_relaxed(const graph& g, std::span<const uint32_t> priority) {
-  const context ctx = current_context();
+mis_result mis_relaxed(const graph& g, std::span<const uint32_t> priority, const context& ctx) {
+  run_scope scope(ctx);
   const vertex_t n = g.num_vertices();
   mis_result res;
   res.in_mis.assign(n, 0);
@@ -74,8 +74,9 @@ mis_result mis_relaxed(const graph& g, std::span<const uint32_t> priority) {
 }
 
 // ---- Coloring ---------------------------------------------------------------
-coloring_result coloring_relaxed(const graph& g, std::span<const uint32_t> priority) {
-  const context ctx = current_context();
+coloring_result coloring_relaxed(const graph& g, std::span<const uint32_t> priority,
+                                 const context& ctx) {
+  run_scope scope(ctx);
   const vertex_t n = g.num_vertices();
   constexpr uint32_t kUncolored = 0xFFFFFFFFu;
 
@@ -133,8 +134,9 @@ coloring_result coloring_relaxed(const graph& g, std::span<const uint32_t> prior
 // are still free. No drop propagation — an edge whose endpoint was taken
 // drops *itself* when it becomes ready, which keeps every estate/partner
 // write single-writer and the result exactly the greedy matching.
-matching_result matching_relaxed(const graph& g, std::span<const uint32_t> edge_priority) {
-  const context ctx = current_context();
+matching_result matching_relaxed(const graph& g, std::span<const uint32_t> edge_priority,
+                                 const context& ctx) {
+  run_scope scope(ctx);
   const vertex_t n = g.num_vertices();
   const auto edges = canonical_edges(g);
   const size_t m = edges.size();
@@ -234,8 +236,8 @@ matching_result matching_relaxed(const graph& g, std::span<const uint32_t> edge_
 // breaks exactness — an early-settled vertex is re-inserted when a shorter
 // path arrives — it only costs wasted pops, which is the relaxation-cost
 // curve the ablation measures.
-sssp_result sssp_relaxed(const wgraph& g, vertex_t source) {
-  const context ctx = current_context();
+sssp_result sssp_relaxed(const wgraph& g, vertex_t source, const context& ctx) {
+  run_scope scope(ctx);
   const vertex_t n = g.num_vertices();
   std::vector<std::atomic<int64_t>> dist(n);
   parallel_for(ctx, 0, n,
@@ -277,29 +279,6 @@ sssp_result sssp_relaxed(const wgraph& g, vertex_t source) {
   res.stats.relaxations = relaxations.load(std::memory_order_relaxed);
   fold_counters(res.stats, c);
   return res;
-}
-
-// ---- Context forms ----------------------------------------------------------
-mis_result mis_relaxed(const graph& g, std::span<const uint32_t> priority, const context& ctx) {
-  run_scope scope(ctx);
-  return mis_relaxed(g, priority);
-}
-
-coloring_result coloring_relaxed(const graph& g, std::span<const uint32_t> priority,
-                                 const context& ctx) {
-  run_scope scope(ctx);
-  return coloring_relaxed(g, priority);
-}
-
-matching_result matching_relaxed(const graph& g, std::span<const uint32_t> edge_priority,
-                                 const context& ctx) {
-  run_scope scope(ctx);
-  return matching_relaxed(g, edge_priority);
-}
-
-sssp_result sssp_relaxed(const wgraph& g, vertex_t source, const context& ctx) {
-  run_scope scope(ctx);
-  return sssp_relaxed(g, source);
 }
 
 }  // namespace pp

@@ -44,12 +44,6 @@
 
 namespace pp {
 
-mis_result mis_relaxed(const graph& g, std::span<const uint32_t> priority);
-coloring_result coloring_relaxed(const graph& g, std::span<const uint32_t> priority);
-matching_result matching_relaxed(const graph& g, std::span<const uint32_t> edge_priority);
-sssp_result sssp_relaxed(const wgraph& g, vertex_t source);
-
-// Context forms.
 mis_result mis_relaxed(const graph& g, std::span<const uint32_t> priority, const context& ctx);
 coloring_result coloring_relaxed(const graph& g, std::span<const uint32_t> priority,
                                  const context& ctx);

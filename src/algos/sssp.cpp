@@ -11,7 +11,8 @@
 
 namespace pp {
 
-sssp_result sssp_dijkstra(const wgraph& g, vertex_t source) {
+sssp_result sssp_dijkstra(const wgraph& g, vertex_t source, const context& ctx) {
+  run_scope scope(ctx);
   sssp_result res;
   res.dist.assign(g.num_vertices(), kInfDist);
   using qe = std::pair<int64_t, vertex_t>;
@@ -168,22 +169,28 @@ sssp_result delta_stepping_impl(const wgraph& g, vertex_t source, uint32_t delta
 
 }  // namespace
 
-sssp_result sssp_bellman_ford(const wgraph& g, vertex_t source) {
+sssp_result sssp_bellman_ford(const wgraph& g, vertex_t source, const context& ctx) {
+  run_scope scope(ctx);
   // Delta = infinity and a single bucket: the inner loop degenerates to
   // frontier-based Bellman-Ford.
   return delta_stepping_impl(g, source, 0, /*single_bucket=*/true);
 }
 
-sssp_result sssp_delta_stepping(const wgraph& g, vertex_t source, uint32_t delta) {
+sssp_result sssp_delta_stepping(const wgraph& g, vertex_t source, uint32_t delta,
+                                const context& ctx) {
+  run_scope scope(ctx);
   return delta_stepping_impl(g, source, std::max(delta, 1u), /*single_bucket=*/false);
 }
 
-sssp_result sssp_phase_parallel(const wgraph& g, vertex_t source) {
+sssp_result sssp_phase_parallel(const wgraph& g, vertex_t source, const context& ctx) {
+  run_scope scope(ctx);
   uint32_t wstar = g.num_edges() == 0 ? 1 : g.min_weight();
-  return sssp_delta_stepping(g, source, std::max<uint32_t>(wstar, 1));
+  return delta_stepping_impl(g, source, std::max<uint32_t>(wstar, 1), /*single_bucket=*/false);
 }
 
-sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion) {
+sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion,
+                         const context& ctx) {
+  run_scope scope(ctx);
   sssp_result res;
   vertex_t n = g.num_vertices();
   res.dist.assign(n, kInfDist);
@@ -257,7 +264,8 @@ sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion
 }
 
 sssp_result sssp_incremental(const wgraph& g, vertex_t source, std::span<const int64_t> prior,
-                             std::span<const wgraph::wedge> inserted) {
+                             std::span<const wgraph::wedge> inserted, const context& ctx) {
+  run_scope scope(ctx);
   sssp_result res;
   res.dist.assign(g.num_vertices(), kInfDist);
   std::copy(prior.begin(), prior.begin() + std::min<size_t>(prior.size(), res.dist.size()),
@@ -293,39 +301,6 @@ sssp_result sssp_incremental(const wgraph& g, vertex_t source, std::span<const i
     }
   }
   return res;
-}
-
-sssp_result sssp_dijkstra(const wgraph& g, vertex_t source, const context& ctx) {
-  run_scope scope(ctx);
-  return sssp_dijkstra(g, source);
-}
-
-sssp_result sssp_incremental(const wgraph& g, vertex_t source, std::span<const int64_t> prior,
-                             std::span<const wgraph::wedge> inserted, const context& ctx) {
-  run_scope scope(ctx);
-  return sssp_incremental(g, source, prior, inserted);
-}
-
-sssp_result sssp_bellman_ford(const wgraph& g, vertex_t source, const context& ctx) {
-  run_scope scope(ctx);
-  return sssp_bellman_ford(g, source);
-}
-
-sssp_result sssp_delta_stepping(const wgraph& g, vertex_t source, uint32_t delta,
-                                const context& ctx) {
-  run_scope scope(ctx);
-  return sssp_delta_stepping(g, source, delta);
-}
-
-sssp_result sssp_phase_parallel(const wgraph& g, vertex_t source, const context& ctx) {
-  run_scope scope(ctx);
-  return sssp_phase_parallel(g, source);
-}
-
-sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion,
-                         const context& ctx) {
-  run_scope scope(ctx);
-  return sssp_crauser(g, source, use_in_criterion);
 }
 
 }  // namespace pp

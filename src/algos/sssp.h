@@ -33,19 +33,11 @@ struct sssp_result {
   phase_stats stats;          // rounds = buckets/steps, substeps = inner iterations
 };
 
-sssp_result sssp_dijkstra(const wgraph& g, vertex_t source);
-sssp_result sssp_bellman_ford(const wgraph& g, vertex_t source);
-sssp_result sssp_delta_stepping(const wgraph& g, vertex_t source, uint32_t delta);
-sssp_result sssp_phase_parallel(const wgraph& g, vertex_t source);
-
-// Context forms.
 sssp_result sssp_dijkstra(const wgraph& g, vertex_t source, const context& ctx);
 sssp_result sssp_bellman_ford(const wgraph& g, vertex_t source, const context& ctx);
 sssp_result sssp_delta_stepping(const wgraph& g, vertex_t source, uint32_t delta,
                                 const context& ctx);
 sssp_result sssp_phase_parallel(const wgraph& g, vertex_t source, const context& ctx);
-sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion,
-                         const context& ctx);
 
 // Incremental re-solve after edge insertions (the session delta shape,
 // src/serve/session.h): `prior` holds exact distances in g minus the
@@ -57,8 +49,6 @@ sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion
 // NOT be reused across removals or weight increases (labels stop being
 // upper bounds); the session store enforces that invalidation rule.
 sssp_result sssp_incremental(const wgraph& g, vertex_t source, std::span<const int64_t> prior,
-                             std::span<const wgraph::wedge> inserted);
-sssp_result sssp_incremental(const wgraph& g, vertex_t source, std::span<const int64_t> prior,
                              std::span<const wgraph::wedge> inserted, const context& ctx);
 
 // The alternative relaxed rank the paper points to (Sec. 4.3, [Crauser et
@@ -68,6 +58,7 @@ sssp_result sssp_incremental(const wgraph& g, vertex_t source, std::span<const i
 //   dist(v) - min_in_weight(v) <= min_u dist(u)           (IN-criterion)
 // as well. Settled vertices can never be improved, so each is relaxed
 // once — work-efficient like Dijkstra, with multi-vertex rounds.
-sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion = true);
+sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion,
+                         const context& ctx);
 
 }  // namespace pp

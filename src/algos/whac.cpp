@@ -45,7 +45,8 @@ std::vector<uint32_t> strict_u_bounds(const std::vector<uv_point>& pts) {
 
 }  // namespace
 
-whac_result whac_sequential(std::span<const mole> moles) {
+whac_result whac_sequential(std::span<const mole> moles, const context& ctx) {
+  run_scope scope(ctx);
   size_t n = moles.size();
   whac_result res;
   res.dp.assign(n, 0);
@@ -94,7 +95,8 @@ whac_result whac_bruteforce(std::span<const mole> moles) {
   return res;
 }
 
-whac_result whac_parallel(std::span<const mole> moles, pivot_policy policy, uint64_t seed) {
+whac_result whac_parallel(std::span<const mole> moles, const context& ctx) {
+  run_scope scope(ctx);
   size_t n = moles.size();
   whac_result res;
   res.dp.assign(n, 0);
@@ -103,7 +105,7 @@ whac_result whac_parallel(std::span<const mole> moles, pivot_policy policy, uint
   auto vvals = tabulate<int64_t>(n, [&](size_t i) { return pts[i].v; });
   auto vr = compute_y_ranks(std::span<const int64_t>(vvals));
   auto qx = strict_u_bounds(pts);
-  auto dom = dominance_dp(vr, qx, {}, policy, seed);
+  auto dom = dominance_dp(vr, qx, {}, ctx);
   parallel_for(0, n, [&](size_t i) { res.dp[pts[i].id] = dom.dp[i]; });
   res.best = dom.best;
   res.stats = dom.stats;
@@ -116,16 +118,6 @@ std::vector<mole> random_moles(size_t n, int64_t t_range, int64_t p_range, uint6
     return mole{rs.ith_range(2 * i, 0, std::max<int64_t>(t_range, 1) - 1),
                 rs.ith_range(2 * i + 1, 0, std::max<int64_t>(p_range, 1) - 1)};
   });
-}
-
-whac_result whac_sequential(std::span<const mole> moles, const context& ctx) {
-  run_scope scope(ctx);
-  return whac_sequential(moles);
-}
-
-whac_result whac_parallel(std::span<const mole> moles, const context& ctx) {
-  run_scope scope(ctx);
-  return whac_parallel(moles, ctx.pivot, ctx.seed);
 }
 
 }  // namespace pp

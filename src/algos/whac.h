@@ -31,16 +31,13 @@ struct whac_result {
 };
 
 // O(n log n) sequential DP (Fenwick over v-ranks in u order).
-whac_result whac_sequential(std::span<const mole> moles);
 whac_result whac_sequential(std::span<const mole> moles, const context& ctx);
 
 // O(n^2) reference, for testing.
 whac_result whac_bruteforce(std::span<const mole> moles);
 
-// Phase-parallel via the dominance engine. The context form takes pivot
-// policy and seed from ctx; the positional form requires both explicitly
-// (no hidden default seed).
-whac_result whac_parallel(std::span<const mole> moles, pivot_policy policy, uint64_t seed);
+// Phase-parallel via the dominance engine. Pivot policy and seed come
+// from ctx.
 whac_result whac_parallel(std::span<const mole> moles, const context& ctx);
 
 // Random instance: moles with times in [0, t_range) and positions in

@@ -5,10 +5,11 @@
 // backend flag and positional solver arguments: the parallel backend, the
 // worker count, the RNG seed, the parallel-for grain, and algorithm policy
 // knobs (currently the Type-2 pivot policy). Every solver in src/algos/
-// takes a `const context&`; `parallel_for`/`par_do` consult the *current*
-// context (api.h), so a solver that enters a `scoped_context` threads its
-// configuration through every fork underneath it without any global state
-// of its own.
+// has exactly one entry point, and it takes a `const context&`; the
+// implicit `parallel_for`/`par_do` forms consult the *current* context
+// (api.h), so a solver that installs its argument (run_scope, which wraps
+// a `scoped_context`) threads its configuration through every fork
+// underneath it without any global state of its own.
 //
 // Three levels:
 //   * default_context() — mutable process-wide defaults (what `main` or a
@@ -17,10 +18,6 @@
 //     the innermost scoped_context, or the default when none is active;
 //   * scoped_context    — RAII activation of a context for one run; solver
 //     entry points install their argument with it.
-//
-// The old `set_backend` / `scoped_backend` API is kept as thin deprecated
-// shims over the default context so existing call sites keep compiling;
-// new code should construct a context and pass it down.
 #pragma once
 
 #include <omp.h>
@@ -332,26 +329,6 @@ class scoped_context {
   std::shared_ptr<const context> installed_;
   std::shared_ptr<const context> saved_;
   bool top_level_;
-};
-
-// ---- Deprecated shims over the default context ------------------------------
-//
-// Pre-context API. `set_backend` edits the process defaults; `scoped_backend`
-// is a scoped_context that only overrides the backend. Prefer passing a
-// context explicitly.
-
-inline backend_kind get_backend() { return current_context().backend; }
-
-inline void set_backend(backend_kind b) { default_context().backend = b; }
-
-class scoped_backend {
- public:
-  explicit scoped_backend(backend_kind b) : scope_(current_context().with_backend(b)) {}
-  scoped_backend(const scoped_backend&) = delete;
-  scoped_backend& operator=(const scoped_backend&) = delete;
-
- private:
-  scoped_context scope_;
 };
 
 }  // namespace pp

@@ -125,26 +125,16 @@ dominance_result dominance_dp_impl(std::span<const uint32_t> y_ranks,
 
 }  // namespace detail
 
-// Solve the dominance DP. `weights` may be empty (unit weights). `qx[i]`
-// is the exclusive x-bound of object i's dominated set (for plain LIS pass
-// qx[i] = i). Policy and seed are required — pass ctx.pivot/ctx.seed (or
-// use the context overload below) so no run picks up a hidden default.
-inline dominance_result dominance_dp(std::span<const uint32_t> y_ranks,
-                                     std::span<const uint32_t> qx,
-                                     std::span<const int32_t> weights,
-                                     pivot_policy policy, uint64_t seed) {
-  if (policy == pivot_policy::uniform_random)
-    return detail::dominance_dp_impl<dom_agg_random>(y_ranks, qx, weights, seed);
-  return detail::dominance_dp_impl<dom_agg_rightmost>(y_ranks, qx, weights, seed);
-}
-
-// Context form: pivot policy and seed come from ctx, and the whole solve
-// runs under it.
+// Solve the dominance DP under ctx; pivot policy and seed come from ctx.
+// `weights` may be empty (unit weights). `qx[i]` is the exclusive x-bound
+// of object i's dominated set (for plain LIS pass qx[i] = i).
 inline dominance_result dominance_dp(std::span<const uint32_t> y_ranks,
                                      std::span<const uint32_t> qx,
                                      std::span<const int32_t> weights, const context& ctx) {
   run_scope scope(ctx);
-  return dominance_dp(y_ranks, qx, weights, ctx.pivot, ctx.seed);
+  if (ctx.pivot == pivot_policy::uniform_random)
+    return detail::dominance_dp_impl<dom_agg_random>(y_ranks, qx, weights, ctx.seed);
+  return detail::dominance_dp_impl<dom_agg_rightmost>(y_ranks, qx, weights, ctx.seed);
 }
 
 }  // namespace pp

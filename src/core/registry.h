@@ -217,8 +217,9 @@ inline solver_paradigm paradigm_of(const solver_info& info) {
   if (variant == "relaxed") return solver_paradigm::relaxed;
   // sssp/dijkstra is the sequential reference of its family despite the
   // historical name (the same exception tools/pplint.py's solver-coverage
-  // rule carries).
-  if (variant == "sequential" || name == "sssp/dijkstra") return solver_paradigm::sequential;
+  // rule carries); sssp/incremental is a seeded sequential Dijkstra.
+  if (variant == "sequential" || name == "sssp/dijkstra" || name == "sssp/incremental")
+    return solver_paradigm::sequential;
   return solver_paradigm::phase;
 }
 

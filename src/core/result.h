@@ -25,6 +25,7 @@
 #include "core/context.h"
 #include "core/fingerprint.h"
 #include "core/stats.h"
+#include "core/trace.h"
 #include "parallel/api.h"
 #include "parallel/backend.h"
 
@@ -161,6 +162,9 @@ struct batch_result {
 template <typename F>
 auto run_timed(std::string solver, const context& ctx, F&& fn)
     -> run_result<std::decay_t<decltype(fn(ctx))>> {
+  // The one `run` trace span per solve: covers scheduler binding (the
+  // lease, when this call takes it) through the solver's return.
+  trace_span span("run", "workers", ctx.workers, "seed", ctx.seed);
   run_result<std::decay_t<decltype(fn(ctx))>> out;
   out.solver = std::move(solver);
   out.backend = ctx.backend;

@@ -21,10 +21,11 @@
 // buffer stores the pointers, not copies) and args are up to two u64
 // key/value pairs (round index + frontier size, popped + wasted, ...).
 //
-// Emission points wired by the library: `run_scope` (whole run),
-// `pool_lease` acquire+attach, every `phase_stats::record_frontier`
-// round, `mq_run` worker loops, and the serve engine's queue-wait /
-// coalesce / gather / flush / cache-hit points. Export surfaces:
+// Emission points wired by the library: `run_timed` (one `run` span per
+// registry solve, batch items included), `pool_lease` acquire+attach,
+// every `phase_stats::record_frontier` round, `mq_run` worker loops, and
+// the serve engine's queue-wait / coalesce / gather / flush / cache-hit
+// points. Export surfaces:
 // `ppdriver run --trace out.json` and ppserve `--trace-dir`.
 //
 // Control-plane calls (set_enabled / snapshot / chrome_json / clear) are

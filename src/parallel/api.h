@@ -6,9 +6,9 @@
 //
 // Both come in two forms: an explicit-context overload
 // (`parallel_for(ctx, lo, hi, f)`) and a convenience form that runs under
-// pp::current_context(). Solvers install their context argument with
-// scoped_context at entry, so either form observes the right backend,
-// worker count, and grain.
+// pp::current_context(). Every solver has one entry point, which takes a
+// `const context&` and installs it with run_scope (below), so either form
+// observes the right backend, worker count, and grain inside a solve.
 #pragma once
 
 #include <omp.h>
@@ -108,27 +108,22 @@ class scoped_scheduler {
   unsigned workers_ = 1;
 };
 
-// What every ctx-form solver entry installs: activates `c` for the
-// implicit parallel_for/par_do forms (scoped_context), binds the run's
-// scheduler (scoped_scheduler) so the whole solve executes on one leased
-// pool instead of paying a lease cycle per top-level parallel region, AND
+// What every solver entry installs: activates `c` for the implicit
+// parallel_for/par_do forms (scoped_context), binds the run's scheduler
+// (scoped_scheduler) so the whole solve executes on one leased pool
+// instead of paying a lease cycle per top-level parallel region, AND
 // installs the context's cancel token for this thread (scoped_cancel) so
 // the phase loops' cancel_point() polls the right run's token — and only
 // it. Construction order matters: the scope registers with the race
-// detector before the lease pins the thread.
+// detector before the lease pins the thread. A run_scope emits no trace
+// span; the `run` span comes from run_timed (core/result.h), once per
+// registry solve.
 class run_scope {
  public:
-  explicit run_scope(const context& c)
-      : span_("run", "workers", c.workers, "seed", c.seed),
-        scope_(c),
-        sched_(c),
-        cancel_(c.cancel) {}
+  explicit run_scope(const context& c) : scope_(c), sched_(c), cancel_(c.cancel) {}
   unsigned workers() const { return sched_.workers(); }
 
  private:
-  // First member: the whole-run trace span covers scheduler binding
-  // (lease acquire) through teardown (lease release).
-  trace_span span_;
   scoped_context scope_;
   scoped_scheduler sched_;
   scoped_cancel cancel_;

@@ -28,11 +28,10 @@ namespace pp {
 
 class tas_forest {
  public:
-  // leaf_counts[v] = number of predecessors of object v. The context form
-  // builds the arena under `ctx` (the TAS flags themselves are
-  // deterministic — no RNG — but construction forks under the run's
-  // backend/width like every other substrate); the argument-less form
-  // snapshots the current context.
+  // leaf_counts[v] = number of predecessors of object v. The arena is
+  // built under `ctx` (the TAS flags themselves are deterministic — no
+  // RNG — but construction forks under the run's backend/width like every
+  // other substrate).
   tas_forest(std::span<const uint32_t> leaf_counts, const context& ctx) {
     size_t n = leaf_counts.size();
     offsets_.assign(n + 1, 0);
@@ -47,8 +46,6 @@ class tas_forest {
       flags_[i].store(0, std::memory_order_relaxed);
     });
   }
-  explicit tas_forest(std::span<const uint32_t> leaf_counts)
-      : tas_forest(leaf_counts, current_context()) {}
 
   size_t num_trees() const { return leaves_.size(); }
   uint32_t num_leaves(uint32_t v) const { return leaves_[v]; }

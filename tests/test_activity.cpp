@@ -12,6 +12,9 @@
 
 namespace {
 
+// Every solver call below runs under the library's default context.
+const pp::context kCtx{};
+
 using pp::activity;
 
 // O(n^2) reference of Eq. (1): dp[i] = w_i + max(0, max_{j<i, e_j<=s_i} dp[j]).
@@ -47,10 +50,10 @@ TEST_P(ActivityRandom, AllImplementationsMatchBrute) {
   int64_t best = 0;
   for (auto v : expect) best = std::max(best, v);
 
-  auto seq = pp::activity_select_seq(acts);
-  auto t1 = pp::activity_select_type1(acts);
-  auto t1f = pp::activity_select_type1_flat(acts);
-  auto t2 = pp::activity_select_type2(acts);
+  auto seq = pp::activity_select_seq(acts, kCtx);
+  auto t1 = pp::activity_select_type1(acts, kCtx);
+  auto t1f = pp::activity_select_type1_flat(acts, kCtx);
+  auto t2 = pp::activity_select_type2(acts, kCtx);
 
   EXPECT_EQ(seq.dp, expect);
   EXPECT_EQ(t1.dp, expect);
@@ -65,9 +68,9 @@ TEST_P(ActivityRandom, AllImplementationsMatchBrute) {
 TEST_P(ActivityRandom, ParallelVariantsAgreeOnRounds) {
   auto [n, t_range, seed] = GetParam();
   auto acts = small_random(n, t_range, std::max<int64_t>(t_range / 4, 2), seed);
-  auto t1 = pp::activity_select_type1(acts);
-  auto t1f = pp::activity_select_type1_flat(acts);
-  auto t2 = pp::activity_select_type2(acts);
+  auto t1 = pp::activity_select_type1(acts, kCtx);
+  auto t1f = pp::activity_select_type1_flat(acts, kCtx);
+  auto t2 = pp::activity_select_type2(acts, kCtx);
   // All three process frontier r = the rank-r activities: same round count.
   EXPECT_EQ(t1.stats.rounds, t1f.stats.rounds);
   EXPECT_EQ(t1.stats.rounds, t2.stats.rounds);
@@ -90,10 +93,10 @@ TEST(Activity, DisjointChainHasRankN) {
   std::vector<activity> acts;
   for (int i = 0; i < 64; ++i) acts.push_back({2 * i, 2 * i + 1, 1});
   pp::sort_activities(acts);
-  auto t1 = pp::activity_select_type1(acts);
+  auto t1 = pp::activity_select_type1(acts, kCtx);
   EXPECT_EQ(t1.stats.rounds, 64u);
   EXPECT_EQ(t1.best, 64);
-  auto t2 = pp::activity_select_type2(acts);
+  auto t2 = pp::activity_select_type2(acts, kCtx);
   EXPECT_EQ(t2.stats.rounds, 64u);
 }
 
@@ -101,10 +104,10 @@ TEST(Activity, AllOverlappingIsOneRound) {
   // n copies of the same interval: every activity has rank 1.
   std::vector<activity> acts(100, activity{0, 10, 5});
   pp::sort_activities(acts);
-  auto t1 = pp::activity_select_type1(acts);
+  auto t1 = pp::activity_select_type1(acts, kCtx);
   EXPECT_EQ(t1.stats.rounds, 1u);
   EXPECT_EQ(t1.best, 5);
-  auto t2 = pp::activity_select_type2(acts);
+  auto t2 = pp::activity_select_type2(acts, kCtx);
   EXPECT_EQ(t2.stats.rounds, 1u);
   EXPECT_EQ(t2.best, 5);
 }
@@ -112,9 +115,9 @@ TEST(Activity, AllOverlappingIsOneRound) {
 TEST(Activity, TouchingEndpointsAreCompatible) {
   // [0,5] and [5,9]: e_1 <= s_2, so they chain.
   std::vector<activity> acts = {{0, 5, 3}, {5, 9, 4}};
-  auto seq = pp::activity_select_seq(acts);
+  auto seq = pp::activity_select_seq(acts, kCtx);
   EXPECT_EQ(seq.best, 7);
-  auto t1 = pp::activity_select_type1(acts);
+  auto t1 = pp::activity_select_type1(acts, kCtx);
   EXPECT_EQ(t1.best, 7);
   EXPECT_EQ(t1.stats.rounds, 2u);
 }
@@ -134,8 +137,8 @@ TEST(Activity, GeneratorRankScalesWithLength) {
   // Longer mean durations => fewer compatible chains => smaller rank.
   auto short_acts = pp::random_activities(20000, 1000000, 10.0, 3.0, 10, 11);
   auto long_acts = pp::random_activities(20000, 1000000, 10000.0, 300.0, 10, 11);
-  auto r_short = pp::activity_select_type1_flat(short_acts).stats.rounds;
-  auto r_long = pp::activity_select_type1_flat(long_acts).stats.rounds;
+  auto r_short = pp::activity_select_type1_flat(short_acts, kCtx).stats.rounds;
+  auto r_long = pp::activity_select_type1_flat(long_acts, kCtx).stats.rounds;
   EXPECT_GT(r_short, r_long);
 }
 
@@ -145,23 +148,23 @@ class UnweightedActivity : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(UnweightedActivity, ParallelDepthEqualsGreedyCount) {
   auto acts = small_random(300, 200, 30, GetParam());
-  auto greedy = pp::activity_unweighted_greedy_seq(acts);
-  auto par = pp::activity_unweighted_parallel(acts);
-  auto euler = pp::activity_unweighted_euler(acts);
+  auto greedy = pp::activity_unweighted_greedy_seq(acts, kCtx);
+  auto par = pp::activity_unweighted_parallel(acts, kCtx);
+  auto euler = pp::activity_unweighted_euler(acts, kCtx);
   EXPECT_EQ(par.best, greedy.best);
   EXPECT_EQ(euler.best, greedy.best);
   EXPECT_EQ(euler.rank, par.rank);
   // ranks must match the weighted DP with unit weights
   std::vector<activity> unit(acts.begin(), acts.end());
   for (auto& a : unit) a.weight = 1;
-  auto dp = pp::activity_select_seq(unit);
+  auto dp = pp::activity_select_seq(unit, kCtx);
   for (size_t i = 0; i < acts.size(); ++i)
     EXPECT_EQ(static_cast<int64_t>(par.rank[i]), dp.dp[i]) << i;
 }
 
 TEST_P(UnweightedActivity, LogarithmicJumpRounds) {
   auto acts = small_random(1000, 50, 10, GetParam());
-  auto par = pp::activity_unweighted_parallel(acts);
+  auto par = pp::activity_unweighted_parallel(acts, kCtx);
   // pointer jumping halves path lengths every round
   EXPECT_LE(par.stats.rounds, 12u);
 }
@@ -170,10 +173,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, UnweightedActivity, ::testing::Values(21, 22, 23
 
 TEST(UnweightedActivity, EmptyAndSingle) {
   std::vector<activity> none;
-  EXPECT_EQ(pp::activity_unweighted_parallel(none).best, 0);
+  EXPECT_EQ(pp::activity_unweighted_parallel(none, kCtx).best, 0);
   std::vector<activity> one = {{0, 5, 1}};
-  EXPECT_EQ(pp::activity_unweighted_parallel(one).best, 1);
-  EXPECT_EQ(pp::activity_unweighted_greedy_seq(one).best, 1);
+  EXPECT_EQ(pp::activity_unweighted_parallel(one, kCtx).best, 1);
+  EXPECT_EQ(pp::activity_unweighted_greedy_seq(one, kCtx).best, 1);
 }
 
 }  // namespace

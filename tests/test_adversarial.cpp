@@ -19,6 +19,10 @@
 
 namespace {
 
+// The library's default execution context; seeded or pivot-specific
+// runs derive from it with the with_* builders.
+const pp::context kCtx{};
+
 // --- LIS adversarial shapes ------------------------------------------------------
 
 TEST(AdversarialLis, SawtoothBlocks) {
@@ -31,9 +35,9 @@ TEST(AdversarialLis, SawtoothBlocks) {
   constexpr size_t k = 32, m = 64, n = k * m;
   std::vector<int64_t> a(n);
   for (size_t i = 0; i < n; ++i) a[i] = static_cast<int64_t>((i % m) * k + i / m);
-  auto seq = pp::lis_sequential(a);
+  auto seq = pp::lis_sequential(a, kCtx);
   for (auto p : {pp::pivot_policy::uniform_random, pp::pivot_policy::rightmost}) {
-    auto par = pp::lis_parallel(a, p, 7);
+    auto par = pp::lis_parallel(a, kCtx.with_pivot(p).with_seed(7));
     ASSERT_EQ(par.dp, seq.dp);
   }
 }
@@ -43,8 +47,8 @@ TEST(AdversarialLis, OrganPipe) {
   std::vector<int64_t> a;
   for (int i = 0; i < 500; ++i) a.push_back(i);
   for (int i = 0; i < 500; ++i) a.push_back(499 - i + 1000000);  // shifted down-ramp above ramp
-  auto seq = pp::lis_sequential(a);
-  auto par = pp::lis_parallel(a, pp::pivot_policy::rightmost, 1);
+  auto seq = pp::lis_sequential(a, kCtx);
+  auto par = pp::lis_parallel(a, kCtx.with_pivot(pp::pivot_policy::rightmost).with_seed(1));
   EXPECT_EQ(par.length, seq.length);
   EXPECT_EQ(par.length, 501);  // 0..499 then one of the down-ramp
 }
@@ -54,8 +58,8 @@ TEST(AdversarialLis, TwoValueStorm) {
   // y-rank tie-breaking
   std::vector<int64_t> a(20000);
   for (size_t i = 0; i < a.size(); ++i) a[i] = (pp::hash64(i) & 1) ? 5 : 9;
-  auto seq = pp::lis_sequential(a);
-  auto par = pp::lis_parallel(a, pp::pivot_policy::uniform_random, 3);
+  auto seq = pp::lis_sequential(a, kCtx);
+  auto par = pp::lis_parallel(a, kCtx.with_pivot(pp::pivot_policy::uniform_random).with_seed(3));
   EXPECT_EQ(par.dp, seq.dp);
   EXPECT_LE(par.length, 2);
   EXPECT_EQ(par.stats.rounds, static_cast<size_t>(par.length));
@@ -65,7 +69,7 @@ TEST(AdversarialLis, FullChainMaxRank) {
   // strictly increasing input: rank n, one object per round — the span
   // worst case the paper discusses (\"our worst-case span is ~O(n)\")
   auto a = pp::iota<int64_t>(3000);
-  auto par = pp::lis_parallel(a, pp::pivot_policy::rightmost, 1);
+  auto par = pp::lis_parallel(a, kCtx.with_pivot(pp::pivot_policy::rightmost).with_seed(1));
   EXPECT_EQ(par.length, 3000);
   EXPECT_EQ(par.stats.rounds, 3000u);
   // round 1 checks all n objects (the virtual-point wake-up); afterwards
@@ -81,8 +85,8 @@ TEST(AdversarialActivity, NestedLaminarFamily) {
   std::vector<pp::activity> acts;
   for (int64_t i = 0; i < n; ++i) acts.push_back({i, 2 * n - i, i + 1});
   pp::sort_activities(acts);
-  auto t1 = pp::activity_select_type1(acts);
-  auto t2 = pp::activity_select_type2(acts);
+  auto t1 = pp::activity_select_type1(acts, kCtx);
+  auto t2 = pp::activity_select_type2(acts, kCtx);
   EXPECT_EQ(t1.stats.rounds, 1u);
   EXPECT_EQ(t2.stats.rounds, 1u);
   EXPECT_EQ(t1.best, n);  // the innermost has the largest weight
@@ -94,8 +98,8 @@ TEST(AdversarialActivity, StaircaseOfTouchingIntervals) {
   constexpr int64_t n = 400;
   std::vector<pp::activity> acts;
   for (int64_t i = 0; i < n; ++i) acts.push_back({i, i + 1, 2});
-  auto seq = pp::activity_select_seq(acts);
-  auto t2 = pp::activity_select_type2(acts);
+  auto seq = pp::activity_select_seq(acts, kCtx);
+  auto t2 = pp::activity_select_type2(acts, kCtx);
   EXPECT_EQ(t2.dp, seq.dp);
   EXPECT_EQ(t2.best, 2 * n);
   EXPECT_EQ(t2.stats.rounds, static_cast<size_t>(n));
@@ -106,8 +110,8 @@ TEST(AdversarialActivity, ManyIdenticalEndsOneStart) {
   std::vector<pp::activity> acts;
   for (int i = 0; i < 1000; ++i) acts.push_back({5, 100, 1 + (i % 7)});
   pp::sort_activities(acts);
-  auto t1 = pp::activity_select_type1(acts);
-  auto flat = pp::activity_select_type1_flat(acts);
+  auto t1 = pp::activity_select_type1(acts, kCtx);
+  auto flat = pp::activity_select_type1_flat(acts, kCtx);
   EXPECT_EQ(t1.dp, flat.dp);
   EXPECT_EQ(t1.best, 7);
   EXPECT_EQ(t1.stats.rounds, 1u);
@@ -119,8 +123,8 @@ TEST(AdversarialHuffman, PowersOfTwoTieStorm) {
   // frequencies all equal powers of two: maximal tie ambiguity, WPL must
   // still match the heap reference exactly
   std::vector<uint64_t> freqs(1 << 10, 8);
-  auto seq = pp::huffman_seq(freqs);
-  auto par = pp::huffman_parallel(freqs);
+  auto seq = pp::huffman_seq(freqs, kCtx);
+  auto par = pp::huffman_parallel(freqs, kCtx);
   EXPECT_EQ(par.wpl, seq.wpl);
   EXPECT_EQ(par.height, 10u);
   auto lens = pp::huffman_code_lengths(par, freqs.size());
@@ -131,8 +135,8 @@ TEST(AdversarialHuffman, OneGiantManyTiny) {
   std::vector<uint64_t> freqs(1000, 1);
   freqs.push_back(1u << 30);
   std::sort(freqs.begin(), freqs.end());
-  auto seq = pp::huffman_seq(freqs);
-  auto par = pp::huffman_parallel(freqs);
+  auto seq = pp::huffman_seq(freqs, kCtx);
+  auto par = pp::huffman_parallel(freqs, kCtx);
   EXPECT_EQ(par.wpl, seq.wpl);
   // the giant symbol sits directly under the root
   auto lens = pp::huffman_code_lengths(par, freqs.size());
@@ -145,8 +149,8 @@ TEST(AdversarialHuffman, OneGiantManyTiny) {
 TEST(AdversarialKnapsack, AllSameWeight) {
   // rank = W / w exactly; dp is a step function of the best item value
   std::vector<pp::knapsack_item> items = {{10, 3}, {10, 9}, {10, 5}};
-  auto seq = pp::knapsack_seq(105, items);
-  auto par = pp::knapsack_parallel(105, items);
+  auto seq = pp::knapsack_seq(105, items, kCtx);
+  auto par = pp::knapsack_parallel(105, items, kCtx);
   EXPECT_EQ(par.dp, seq.dp);
   EXPECT_EQ(par.best, 90);  // 10 copies of value 9
   EXPECT_EQ(par.stats.rounds, 105u / 10 + 1);
@@ -155,8 +159,8 @@ TEST(AdversarialKnapsack, AllSameWeight) {
 TEST(AdversarialKnapsack, CoprimeWeights) {
   // chicken-mcnugget regime: dp dense after the Frobenius number
   std::vector<pp::knapsack_item> items = {{7, 7}, {11, 11}};
-  auto seq = pp::knapsack_seq(200, items);
-  auto par = pp::knapsack_parallel(200, items);
+  auto seq = pp::knapsack_seq(200, items, kCtx);
+  auto par = pp::knapsack_parallel(200, items, kCtx);
   EXPECT_EQ(par.dp, seq.dp);
   EXPECT_EQ(par.dp[6], 0);    // below the lightest item
   EXPECT_EQ(par.dp[13], 11);  // one 11 beats one 7
@@ -175,9 +179,9 @@ TEST(AdversarialSssp, LongPathWorstRank) {
     es.push_back({i + 1, i, 1});
   }
   auto wg = pp::wgraph::from_edges(n, es);
-  auto dj = pp::sssp_dijkstra(wg, 0);
-  auto pp_sssp = pp::sssp_phase_parallel(wg, 0);
-  auto cr = pp::sssp_crauser(wg, 0);
+  auto dj = pp::sssp_dijkstra(wg, 0, kCtx);
+  auto pp_sssp = pp::sssp_phase_parallel(wg, 0, kCtx);
+  auto cr = pp::sssp_crauser(wg, 0, /*use_in_criterion=*/true, kCtx);
   EXPECT_EQ(pp_sssp.dist, dj.dist);
   EXPECT_EQ(cr.dist, dj.dist);
   // one bucket per distance value 0..n-1: no parallelism on a path
@@ -198,9 +202,9 @@ TEST(AdversarialSssp, TwoTierWeights) {
     es.push_back({i, 0, 50});
   }
   auto wg = pp::wgraph::from_edges(n, es);
-  auto dj = pp::sssp_dijkstra(wg, 0);
+  auto dj = pp::sssp_dijkstra(wg, 0, kCtx);
   for (uint32_t delta : {2u, 50u, 1000u}) {
-    auto ds = pp::sssp_delta_stepping(wg, 0, delta);
+    auto ds = pp::sssp_delta_stepping(wg, 0, delta, kCtx);
     ASSERT_EQ(ds.dist, dj.dist) << "delta " << delta;
   }
 }
@@ -211,8 +215,8 @@ TEST(AdversarialWhac, AllMolesOnDiagonal) {
   // moles exactly on the reachability cone boundary: nothing chains
   std::vector<pp::mole> moles;
   for (int i = 0; i < 300; ++i) moles.push_back({i, i});
-  auto seq = pp::whac_sequential(moles);
-  auto par = pp::whac_parallel(moles, pp::pivot_policy::rightmost, 1);
+  auto seq = pp::whac_sequential(moles, kCtx);
+  auto par = pp::whac_parallel(moles, kCtx.with_pivot(pp::pivot_policy::rightmost).with_seed(1));
   EXPECT_EQ(par.dp, seq.dp);
   EXPECT_EQ(par.best, 1);
 }
@@ -221,8 +225,9 @@ TEST(AdversarialWhac, DuplicateMoles) {
   // identical (t, p) pairs: mutually unreachable, heavy tie pressure
   std::vector<pp::mole> moles(500, pp::mole{7, 3});
   moles.push_back({100, 3});
-  auto seq = pp::whac_sequential(moles);
-  auto par = pp::whac_parallel(moles, pp::pivot_policy::uniform_random, 5);
+  auto seq = pp::whac_sequential(moles, kCtx);
+  auto par =
+      pp::whac_parallel(moles, kCtx.with_pivot(pp::pivot_policy::uniform_random).with_seed(5));
   EXPECT_EQ(par.dp, seq.dp);
   EXPECT_EQ(par.best, 2);
 }
@@ -239,8 +244,8 @@ TEST(AdversarialMis, StarWithCenterLast) {
   std::vector<uint32_t> prio(n);
   prio[0] = n - 1;
   for (uint32_t i = 1; i < n; ++i) prio[i] = i - 1;
-  auto seq = pp::mis_sequential(g, prio);
-  auto tas = pp::mis_tas(g, prio);
+  auto seq = pp::mis_sequential(g, prio, kCtx);
+  auto tas = pp::mis_tas(g, prio, kCtx);
   EXPECT_EQ(tas.in_mis, seq.in_mis);
   EXPECT_EQ(tas.mis_size, n - 1u);
   EXPECT_FALSE(tas.in_mis[0]);
@@ -258,9 +263,9 @@ TEST(AdversarialMis, CliqueChain) {
   uint32_t n = cliques * (k - 1) + 1;
   auto g = pp::graph::from_edges(n, es);
   auto prio = pp::random_permutation(n, 11);
-  auto seq = pp::mis_sequential(g, prio);
-  auto rounds = pp::mis_rounds(g, prio);
-  auto tas = pp::mis_tas(g, prio);
+  auto seq = pp::mis_sequential(g, prio, kCtx);
+  auto rounds = pp::mis_rounds(g, prio, kCtx);
+  auto tas = pp::mis_tas(g, prio, kCtx);
   EXPECT_EQ(rounds.in_mis, seq.in_mis);
   EXPECT_EQ(tas.in_mis, seq.in_mis);
   EXPECT_TRUE(pp::is_maximal_independent_set(g, tas.in_mis));

@@ -12,6 +12,9 @@
 
 namespace {
 
+// Every solver call below runs under the library's default context.
+const pp::context kCtx{};
+
 class GraphSweep : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {
  protected:
   pp::graph make() const {
@@ -31,8 +34,8 @@ TEST_P(GraphSweep, ColoringTasEqualsSequentialGreedy) {
   auto [kind, seed] = GetParam();
   (void)kind;
   auto prio = pp::random_permutation(g.num_vertices(), seed + 7);
-  auto seq = pp::coloring_sequential(g, prio);
-  auto tas = pp::coloring_tas(g, prio);
+  auto seq = pp::coloring_sequential(g, prio, kCtx);
+  auto tas = pp::coloring_tas(g, prio, kCtx);
   EXPECT_TRUE(pp::is_valid_coloring(g, seq.color));
   EXPECT_EQ(tas.color, seq.color);
   EXPECT_EQ(tas.num_colors, seq.num_colors);
@@ -44,8 +47,8 @@ TEST_P(GraphSweep, MatchingRoundsEqualsSequentialGreedy) {
   auto [kind, seed] = GetParam();
   (void)kind;
   auto eprio = pp::random_permutation(g.num_edges(), seed + 13);
-  auto seq = pp::matching_sequential(g, eprio);
-  auto par = pp::matching_rounds(g, eprio);
+  auto seq = pp::matching_sequential(g, eprio, kCtx);
+  auto par = pp::matching_rounds(g, eprio, kCtx);
   EXPECT_TRUE(pp::is_maximal_matching(g, seq.partner));
   EXPECT_EQ(par.partner, seq.partner);
   EXPECT_EQ(par.matching_size, seq.matching_size);
@@ -57,7 +60,7 @@ TEST_P(GraphSweep, MatchingRoundCountLogarithmic) {
   (void)kind;
   if (g.num_edges() < 2) return;
   auto eprio = pp::random_permutation(g.num_edges(), seed + 23);
-  auto par = pp::matching_rounds(g, eprio);
+  auto par = pp::matching_rounds(g, eprio, kCtx);
   double logm = std::log2(static_cast<double>(g.num_edges()) + 2);
   EXPECT_LE(par.stats.rounds, static_cast<size_t>(6 * logm + 10));
 }
@@ -73,8 +76,8 @@ TEST(Coloring, PathGraphTwoColorsWithMonotonePriorities) {
   auto g = pp::graph::from_edges(n, es);
   std::vector<uint32_t> prio(n);
   for (uint32_t i = 0; i < n; ++i) prio[i] = i;
-  auto seq = pp::coloring_sequential(g, prio);
-  auto tas = pp::coloring_tas(g, prio);
+  auto seq = pp::coloring_sequential(g, prio, kCtx);
+  auto tas = pp::coloring_tas(g, prio, kCtx);
   EXPECT_EQ(tas.color, seq.color);
   EXPECT_EQ(seq.num_colors, 2u);  // greedy alternates along the chain
 }
@@ -85,7 +88,7 @@ TEST(Coloring, CompleteGraphNeedsNColors) {
     for (uint32_t j = i + 1; j < 20; ++j) es.push_back({i, j});
   auto g = pp::graph::from_edges(20, es);
   auto prio = pp::random_permutation(20, 3);
-  auto tas = pp::coloring_tas(g, prio);
+  auto tas = pp::coloring_tas(g, prio, kCtx);
   EXPECT_EQ(tas.num_colors, 20u);
   EXPECT_TRUE(pp::is_valid_coloring(g, tas.color));
 }
@@ -98,8 +101,8 @@ TEST(Matching, PathGraphAlternates) {
   // priority = edge index: greedy takes edges 0-1, 2-3, 4-5, 6-7, 8-9
   std::vector<uint32_t> eprio(g.num_edges());
   for (uint32_t e = 0; e < eprio.size(); ++e) eprio[e] = e;
-  auto seq = pp::matching_sequential(g, eprio);
-  auto par = pp::matching_rounds(g, eprio);
+  auto seq = pp::matching_sequential(g, eprio, kCtx);
+  auto par = pp::matching_rounds(g, eprio, kCtx);
   EXPECT_EQ(seq.matching_size, 5u);
   EXPECT_EQ(par.partner, seq.partner);
 }
@@ -109,7 +112,7 @@ TEST(Matching, StarGraphMatchesOneEdge) {
   for (uint32_t i = 1; i <= 20; ++i) es.push_back({0, i});
   auto g = pp::graph::from_edges(21, es);
   auto eprio = pp::random_permutation(g.num_edges(), 9);
-  auto par = pp::matching_rounds(g, eprio);
+  auto par = pp::matching_rounds(g, eprio, kCtx);
   EXPECT_EQ(par.matching_size, 1u);
   EXPECT_TRUE(pp::is_maximal_matching(g, par.partner));
 }

@@ -1,6 +1,6 @@
 // Tests for the execution-context API (core/context.h + the context
-// overloads of par_do/parallel_for in parallel/api.h): scoping semantics,
-// the deprecated backend shims, and the OpenMP nested-parallel_for fix.
+// overloads of par_do/parallel_for in parallel/api.h): scoping semantics
+// and the OpenMP nested-parallel_for fix.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -63,24 +63,6 @@ TEST(Context, ScopedContextActivatesAndRestores) {
   EXPECT_EQ(pp::current_context().seed, 1u);
 }
 
-TEST(Context, DeprecatedShimsReflectDefaultContext) {
-  EXPECT_EQ(pp::get_backend(), pp::default_context().backend);
-  pp::set_backend(backend_kind::sequential);
-  EXPECT_EQ(pp::get_backend(), backend_kind::sequential);
-  EXPECT_EQ(pp::default_context().backend, backend_kind::sequential);
-  pp::set_backend(backend_kind::native);
-  EXPECT_EQ(pp::get_backend(), backend_kind::native);
-
-  {
-    pp::scoped_backend sb(backend_kind::openmp);
-    EXPECT_EQ(pp::get_backend(), backend_kind::openmp);
-    EXPECT_EQ(pp::current_context().backend, backend_kind::openmp);
-    // the default is untouched; only the current scope changed
-    EXPECT_EQ(pp::default_context().backend, backend_kind::native);
-  }
-  EXPECT_EQ(pp::get_backend(), backend_kind::native);
-}
-
 class ContextBackends : public ::testing::TestWithParam<backend_kind> {};
 
 TEST_P(ContextBackends, ParallelForExplicitContext) {
@@ -123,7 +105,7 @@ TEST_P(ContextBackends, NestedParallelForIsCorrect) {
 TEST_P(ContextBackends, ScopedContextThreadsBackendIntoImplicitCalls) {
   context ctx = context{}.with_backend(GetParam());
   pp::scoped_context scope(ctx);
-  EXPECT_EQ(pp::get_backend(), GetParam());
+  EXPECT_EQ(pp::current_context().backend, GetParam());
   constexpr size_t n = 10'000;
   std::vector<int> out(n, 0);
   pp::parallel_for(0, n, [&](size_t i) { out[i] = static_cast<int>(i % 17); });

@@ -12,6 +12,9 @@
 
 namespace {
 
+// Every solver call below runs under the library's default context.
+const pp::context kCtx{};
+
 // Textbook heap-based reference WPL.
 uint64_t heap_wpl(std::span<const uint64_t> freqs) {
   if (freqs.size() <= 1) return 0;
@@ -50,8 +53,8 @@ TEST_P(HuffmanRandom, SeqAndParallelAreOptimal) {
   auto [n, max_f, seed] = GetParam();
   auto freqs = pp::uniform_freqs(n, max_f, seed);
   uint64_t expect = heap_wpl(freqs);
-  auto seq = pp::huffman_seq(freqs);
-  auto par = pp::huffman_parallel(freqs);
+  auto seq = pp::huffman_seq(freqs, kCtx);
+  auto par = pp::huffman_parallel(freqs, kCtx);
   EXPECT_EQ(seq.wpl, expect);
   EXPECT_EQ(par.wpl, expect);
   check_tree_shape(seq, n);
@@ -62,7 +65,7 @@ TEST_P(HuffmanRandom, RoundsAtMostHeightPlusSlack) {
   auto [n, max_f, seed] = GetParam();
   if (n < 2) return;
   auto freqs = pp::uniform_freqs(n, max_f, seed);
-  auto par = pp::huffman_parallel(freqs);
+  auto par = pp::huffman_parallel(freqs, kCtx);
   // Theorem 4.7: the algorithm finishes in O(H) rounds; the odd-frontier
   // postponement costs at most one extra round per level.
   EXPECT_LE(par.stats.rounds, 2u * (par.height + 1));
@@ -80,8 +83,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, HuffmanRandom,
 
 TEST(Huffman, AllEqualFrequencies) {
   std::vector<uint64_t> freqs(256, 7);
-  auto seq = pp::huffman_seq(freqs);
-  auto par = pp::huffman_parallel(freqs);
+  auto seq = pp::huffman_seq(freqs, kCtx);
+  auto par = pp::huffman_parallel(freqs, kCtx);
   EXPECT_EQ(seq.wpl, par.wpl);
   EXPECT_EQ(par.height, 8u);  // perfectly balanced over 2^8 leaves
   EXPECT_EQ(seq.wpl, 256u * 7 * 8);
@@ -98,8 +101,8 @@ TEST(Huffman, ExponentialGivesDeepTree) {
     b = c;
   }
   std::sort(freqs.begin(), freqs.end());
-  auto par = pp::huffman_parallel(freqs);
-  auto seq = pp::huffman_seq(freqs);
+  auto par = pp::huffman_parallel(freqs, kCtx);
+  auto seq = pp::huffman_seq(freqs, kCtx);
   EXPECT_EQ(par.wpl, seq.wpl);
   EXPECT_GE(par.height, 38u);
   EXPECT_GE(par.stats.rounds, 38u);  // rank ~ height: little parallelism
@@ -119,7 +122,7 @@ TEST(Huffman, GeneratorsSortedAndPositive) {
 TEST(Huffman, UniformRoundsStaySmall) {
   // Sec. 6.2: rounds stay in the tens because height ~ log(total freq).
   auto freqs = pp::uniform_freqs(100000, 1000, 4);
-  auto par = pp::huffman_parallel(freqs);
+  auto par = pp::huffman_parallel(freqs, kCtx);
   EXPECT_LE(par.stats.rounds, 64u);
   EXPECT_GE(par.stats.rounds, 10u);
 }

@@ -25,21 +25,20 @@
 
 namespace {
 
+// The library's default execution context; seeded or pivot-specific
+// runs derive from it with the with_* builders.
+const pp::context kCtx{};
+
 using pp::backend_kind;
 const backend_kind kBackends[] = {backend_kind::native, backend_kind::openmp,
                                   backend_kind::sequential};
 
-template <typename F>
-auto run_on(backend_kind b, F f) {
-  pp::scoped_backend sb(b);
-  return f();
-}
-
 TEST(BackendDeterminism, Lis) {
   auto a = pp::lis_line_pattern(30000, 7, 100000, 3);
-  auto ref = run_on(kBackends[0], [&] { return pp::lis_parallel(a, pp::pivot_policy::uniform_random, 5); });
+  const pp::context lis_ctx = kCtx.with_pivot(pp::pivot_policy::uniform_random).with_seed(5);
+  auto ref = pp::lis_parallel(a, lis_ctx.with_backend(kBackends[0]));
   for (auto b : kBackends) {
-    auto r = run_on(b, [&] { return pp::lis_parallel(a, pp::pivot_policy::uniform_random, 5); });
+    auto r = pp::lis_parallel(a, lis_ctx.with_backend(b));
     EXPECT_EQ(r.dp, ref.dp) << pp::backend_name(b);
     EXPECT_EQ(r.stats.rounds, ref.stats.rounds) << pp::backend_name(b);
     EXPECT_EQ(r.stats.wakeup_attempts, ref.stats.wakeup_attempts) << pp::backend_name(b);
@@ -48,10 +47,10 @@ TEST(BackendDeterminism, Lis) {
 
 TEST(BackendDeterminism, Activity) {
   auto acts = pp::random_activities(50000, 1'000'000, 500, 100, 50, 7);
-  auto ref = run_on(kBackends[0], [&] { return pp::activity_select_type1(acts); });
+  auto ref = pp::activity_select_type1(acts, kCtx.with_backend(kBackends[0]));
   for (auto b : kBackends) {
-    auto t1 = run_on(b, [&] { return pp::activity_select_type1(acts); });
-    auto t2 = run_on(b, [&] { return pp::activity_select_type2(acts); });
+    auto t1 = pp::activity_select_type1(acts, kCtx.with_backend(b));
+    auto t2 = pp::activity_select_type2(acts, kCtx.with_backend(b));
     EXPECT_EQ(t1.dp, ref.dp) << pp::backend_name(b);
     EXPECT_EQ(t2.dp, ref.dp) << pp::backend_name(b);
   }
@@ -60,11 +59,12 @@ TEST(BackendDeterminism, Activity) {
 TEST(BackendDeterminism, Sssp) {
   auto g = pp::rmat_graph(1 << 12, 1 << 15, 1);
   auto wg = pp::add_weights(g, 100, 10000, 2);
-  auto ref = run_on(kBackends[0], [&] { return pp::sssp_phase_parallel(wg, 0); });
+  auto ref = pp::sssp_phase_parallel(wg, 0, kCtx.with_backend(kBackends[0]));
   for (auto b : kBackends) {
-    auto r = run_on(b, [&] { return pp::sssp_phase_parallel(wg, 0); });
+    const pp::context ctx = kCtx.with_backend(b);
+    auto r = pp::sssp_phase_parallel(wg, 0, ctx);
     EXPECT_EQ(r.dist, ref.dist) << pp::backend_name(b);
-    auto c = run_on(b, [&] { return pp::sssp_crauser(wg, 0); });
+    auto c = pp::sssp_crauser(wg, 0, /*use_in_criterion=*/true, ctx);
     EXPECT_EQ(c.dist, ref.dist) << pp::backend_name(b);
   }
 }
@@ -73,13 +73,13 @@ TEST(BackendDeterminism, GraphGreedy) {
   auto g = pp::random_graph(20000, 80000, 3);
   auto prio = pp::random_permutation(g.num_vertices(), 4);
   auto eprio = pp::random_permutation(g.num_edges(), 5);
-  auto mis_ref = run_on(kBackends[0], [&] { return pp::mis_tas(g, prio); });
+  auto mis_ref = pp::mis_tas(g, prio, kCtx.with_backend(kBackends[0]));
   for (auto b : kBackends) {
-    EXPECT_EQ(run_on(b, [&] { return pp::mis_tas(g, prio); }).in_mis, mis_ref.in_mis);
-    EXPECT_EQ(run_on(b, [&] { return pp::coloring_tas(g, prio); }).color,
-              pp::coloring_sequential(g, prio).color);
-    EXPECT_EQ(run_on(b, [&] { return pp::matching_rounds(g, eprio); }).partner,
-              pp::matching_sequential(g, eprio).partner);
+    const pp::context ctx = kCtx.with_backend(b);
+    EXPECT_EQ(pp::mis_tas(g, prio, ctx).in_mis, mis_ref.in_mis);
+    EXPECT_EQ(pp::coloring_tas(g, prio, ctx).color, pp::coloring_sequential(g, prio, kCtx).color);
+    EXPECT_EQ(pp::matching_rounds(g, eprio, ctx).partner,
+              pp::matching_sequential(g, eprio, kCtx).partner);
   }
 }
 
@@ -89,18 +89,21 @@ TEST(BackendDeterminism, HuffmanKnapsackShuffleListWhac) {
   auto targets = pp::knuth_targets(50000, 3);
   auto next = pp::random_list(50000, 4);
   auto moles = pp::random_moles(20000, 100000, 1000, 5);
-  auto h_ref = run_on(kBackends[0], [&] { return pp::huffman_parallel(freqs); });
-  auto k_ref = run_on(kBackends[0], [&] { return pp::knapsack_parallel(5000, items); });
-  auto s_ref = run_on(kBackends[0], [&] { return pp::knuth_shuffle_parallel(50000, targets); });
-  auto l_ref = run_on(kBackends[0], [&] { return pp::list_ranking_parallel(next, 9); });
-  auto w_ref = run_on(kBackends[0], [&] { return pp::whac_parallel(moles, pp::pivot_policy::rightmost, 1); });
+  const pp::context ref_ctx = kCtx.with_backend(kBackends[0]);
+  auto h_ref = pp::huffman_parallel(freqs, ref_ctx);
+  auto k_ref = pp::knapsack_parallel(5000, items, ref_ctx);
+  auto s_ref = pp::knuth_shuffle_parallel(50000, targets, ref_ctx);
+  auto l_ref = pp::list_ranking_parallel(next, ref_ctx.with_seed(9));
+  auto w_ref =
+      pp::whac_parallel(moles, ref_ctx.with_pivot(pp::pivot_policy::rightmost).with_seed(1));
   for (auto b : kBackends) {
-    EXPECT_EQ(run_on(b, [&] { return pp::huffman_parallel(freqs); }).wpl, h_ref.wpl);
-    EXPECT_EQ(run_on(b, [&] { return pp::knapsack_parallel(5000, items); }).dp, k_ref.dp);
-    EXPECT_EQ(run_on(b, [&] { return pp::knuth_shuffle_parallel(50000, targets); }).perm,
-              s_ref.perm);
-    EXPECT_EQ(run_on(b, [&] { return pp::list_ranking_parallel(next, 9); }).rank, l_ref.rank);
-    EXPECT_EQ(run_on(b, [&] { return pp::whac_parallel(moles, pp::pivot_policy::rightmost, 1); }).dp, w_ref.dp);
+    const pp::context ctx = kCtx.with_backend(b);
+    EXPECT_EQ(pp::huffman_parallel(freqs, ctx).wpl, h_ref.wpl);
+    EXPECT_EQ(pp::knapsack_parallel(5000, items, ctx).dp, k_ref.dp);
+    EXPECT_EQ(pp::knuth_shuffle_parallel(50000, targets, ctx).perm, s_ref.perm);
+    EXPECT_EQ(pp::list_ranking_parallel(next, ctx.with_seed(9)).rank, l_ref.rank);
+    EXPECT_EQ(pp::whac_parallel(moles, ctx.with_pivot(pp::pivot_policy::rightmost).with_seed(1)).dp,
+              w_ref.dp);
   }
 }
 
@@ -111,7 +114,8 @@ TEST(DominanceEngine, QxZeroMeansEverythingIsRankOne) {
   size_t n = 1000;
   auto yr = pp::random_permutation(n, 1);
   std::vector<uint32_t> qx(n, 0);
-  auto res = pp::dominance_dp(yr, qx, {}, pp::pivot_policy::uniform_random, 2);
+  auto res =
+      pp::dominance_dp(yr, qx, {}, kCtx.with_pivot(pp::pivot_policy::uniform_random).with_seed(2));
   EXPECT_EQ(res.stats.rounds, 1u);
   for (auto d : res.dp) EXPECT_EQ(d, 1);
 }
@@ -122,8 +126,9 @@ TEST(DominanceEngine, FullPrefixEqualsLis) {
   for (size_t i = 0; i < n; ++i) a[i] = static_cast<int64_t>(pp::hash64(i) % 100);
   auto yr = pp::compute_y_ranks(std::span<const int64_t>(a));
   auto qx = pp::tabulate<uint32_t>(n, [](size_t i) { return static_cast<uint32_t>(i); });
-  auto eng = pp::dominance_dp(yr, qx, {}, pp::pivot_policy::rightmost, 3);
-  auto lis = pp::lis_sequential(a);
+  auto eng =
+      pp::dominance_dp(yr, qx, {}, kCtx.with_pivot(pp::pivot_policy::rightmost).with_seed(3));
+  auto lis = pp::lis_sequential(a, kCtx);
   EXPECT_EQ(eng.dp, lis.dp);
 }
 
@@ -132,7 +137,8 @@ TEST(DominanceEngine, ChainYRanksGiveFullDepth) {
   size_t n = 300;
   auto yr = pp::tabulate<uint32_t>(n, [](size_t i) { return static_cast<uint32_t>(i); });
   auto qx = yr;
-  auto res = pp::dominance_dp(yr, qx, {}, pp::pivot_policy::uniform_random, 4);
+  auto res =
+      pp::dominance_dp(yr, qx, {}, kCtx.with_pivot(pp::pivot_policy::uniform_random).with_seed(4));
   EXPECT_EQ(res.stats.rounds, n);
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(res.dp[i], static_cast<int32_t>(i + 1));
 }
@@ -142,7 +148,7 @@ TEST(DominanceEngine, WeightsRespected) {
   auto yr = pp::tabulate<uint32_t>(n, [](size_t i) { return static_cast<uint32_t>(i); });
   auto qx = yr;
   auto w = pp::tabulate<int32_t>(n, [](size_t) { return 5; });
-  auto res = pp::dominance_dp(yr, qx, w, pp::pivot_policy::rightmost, 5);
+  auto res = pp::dominance_dp(yr, qx, w, kCtx.with_pivot(pp::pivot_policy::rightmost).with_seed(5));
   EXPECT_EQ(res.best, static_cast<int64_t>(5 * n));
 }
 
@@ -150,7 +156,8 @@ TEST(DominanceEngine, PartialPrefixesRespectTies) {
   // two tie-groups: {0,1} then {2,3}; group members must not see each other
   std::vector<uint32_t> yr = {0, 1, 2, 3};
   std::vector<uint32_t> qx = {0, 0, 2, 2};
-  auto res = pp::dominance_dp(yr, qx, {}, pp::pivot_policy::uniform_random, 6);
+  auto res =
+      pp::dominance_dp(yr, qx, {}, kCtx.with_pivot(pp::pivot_policy::uniform_random).with_seed(6));
   EXPECT_EQ(res.dp, (std::vector<int32_t>{1, 1, 2, 2}));
   EXPECT_EQ(res.stats.rounds, 2u);
 }

@@ -11,6 +11,10 @@
 
 namespace {
 
+// The library's default execution context; seeded or pivot-specific
+// runs derive from it with the with_* builders.
+const pp::context kCtx{};
+
 std::vector<int32_t> brute_dp(std::span<const int64_t> a) {
   std::vector<int32_t> dp(a.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -30,7 +34,7 @@ TEST_P(LisRandom, SequentialMatchesBrute) {
   std::vector<int64_t> a(n);
   for (auto& x : a) x = static_cast<int64_t>(gen() % range);
   auto expect = brute_dp(a);
-  auto seq = pp::lis_sequential(a);
+  auto seq = pp::lis_sequential(a, kCtx);
   EXPECT_EQ(seq.dp, expect);
 }
 
@@ -39,9 +43,9 @@ TEST_P(LisRandom, ParallelMatchesSequentialBothPolicies) {
   std::mt19937_64 gen(seed);
   std::vector<int64_t> a(n);
   for (auto& x : a) x = static_cast<int64_t>(gen() % range);
-  auto seq = pp::lis_sequential(a);
+  auto seq = pp::lis_sequential(a, kCtx);
   for (auto policy : {pp::pivot_policy::uniform_random, pp::pivot_policy::rightmost}) {
-    auto par = pp::lis_parallel(a, policy, seed + 17);
+    auto par = pp::lis_parallel(a, kCtx.with_pivot(policy).with_seed(seed + 17));
     EXPECT_EQ(par.dp, seq.dp);
     EXPECT_EQ(par.length, seq.length);
     EXPECT_EQ(par.stats.processed, n);
@@ -54,7 +58,7 @@ TEST_P(LisRandom, RoundsEqualLisLength) {
   std::mt19937_64 gen(seed);
   std::vector<int64_t> a(n);
   for (auto& x : a) x = static_cast<int64_t>(gen() % range);
-  auto par = pp::lis_parallel(a, pp::pivot_policy::uniform_random, 5);
+  auto par = pp::lis_parallel(a, kCtx.with_pivot(pp::pivot_policy::uniform_random).with_seed(5));
   // Algorithm 3 processes rank-r objects in round r: rounds == LIS length.
   EXPECT_EQ(par.stats.rounds, static_cast<size_t>(par.length));
 }
@@ -73,19 +77,19 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Lis, EdgeCases) {
   // strictly increasing: LIS = n, rounds = n
   std::vector<int64_t> inc = {1, 2, 3, 4, 5, 6, 7, 8};
-  auto p = pp::lis_parallel(inc, pp::pivot_policy::rightmost, 1);
+  auto p = pp::lis_parallel(inc, kCtx.with_pivot(pp::pivot_policy::rightmost).with_seed(1));
   EXPECT_EQ(p.length, 8);
   EXPECT_EQ(p.stats.rounds, 8u);
   // strictly decreasing: LIS = 1, one round
   std::vector<int64_t> dec = {8, 7, 6, 5, 4, 3, 2, 1};
-  p = pp::lis_parallel(dec, pp::pivot_policy::rightmost, 1);
+  p = pp::lis_parallel(dec, kCtx.with_pivot(pp::pivot_policy::rightmost).with_seed(1));
   EXPECT_EQ(p.length, 1);
   EXPECT_EQ(p.stats.rounds, 1u);
   // all equal: strictly increasing LIS = 1
   std::vector<int64_t> eq(100, 42);
-  p = pp::lis_parallel(eq, pp::pivot_policy::rightmost, 1);
+  p = pp::lis_parallel(eq, kCtx.with_pivot(pp::pivot_policy::rightmost).with_seed(1));
   EXPECT_EQ(p.length, 1);
-  EXPECT_EQ(pp::lis_sequential(eq).length, 1);
+  EXPECT_EQ(pp::lis_sequential(eq, kCtx).length, 1);
 }
 
 TEST(Lis, WakeupsAreLogarithmicWhp) {
@@ -97,7 +101,7 @@ TEST(Lis, WakeupsAreLogarithmicWhp) {
   std::vector<int64_t> a(n);
   for (auto& x : a) x = static_cast<int64_t>(gen());
   for (auto policy : {pp::pivot_policy::uniform_random, pp::pivot_policy::rightmost}) {
-    auto p = pp::lis_parallel(a, policy, 3);
+    auto p = pp::lis_parallel(a, kCtx.with_pivot(policy).with_seed(3));
     EXPECT_LT(p.stats.avg_wakeups(), 2.0 * std::log2(static_cast<double>(n))) << "policy";
   }
 }
@@ -107,7 +111,7 @@ TEST(Lis, ReconstructionIsValidOptimalSubsequence) {
     std::mt19937_64 gen(seed);
     std::vector<int64_t> a(500);
     for (auto& x : a) x = static_cast<int64_t>(gen() % 300);
-    auto par = pp::lis_parallel(a, pp::pivot_policy::rightmost, 1);
+    auto par = pp::lis_parallel(a, kCtx.with_pivot(pp::pivot_policy::rightmost).with_seed(1));
     auto idx = pp::lis_reconstruct(a, par.dp);
     ASSERT_EQ(static_cast<int64_t>(idx.size()), par.length);
     for (size_t k = 1; k < idx.size(); ++k) {
@@ -124,8 +128,9 @@ TEST(Lis, WeightedMatchesSequentialWeighted) {
     std::vector<int32_t> w(400);
     for (auto& x : a) x = static_cast<int64_t>(gen() % 100);
     for (auto& x : w) x = 1 + static_cast<int32_t>(gen() % 9);
-    auto seq = pp::lis_sequential_weighted(a, w);
-    auto par = pp::lis_parallel_weighted(a, w, pp::pivot_policy::rightmost, seed);
+    auto seq = pp::lis_sequential_weighted(a, w, kCtx);
+    auto par = pp::lis_parallel_weighted(
+        a, w, kCtx.with_pivot(pp::pivot_policy::rightmost).with_seed(seed));
     EXPECT_EQ(par.dp, seq.dp);
     EXPECT_EQ(par.length, seq.length);
     // brute check of the weighted recurrence
@@ -144,8 +149,8 @@ TEST(Lis, WeightedMatchesSequentialWeighted) {
 
 TEST(Lis, DeterministicPerSeed) {
   std::vector<int64_t> a = pp::lis_line_pattern(5000, 10, 2000, 3);
-  auto p1 = pp::lis_parallel(a, pp::pivot_policy::uniform_random, 42);
-  auto p2 = pp::lis_parallel(a, pp::pivot_policy::uniform_random, 42);
+  auto p1 = pp::lis_parallel(a, kCtx.with_pivot(pp::pivot_policy::uniform_random).with_seed(42));
+  auto p2 = pp::lis_parallel(a, kCtx.with_pivot(pp::pivot_policy::uniform_random).with_seed(42));
   EXPECT_EQ(p1.dp, p2.dp);
   EXPECT_EQ(p1.stats.wakeup_attempts, p2.stats.wakeup_attempts);
   EXPECT_EQ(p1.stats.rounds, p2.stats.rounds);
@@ -154,7 +159,7 @@ TEST(Lis, DeterministicPerSeed) {
 TEST(Lis, SegmentPatternHasExpectedRank) {
   for (size_t k : {3ul, 10ul, 30ul}) {
     auto a = pp::lis_segment_pattern(20000, k, 7);
-    auto seq = pp::lis_sequential(a);
+    auto seq = pp::lis_sequential(a, kCtx);
     // the pattern is built so LIS size ~ k (one element per segment)
     EXPECT_GE(seq.length, static_cast<int64_t>(k));
     EXPECT_LE(seq.length, static_cast<int64_t>(2 * k + 2));
@@ -164,8 +169,8 @@ TEST(Lis, SegmentPatternHasExpectedRank) {
 TEST(Lis, LinePatternRankGrowsWithSlope) {
   auto flat = pp::lis_line_pattern(20000, 1, 100000, 5);
   auto steep = pp::lis_line_pattern(20000, 50, 100000, 5);
-  auto r_flat = pp::lis_sequential(flat).length;
-  auto r_steep = pp::lis_sequential(steep).length;
+  auto r_flat = pp::lis_sequential(flat, kCtx).length;
+  auto r_steep = pp::lis_sequential(steep, kCtx).length;
   EXPECT_GT(r_steep, r_flat);
 }
 

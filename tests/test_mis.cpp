@@ -12,6 +12,9 @@
 
 namespace {
 
+// Every solver call below runs under the library's default context.
+const pp::context kCtx{};
+
 class MisGraphs : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {
  protected:
   pp::graph make() const {
@@ -31,9 +34,9 @@ TEST_P(MisGraphs, AllVariantsComputeTheSameGreedyMis) {
   auto [kind, seed] = GetParam();
   (void)kind;
   auto prio = pp::random_permutation(g.num_vertices(), seed + 100);
-  auto seq = pp::mis_sequential(g, prio);
-  auto rounds = pp::mis_rounds(g, prio);
-  auto tas = pp::mis_tas(g, prio);
+  auto seq = pp::mis_sequential(g, prio, kCtx);
+  auto rounds = pp::mis_rounds(g, prio, kCtx);
+  auto tas = pp::mis_tas(g, prio, kCtx);
   EXPECT_TRUE(pp::is_maximal_independent_set(g, seq.in_mis));
   EXPECT_EQ(rounds.in_mis, seq.in_mis);
   EXPECT_EQ(tas.in_mis, seq.in_mis);
@@ -46,7 +49,7 @@ TEST_P(MisGraphs, RoundCountIsLogarithmicWhp) {
   (void)kind;
   if (g.num_vertices() < 2) return;
   auto prio = pp::random_permutation(g.num_vertices(), seed + 200);
-  auto rounds = pp::mis_rounds(g, prio);
+  auto rounds = pp::mis_rounds(g, prio, kCtx);
   // Fischer-Noever: longest monotone path O(log n) whp; allow slack.
   double logn = std::log2(static_cast<double>(g.num_vertices()));
   EXPECT_LE(rounds.stats.rounds, static_cast<size_t>(6 * logn + 10));
@@ -58,7 +61,7 @@ TEST_P(MisGraphs, TasWakeDepthWithinSpanBound) {
   (void)kind;
   if (g.num_vertices() < 2) return;
   auto prio = pp::random_permutation(g.num_vertices(), seed + 300);
-  auto tas = pp::mis_tas(g, prio);
+  auto tas = pp::mis_tas(g, prio, kCtx);
   double logn = std::log2(static_cast<double>(g.num_vertices()) + 2);
   // wake-chain depth tracks the longest monotone path, O(log n) whp
   EXPECT_LE(tas.stats.substeps, static_cast<size_t>(12 * logn + 20));
@@ -71,7 +74,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, MisGraphs,
 TEST(Mis, EmptyGraphSelectsEverything) {
   auto g = pp::graph::from_edges(50, {});
   auto prio = pp::random_permutation(50, 1);
-  auto tas = pp::mis_tas(g, prio);
+  auto tas = pp::mis_tas(g, prio, kCtx);
   EXPECT_EQ(tas.mis_size, 50u);
 }
 
@@ -81,8 +84,8 @@ TEST(Mis, CompleteGraphSelectsOne) {
     for (uint32_t j = i + 1; j < 30; ++j) es.push_back({i, j});
   auto g = pp::graph::from_edges(30, es);
   auto prio = pp::random_permutation(30, 2);
-  auto seq = pp::mis_sequential(g, prio);
-  auto tas = pp::mis_tas(g, prio);
+  auto seq = pp::mis_sequential(g, prio, kCtx);
+  auto tas = pp::mis_tas(g, prio, kCtx);
   EXPECT_EQ(seq.mis_size, 1u);
   EXPECT_EQ(tas.in_mis, seq.in_mis);
   // the selected vertex is the priority-0 one
@@ -99,8 +102,8 @@ TEST(Mis, PathGraphAdversarialPriorities) {
   auto g = pp::graph::from_edges(n, es);
   std::vector<uint32_t> prio(n);
   for (uint32_t i = 0; i < n; ++i) prio[i] = i;  // monotone chain of length n
-  auto seq = pp::mis_sequential(g, prio);
-  auto tas = pp::mis_tas(g, prio);
+  auto seq = pp::mis_sequential(g, prio, kCtx);
+  auto tas = pp::mis_tas(g, prio, kCtx);
   EXPECT_EQ(tas.in_mis, seq.in_mis);
   EXPECT_EQ(seq.mis_size, n / 2);  // vertices 0,2,4,...
 }
@@ -109,8 +112,8 @@ TEST(Mis, DifferentPrioritiesDifferentSets) {
   auto g = pp::random_graph(500, 3000, 5);
   auto p1 = pp::random_permutation(500, 1);
   auto p2 = pp::random_permutation(500, 2);
-  auto m1 = pp::mis_tas(g, p1);
-  auto m2 = pp::mis_tas(g, p2);
+  auto m1 = pp::mis_tas(g, p1, kCtx);
+  auto m2 = pp::mis_tas(g, p2, kCtx);
   EXPECT_TRUE(pp::is_maximal_independent_set(g, m1.in_mis));
   EXPECT_TRUE(pp::is_maximal_independent_set(g, m2.in_mis));
   EXPECT_NE(m1.in_mis, m2.in_mis);  // overwhelmingly likely

@@ -15,6 +15,10 @@
 
 namespace {
 
+// The library's default execution context; seeded or pivot-specific
+// runs derive from it with the with_* builders.
+const pp::context kCtx{};
+
 // --- Knuth shuffle ----------------------------------------------------------
 
 class ShuffleSweep : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
@@ -22,15 +26,15 @@ class ShuffleSweep : public ::testing::TestWithParam<std::tuple<size_t, uint64_t
 TEST_P(ShuffleSweep, ParallelEqualsSequentialShuffle) {
   auto [n, seed] = GetParam();
   auto targets = pp::knuth_targets(n, seed);
-  auto seq = pp::knuth_shuffle_seq(n, targets);
-  auto par = pp::knuth_shuffle_parallel(n, targets);
+  auto seq = pp::knuth_shuffle_seq(n, targets, kCtx);
+  auto par = pp::knuth_shuffle_parallel(n, targets, kCtx);
   EXPECT_EQ(par.perm, seq.perm);
 }
 
 TEST_P(ShuffleSweep, OutputIsAPermutation) {
   auto [n, seed] = GetParam();
   auto targets = pp::knuth_targets(n, seed);
-  auto par = pp::knuth_shuffle_parallel(n, targets);
+  auto par = pp::knuth_shuffle_parallel(n, targets, kCtx);
   std::vector<bool> seen(n, false);
   ASSERT_EQ(par.perm.size(), n);
   for (auto v : par.perm) {
@@ -44,7 +48,7 @@ TEST_P(ShuffleSweep, RoundsLogarithmicWhp) {
   auto [n, seed] = GetParam();
   if (n < 16) return;
   auto targets = pp::knuth_targets(n, seed);
-  auto par = pp::knuth_shuffle_parallel(n, targets);
+  auto par = pp::knuth_shuffle_parallel(n, targets, kCtx);
   double logn = std::log2(static_cast<double>(n));
   // dependence forest depth is O(log n) whp [SGBFG15]
   EXPECT_LE(par.stats.rounds, static_cast<size_t>(8 * logn + 8));
@@ -68,7 +72,7 @@ TEST(Shuffle, UniformityOverSmallPermutations) {
   constexpr int trials = 6000;
   for (int s = 0; s < trials; ++s) {
     auto t = pp::knuth_targets(3, 1000 + s);
-    hist[pp::knuth_shuffle_parallel(3, t).perm]++;
+    hist[pp::knuth_shuffle_parallel(3, t, kCtx).perm]++;
   }
   ASSERT_EQ(hist.size(), 6u);
   for (auto& [perm, cnt] : hist) EXPECT_NEAR(cnt, trials / 6, trials / 6 * 0.35);
@@ -81,8 +85,8 @@ class ListRankSweep : public ::testing::TestWithParam<std::tuple<size_t, uint64_
 TEST_P(ListRankSweep, ParallelEqualsSequential) {
   auto [n, seed] = GetParam();
   auto next = pp::random_list(n, seed);
-  auto seq = pp::list_ranking_seq(next);
-  auto par = pp::list_ranking_parallel(next, seed + 9);
+  auto seq = pp::list_ranking_seq(next, kCtx);
+  auto par = pp::list_ranking_parallel(next, kCtx.with_seed(seed + 9));
   EXPECT_EQ(par.rank, seq.rank);
 }
 
@@ -90,7 +94,7 @@ TEST_P(ListRankSweep, ContractionRoundsLogarithmic) {
   auto [n, seed] = GetParam();
   if (n < 16) return;
   auto next = pp::random_list(n, seed);
-  auto par = pp::list_ranking_parallel(next, seed);
+  auto par = pp::list_ranking_parallel(next, kCtx.with_seed(seed));
   double logn = std::log2(static_cast<double>(n));
   EXPECT_LE(par.stats.rounds, static_cast<size_t>(6 * logn + 8));
 }
@@ -108,8 +112,8 @@ TEST(ListRankWeighted, MatchesSequentialWithNegativeWeights) {
     auto w = pp::tabulate<int64_t>(n, [&](size_t i) {
       return static_cast<int64_t>(pp::hash64(seed * n + i) % 21) - 10;  // in [-10, 10]
     });
-    auto seq = pp::list_ranking_weighted_seq(next, w);
-    auto par = pp::list_ranking_weighted_parallel(next, w, seed + 5);
+    auto seq = pp::list_ranking_weighted_seq(next, w, kCtx);
+    auto par = pp::list_ranking_weighted_parallel(next, w, kCtx.with_seed(seed + 5));
     EXPECT_EQ(par.rank, seq.rank);
   }
 }
@@ -124,7 +128,7 @@ TEST(ForestDepths, MatchesBfsOnRandomForests) {
       bool root = v == 0 || gen() % 10 == 0;
       parent[v] = root ? pp::kListEnd : static_cast<uint32_t>(gen() % v);
     }
-    auto got = pp::forest_depths_euler(parent, trial);
+    auto got = pp::forest_depths_euler(parent, kCtx.with_seed(trial));
     // reference depths
     std::vector<int64_t> expect(n);
     for (size_t v = 0; v < n; ++v)
@@ -137,12 +141,12 @@ TEST(ForestDepths, SingleChainAndStar) {
   // chain: parent[v] = v - 1
   std::vector<uint32_t> chain(100);
   for (size_t v = 0; v < 100; ++v) chain[v] = v == 0 ? pp::kListEnd : static_cast<uint32_t>(v - 1);
-  auto d = pp::forest_depths_euler(chain, 1);
+  auto d = pp::forest_depths_euler(chain, kCtx.with_seed(1));
   for (size_t v = 0; v < 100; ++v) ASSERT_EQ(d.rank[v], static_cast<int64_t>(v + 1));
   // star: all children of node 0
   std::vector<uint32_t> star(500, 0);
   star[0] = pp::kListEnd;
-  d = pp::forest_depths_euler(star, 1);
+  d = pp::forest_depths_euler(star, kCtx.with_seed(1));
   EXPECT_EQ(d.rank[0], 1);
   for (size_t v = 1; v < 500; ++v) ASSERT_EQ(d.rank[v], 2);
 }
@@ -152,7 +156,7 @@ TEST(ListRank, IdentityChain) {
   constexpr size_t n = 1000;
   std::vector<uint32_t> next(n);
   for (size_t i = 0; i < n; ++i) next[i] = i + 1 < n ? static_cast<uint32_t>(i + 1) : pp::kListEnd;
-  auto par = pp::list_ranking_parallel(next, 3);
+  auto par = pp::list_ranking_parallel(next, kCtx.with_seed(3));
   for (size_t i = 0; i < n; ++i) ASSERT_EQ(par.rank[i], i);
 }
 
@@ -165,9 +169,9 @@ TEST_P(CrauserSweep, MatchesDijkstraOnAllFamilies) {
   for (auto g : {pp::random_graph(1500, 8000, seed), pp::rmat_graph(1 << 10, 1 << 12, seed),
                  pp::grid_graph(25, 30)}) {
     auto wg = pp::add_weights(g, 5, 500, seed + 1);
-    auto dj = pp::sssp_dijkstra(wg, 0);
-    auto out_only = pp::sssp_crauser(wg, 0, /*use_in_criterion=*/false);
-    auto in_out = pp::sssp_crauser(wg, 0, /*use_in_criterion=*/true);
+    auto dj = pp::sssp_dijkstra(wg, 0, kCtx);
+    auto out_only = pp::sssp_crauser(wg, 0, /*use_in_criterion=*/false, kCtx);
+    auto in_out = pp::sssp_crauser(wg, 0, /*use_in_criterion=*/true, kCtx);
     ASSERT_EQ(out_only.dist, dj.dist);
     ASSERT_EQ(in_out.dist, dj.dist);
     // adding the IN criterion can only settle more per round
@@ -179,7 +183,7 @@ TEST_P(CrauserSweep, FewerRoundsThanDijkstraSettles) {
   uint64_t seed = GetParam();
   auto g = pp::random_graph(4000, 30000, seed);
   auto wg = pp::add_weights(g, 5, 50, seed + 1);
-  auto cr = pp::sssp_crauser(wg, 0);
+  auto cr = pp::sssp_crauser(wg, 0, /*use_in_criterion=*/true, kCtx);
   // multi-vertex rounds: far fewer rounds than vertices
   EXPECT_LT(cr.stats.rounds, static_cast<size_t>(wg.num_vertices()) / 2);
   EXPECT_GT(cr.stats.max_frontier, 1u);
@@ -189,7 +193,7 @@ TEST_P(CrauserSweep, WorkEfficientRelaxations) {
   uint64_t seed = GetParam();
   auto g = pp::random_graph(3000, 20000, seed);
   auto wg = pp::add_weights(g, 5, 500, seed + 2);
-  auto cr = pp::sssp_crauser(wg, 0);
+  auto cr = pp::sssp_crauser(wg, 0, /*use_in_criterion=*/true, kCtx);
   // every settled vertex relaxes its out-edges exactly once
   EXPECT_LE(cr.stats.relaxations, wg.num_edges());
 }

@@ -14,8 +14,8 @@ using pp::backend_kind;
 
 class PrimTest : public ::testing::TestWithParam<std::tuple<backend_kind, size_t>> {
  protected:
-  void SetUp() override { pp::set_backend(std::get<0>(GetParam())); }
-  void TearDown() override { pp::set_backend(backend_kind::native); }
+  // Every test body runs under the parametrized backend.
+  pp::scoped_context scope_{pp::context{}.with_backend(std::get<0>(GetParam()))};
   size_t n() const { return std::get<1>(GetParam()); }
 
   std::vector<int64_t> random_values(uint64_t seed) const {

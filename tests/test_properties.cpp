@@ -20,6 +20,9 @@
 
 namespace {
 
+// Every solver call below runs under the library's default context.
+const pp::context kCtx{};
+
 // --- Theorem 3.2 / Corollary 3.3: same-rank objects are independent -----------
 
 TEST(PaperTheorems, SameRankLisObjectsAreMutuallyIncomparable) {
@@ -28,7 +31,7 @@ TEST(PaperTheorems, SameRankLisObjectsAreMutuallyIncomparable) {
   std::mt19937_64 gen(1);
   std::vector<int64_t> a(1500);
   for (auto& x : a) x = static_cast<int64_t>(gen() % 500);
-  auto dp = pp::lis_sequential(a).dp;
+  auto dp = pp::lis_sequential(a, kCtx).dp;
   for (size_t i = 0; i < a.size(); i += 7) {
     for (size_t j = i + 1; j < std::min(a.size(), i + 150); ++j) {
       if (dp[i] == dp[j]) {
@@ -44,7 +47,7 @@ TEST(PaperTheorems, RankIsDepthInDependenceGraph) {
   std::mt19937_64 gen(2);
   std::vector<int64_t> a(800);
   for (auto& x : a) x = static_cast<int64_t>(gen() % 200);
-  auto dp = pp::lis_sequential(a).dp;
+  auto dp = pp::lis_sequential(a, kCtx).dp;
   for (size_t i = 0; i < a.size(); ++i) {
     int32_t best = 0;
     for (size_t j = 0; j < i; ++j)
@@ -61,7 +64,7 @@ TEST(PaperTheorems, ActivityFrontierIsExactlyNextRankLayer) {
   auto acts = pp::random_activities(2000, 5000, 50, 20, 1, 3);
   std::vector<pp::activity> unit(acts.begin(), acts.end());
   for (auto& a : unit) a.weight = 1;
-  auto rank = pp::activity_select_seq(unit).dp;
+  auto rank = pp::activity_select_seq(unit, kCtx).dp;
   std::vector<bool> finished(acts.size(), false);
   int64_t layer = 0;
   size_t remaining = acts.size();
@@ -89,7 +92,7 @@ TEST(PaperTheorems, PivotHasRankExactlyOneLess) {
   auto acts = pp::random_activities(3000, 20000, 200, 80, 1, 4);
   std::vector<pp::activity> unit(acts.begin(), acts.end());
   for (auto& a : unit) a.weight = 1;
-  auto rank = pp::activity_select_seq(unit).dp;
+  auto rank = pp::activity_select_seq(unit, kCtx).dp;
   for (size_t x = 0; x < acts.size(); ++x) {
     // pivot = latest-starting activity ending before x starts
     int64_t best_start = std::numeric_limits<int64_t>::min();
@@ -114,7 +117,7 @@ TEST(PaperTheorems, LongestMonotonePriorityPathLogarithmic) {
     auto g = pp::random_graph(20000, 100000, seed);
     auto prio = pp::random_permutation(g.num_vertices(), seed + 10);
     // longest path with increasing priorities == #rounds of mis_rounds
-    auto rounds = pp::mis_rounds(g, prio).stats.rounds;
+    auto rounds = pp::mis_rounds(g, prio, kCtx).stats.rounds;
     double logn = std::log2(20000.0);
     EXPECT_LE(rounds, static_cast<size_t>(4 * logn)) << "seed " << seed;
     EXPECT_GE(rounds, 3u);
@@ -126,7 +129,7 @@ TEST(PaperTheorems, LongestMonotonePriorityPathLogarithmic) {
 TEST(PaperTheorems, HuffmanCodesAreCompleteAndOptimal) {
   for (uint64_t seed : {5, 6, 7}) {
     auto freqs = pp::uniform_freqs(4000, 10000, seed);
-    auto par = pp::huffman_parallel(freqs);
+    auto par = pp::huffman_parallel(freqs, kCtx);
     auto lens = pp::huffman_code_lengths(par, freqs.size());
     EXPECT_TRUE(pp::kraft_exact(lens));
     // WPL computed from lengths agrees with the reported WPL

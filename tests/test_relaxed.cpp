@@ -103,6 +103,7 @@ TEST(Relaxed, ParadigmClassification) {
   EXPECT_EQ(paradigm("mis/rounds"), pp::solver_paradigm::phase);
   EXPECT_EQ(paradigm("mis/sequential"), pp::solver_paradigm::sequential);
   EXPECT_EQ(paradigm("sssp/dijkstra"), pp::solver_paradigm::sequential);
+  EXPECT_EQ(paradigm("sssp/incremental"), pp::solver_paradigm::sequential);
   EXPECT_EQ(paradigm("sssp/phase_parallel"), pp::solver_paradigm::phase);
   EXPECT_TRUE(pp::accepts_relax_knob(*reg.info("matching/relaxed")));
   EXPECT_FALSE(pp::accepts_relax_knob(*reg.info("matching/rounds")));

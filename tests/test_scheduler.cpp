@@ -21,8 +21,8 @@ using pp::backend_kind;
 
 class BackendTest : public ::testing::TestWithParam<backend_kind> {
  protected:
-  void SetUp() override { pp::set_backend(GetParam()); }
-  void TearDown() override { pp::set_backend(backend_kind::native); }
+  // Every test body runs under the parametrized backend.
+  pp::scoped_context scope_{pp::context{}.with_backend(GetParam())};
 };
 
 TEST_P(BackendTest, ParDoRunsBothSides) {
@@ -320,12 +320,13 @@ TEST(Scheduler, PoolCacheSizeCountsLeasedPools) {
 TEST(Scheduler, UnbalancedForkJoin) {
   // Left side finishes immediately; right side is heavy. The parent must
   // wait for the stolen child correctly.
-  pp::set_backend(backend_kind::native);
+  const pp::context ctx = pp::context{}.with_backend(backend_kind::native);
   std::atomic<long> sum{0};
-  pp::par_do([&] { sum += 1; },
-             [&] {
-               for (int i = 0; i < 1000; ++i) sum += 1;
-             });
+  pp::par_do(
+      ctx, [&] { sum += 1; },
+      [&] {
+        for (int i = 0; i < 1000; ++i) sum += 1;
+      });
   EXPECT_EQ(sum.load(), 1001);
 }
 

@@ -13,8 +13,8 @@ using pp::backend_kind;
 
 class SortTest : public ::testing::TestWithParam<std::tuple<backend_kind, size_t>> {
  protected:
-  void SetUp() override { pp::set_backend(std::get<0>(GetParam())); }
-  void TearDown() override { pp::set_backend(backend_kind::native); }
+  // Every test body runs under the parametrized backend.
+  pp::scoped_context scope_{pp::context{}.with_backend(std::get<0>(GetParam()))};
   size_t n() const { return std::get<1>(GetParam()); }
 };
 

@@ -9,6 +9,9 @@
 
 namespace {
 
+// Every solver call below runs under the library's default context.
+const pp::context kCtx{};
+
 enum class GraphKind { random_g, rmat_g, grid_g };
 
 class SsspGraphs : public ::testing::TestWithParam<std::tuple<GraphKind, uint32_t, uint64_t>> {
@@ -27,14 +30,14 @@ class SsspGraphs : public ::testing::TestWithParam<std::tuple<GraphKind, uint32_
 
 TEST_P(SsspGraphs, AllAlgorithmsMatchDijkstra) {
   auto wg = make();
-  auto dj = pp::sssp_dijkstra(wg, 0);
-  auto bf = pp::sssp_bellman_ford(wg, 0);
+  auto dj = pp::sssp_dijkstra(wg, 0, kCtx);
+  auto bf = pp::sssp_bellman_ford(wg, 0, kCtx);
   EXPECT_EQ(bf.dist, dj.dist);
   for (uint32_t delta : {1u, 7u, 100u, 1000000u}) {
-    auto ds = pp::sssp_delta_stepping(wg, 0, delta);
+    auto ds = pp::sssp_delta_stepping(wg, 0, delta, kCtx);
     EXPECT_EQ(ds.dist, dj.dist) << "delta=" << delta;
   }
-  auto phase = pp::sssp_phase_parallel(wg, 0);
+  auto phase = pp::sssp_phase_parallel(wg, 0, kCtx);
   EXPECT_EQ(phase.dist, dj.dist);
 }
 
@@ -50,8 +53,8 @@ TEST_P(SsspGraphs, UnreachableVerticesStayInfinite) {
     }
   auto g = pp::graph::from_edges(10, es);
   auto wg = pp::add_weights(g, wmin, wmin * 2, seed);
-  auto dj = pp::sssp_dijkstra(wg, 0);
-  auto ds = pp::sssp_phase_parallel(wg, 0);
+  auto dj = pp::sssp_dijkstra(wg, 0, kCtx);
+  auto ds = pp::sssp_phase_parallel(wg, 0, kCtx);
   for (uint32_t v = 5; v < 10; ++v) {
     EXPECT_EQ(dj.dist[v], pp::kInfDist);
     EXPECT_EQ(ds.dist[v], pp::kInfDist);
@@ -70,9 +73,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Sssp, SingleVertexAndEmpty) {
   auto g = pp::graph::from_edges(1, {});
   auto wg = pp::add_weights(g, 1, 2, 1);
-  auto dj = pp::sssp_dijkstra(wg, 0);
+  auto dj = pp::sssp_dijkstra(wg, 0, kCtx);
   EXPECT_EQ(dj.dist[0], 0);
-  auto ds = pp::sssp_phase_parallel(wg, 0);
+  auto ds = pp::sssp_phase_parallel(wg, 0, kCtx);
   EXPECT_EQ(ds.dist[0], 0);
 }
 
@@ -84,8 +87,8 @@ TEST(Sssp, PathGraphExactDistances) {
     es.push_back({i + 1, i, 3});
   }
   auto wg = pp::wgraph::from_edges(10, es);
-  for (auto r : {pp::sssp_dijkstra(wg, 0), pp::sssp_bellman_ford(wg, 0),
-                 pp::sssp_delta_stepping(wg, 0, 3), pp::sssp_phase_parallel(wg, 0)}) {
+  for (auto r : {pp::sssp_dijkstra(wg, 0, kCtx), pp::sssp_bellman_ford(wg, 0, kCtx),
+                 pp::sssp_delta_stepping(wg, 0, 3, kCtx), pp::sssp_phase_parallel(wg, 0, kCtx)}) {
     for (uint32_t v = 0; v < 10; ++v) EXPECT_EQ(r.dist[v], 3 * v);
   }
 }
@@ -93,8 +96,8 @@ TEST(Sssp, PathGraphExactDistances) {
 TEST(Sssp, SmallDeltaMeansMoreBucketSteps) {
   auto g = pp::random_graph(3000, 15000, 7);
   auto wg = pp::add_weights(g, 64, 1024, 8);
-  auto fine = pp::sssp_delta_stepping(wg, 0, 64);
-  auto coarse = pp::sssp_delta_stepping(wg, 0, 4096);
+  auto fine = pp::sssp_delta_stepping(wg, 0, 64, kCtx);
+  auto coarse = pp::sssp_delta_stepping(wg, 0, 4096, kCtx);
   EXPECT_GT(fine.stats.rounds, coarse.stats.rounds);
   EXPECT_EQ(fine.dist, coarse.dist);
 }
@@ -104,7 +107,7 @@ TEST(Sssp, DeltaEqualWstarDoesNoRepeatedSettling) {
   // frontier (no vertex is settled twice): relaxations stay close to m.
   auto g = pp::random_graph(2000, 10000, 9);
   auto wg = pp::add_weights(g, 1000, 1100, 10);  // narrow weight range
-  auto ds = pp::sssp_delta_stepping(wg, 0, 1000);
+  auto ds = pp::sssp_delta_stepping(wg, 0, 1000, kCtx);
   // every directed edge relaxed a bounded number of times
   EXPECT_LE(ds.stats.relaxations, 3 * wg.num_edges());
 }

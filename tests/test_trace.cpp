@@ -200,7 +200,8 @@ TEST(Trace, ChromeJsonIsValidAndCarriesSpans) {
 // The wired emission points: a phase run emits run + lease + per-round
 // events; a relaxed run emits run + mq worker-loop spans with
 // popped/wasted args. This is the same span set the acceptance criterion
-// checks in `ppdriver run sssp/relaxed --trace`.
+// checks in `ppdriver run sssp/relaxed --trace`. Each registry solve,
+// batch items included, emits exactly one `run` span.
 TEST(Trace, SolverRunsEmitWiredSpans) {
   auto& reg = pp::registry::instance();
   auto input = reg.make_input("sssp", 400, 11);
@@ -215,7 +216,7 @@ TEST(Trace, SolverRunsEmitWiredSpans) {
   ASSERT_EQ(phase.status, pp::run_status::ok);
   ASSERT_EQ(relaxed.status, pp::run_status::ok);
 
-  EXPECT_GE(records_named("run").size(), 2u);
+  EXPECT_EQ(records_named("run").size(), 2u);
   EXPECT_GE(records_named("pool/lease_acquire").size(), 1u);
   auto rounds = records_named("phase/round");
   ASSERT_FALSE(rounds.empty());
@@ -234,6 +235,14 @@ TEST(Trace, SolverRunsEmitWiredSpans) {
   }
   // The spans' popped args reconcile with the envelope's counter.
   EXPECT_EQ(popped, relaxed.stats.popped);
+
+  // A batch of K items emits K `run` spans: the batch's own scope adds none.
+  pp::trace::clear();
+  pp::trace::set_enabled(true);
+  auto batch = pp::registry::run_batch("sssp/phase_parallel", input, 3, ctx);
+  pp::trace::set_enabled(false);
+  ASSERT_EQ(batch.items.size(), 3u);
+  EXPECT_EQ(records_named("run").size(), 3u);
 }
 
 // ---- metrics ----------------------------------------------------------------

@@ -70,10 +70,10 @@
 // Modes:
 //   default       serve stdin, write stdout, exit at EOF
 //   --port P      additionally accept TCP connections on P (NDJSON, one
-//                 engine shared by all connections); stdin EOF still ends
-//                 the process, so a TCP-only deployment uses  ppserve
-//                 --port P < /dev/null  under a supervisor... or just
-//                 keeps stdin open.
+//                 engine shared by all connections). Stdin EOF does NOT
+//                 end the process in this mode: the daemon keeps serving
+//                 TCP until it is killed, so  ppserve --port P < /dev/null
+//                 runs a TCP-only server.
 //   --metrics-port P
 //                 loopback HTTP scrape endpoint: GET /metrics answers 200
 //                 with the Prometheus text rendering of the pp::metrics
