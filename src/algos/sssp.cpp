@@ -40,11 +40,14 @@ sssp_result sssp_dijkstra(const wgraph& g, vertex_t source, const context& ctx) 
 
 namespace {
 
-// Relax all out-edges of `frontier` satisfying `edge_ok(w)`. Returns the
-// deduplicated list of vertices whose distance improved. `claimed` must be
-// all-zero on entry and is restored to all-zero on exit.
+// Relax all out-edges of `frontier` satisfying `edge_ok(w)`, each from
+// `from[i]` when given (the distances of a synchronous substep) or else
+// from the live distance. Returns the deduplicated list of vertices whose
+// distance improved. `claimed` must be all-zero on entry and is restored
+// to all-zero on exit.
 std::vector<vertex_t> relax_edges(const wgraph& g, std::span<std::atomic<int64_t>> dist,
                                   std::span<const vertex_t> frontier,
+                                  std::span<const int64_t> from,
                                   std::vector<std::atomic<uint8_t>>& claimed, bool light_only,
                                   uint32_t delta, phase_stats& stats) {
   size_t f = frontier.size();
@@ -56,7 +59,7 @@ std::vector<vertex_t> relax_edges(const wgraph& g, std::span<std::atomic<int64_t
   std::vector<vertex_t> out(total, kInvalid);
   parallel_for(0, f, [&](size_t i) {
     vertex_t v = frontier[i];
-    int64_t dv = dist[v].load(std::memory_order_relaxed);
+    int64_t dv = from.empty() ? dist[v].load(std::memory_order_relaxed) : from[i];
     auto nbrs = g.out_neighbors(v);
     auto wts = g.out_weights(v);
     for (size_t j = 0; j < nbrs.size(); ++j) {
@@ -131,8 +134,17 @@ sssp_result delta_stepping_impl(const wgraph& g, vertex_t source, uint32_t delta
       res.stats.substeps++;
       res.stats.processed += active.size();
       for (auto v : active) settled.push_back(v);
+      // Bellman-Ford relaxes from the distances as of the substep's start,
+      // so the set of improved vertices (and with it `processed` and
+      // `substeps`) does not depend on thread timing.
+      std::vector<int64_t> from;
+      if (single_bucket) {
+        from.resize(active.size());
+        parallel_for(0, active.size(),
+                     [&](size_t i) { from[i] = dist[active[i]].load(std::memory_order_relaxed); });
+      }
       auto changed = relax_edges(g, std::span<std::atomic<int64_t>>(dist.data(), n),
-                                 active, claimed, /*light_only=*/!single_bucket, delta,
+                                 active, from, claimed, /*light_only=*/!single_bucket, delta,
                                  res.stats);
       frontier.clear();
       for (auto u : changed) {
@@ -158,7 +170,7 @@ sssp_result delta_stepping_impl(const wgraph& g, vertex_t source, uint32_t delta
     for (auto v : settled) settled_in_step[v] = 0;
     if (!single_bucket && !settled.empty()) {
       auto changed = relax_edges(g, std::span<std::atomic<int64_t>>(dist.data(), n),
-                                 settled, claimed, /*light_only=*/false, delta, res.stats);
+                                 settled, {}, claimed, /*light_only=*/false, delta, res.stats);
       for (auto u : changed) push_bucket(u, dist[u].load(std::memory_order_relaxed));
     }
   }
@@ -246,7 +258,7 @@ sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion
     auto rest = pack(std::span<const vertex_t>(queued), [&](size_t i) { return !ready(i); });
     res.stats.record_frontier(settle.size());
     auto changed = relax_edges(g, std::span<std::atomic<int64_t>>(dist.data(), n), settle,
-                               claimed, /*light_only=*/false, 0, res.stats);
+                               {}, claimed, /*light_only=*/false, 0, res.stats);
     // new queue = unsettled remainder + newly improved vertices that are
     // not already queued (changed is deduped per call; guard against
     // duplicates with `rest` via a membership flag)

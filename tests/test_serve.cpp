@@ -2,7 +2,9 @@
 // reproduce standalone registry::run results seed-for-seed, coalesced
 // requests cost one pool lease per flushed batch, concurrent run_scopes
 // respect max_inflight_runs, and shutdown resolves every future (drain
-// and fail modes) without hangs or leaks.
+// and fail modes) without hangs or leaks. The wire protocol
+// (pp::serve::connection) is tested in-process at the end, with a writer
+// thread draining each connection as the transports do.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,9 +17,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/json.h"
 #include "core/registry.h"
 #include "parallel/scheduler.h"
 #include "serve/engine.h"
+#include "serve/protocol.h"
+#include "serve/session.h"
 
 namespace {
 
@@ -1048,6 +1053,136 @@ TEST(Serve, NoScopeRaceConflicts) {
   for (auto& f : futs) EXPECT_TRUE(f.get().ok());
   eng.stop();
   EXPECT_EQ(pp::detail::scope_conflicts(), conflicts_before);
+}
+
+// ---- wire protocol (pp::serve::connection) ---------------------------------
+
+engine_options protocol_engine() {
+  engine_options opt;
+  opt.max_inflight_runs = 1;
+  opt.workers_per_run = 1;
+  opt.ctx = native2().with_workers(1).with_seed(3);
+  return opt;
+}
+
+// Feed `lines` to one connection while a writer thread drains it (the
+// transports' reader/writer hand-off); the replies in the order handed out.
+std::vector<pp::serve::connection::reply> converse(engine& eng, pp::serve::session_table& tab,
+                                                   const std::vector<std::string>& lines) {
+  pp::serve::connection conn(eng, tab, /*max_n=*/1'000);
+  std::vector<pp::serve::connection::reply> out;
+  std::thread writer([&] {
+    while (auto r = conn.next()) out.push_back(std::move(*r));
+  });
+  for (const auto& l : lines) conn.feed_line(l);
+  conn.finish();
+  writer.join();
+  return out;
+}
+
+pp::json::value parsed(const std::string& line) {
+  pp::json::value v;
+  std::string err;
+  EXPECT_TRUE(pp::json::parse(line, v, &err)) << err << " in " << line;
+  return v;
+}
+
+TEST(Protocol, MalformedLinesAnswerOneErrorEachInOrder) {
+  // Each bad line gets exactly one ok:false response, in request order,
+  // whose error names the offending field — between two good requests.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {R"({"solver":"lis/parallel","n":)", "JSON"},
+      {R"({"solver":"lis/parallel","n":"5"})", "\"n\""},
+      {R"({"solver":"lis/parallel","n":2000.7})", "\"n\""},
+      {R"({"solver":"lis/parallel","n":1001})", "\"n\""},
+      {R"({"solver":"lis/parallel","n":50,"priority":"urgent"})", "\"priority\""},
+      {R"({"solver":"lis/parallel","n":50,"deadline_ms":0})", "\"deadline_ms\""},
+      {R"({"solver":"lis/parallel","n":50,"seed":1.5})", "\"seed\""},
+      {R"({"stats":false})", "\"stats\""},
+      {R"({"n":50})", "\"solver\""},
+      {R"({"solver":"no/such","n":50})", "solver"},
+      {R"({"session":"frobnicate","name":"g"})", "session"},
+      {R"({"session":"delta","name":"g","add_edges":[[1,2]]})", "\"add_edges\""},
+  };
+  const std::string good = R"({"solver":"lis/parallel","n":50,"seed":7})";
+  std::vector<std::string> lines{good};
+  for (const auto& [line, field] : bad) lines.push_back(line);
+  lines.push_back(good);
+
+  engine eng(protocol_engine());
+  pp::serve::session_table tab(4);
+  auto replies = converse(eng, tab, lines);
+  ASSERT_EQ(replies.size(), lines.size());
+  for (size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].id, std::to_string(i));
+    pp::json::value r = parsed(replies[i].line);
+    ASSERT_NE(r.find("ok"), nullptr) << replies[i].line;
+    bool edge = i == 0 || i + 1 == replies.size();
+    EXPECT_EQ(r.find("ok")->as_bool(), edge) << replies[i].line;
+    if (edge) continue;
+    const std::string& field = bad[i - 1].second;
+    ASSERT_NE(r.find("error"), nullptr) << replies[i].line;
+    EXPECT_NE(r.find("error")->as_string().find(field), std::string::npos)
+        << lines[i] << " -> " << replies[i].line;
+  }
+  EXPECT_EQ(parsed(replies.front().line).find("result")->find("score")->as_int64(),
+            parsed(replies.back().line).find("result")->find("score")->as_int64());
+  // The repeat rides the first solve (dedup or cache hit); refused lines
+  // never reach the engine.
+  EXPECT_EQ(eng.stats().submitted, 1u);
+}
+
+TEST(Protocol, StructuredIdEchoedVerbatim) {
+  engine eng(protocol_engine());
+  pp::serve::session_table tab(4);
+  auto replies = converse(eng, tab,
+                          {R"({"id":{"k":[1,"x",true,null]},"stats":true})",
+                           R"({"id":"req-b","n":"bad","solver":"lis/parallel"})"});
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].id, R"({"k": [1, "x", true, null]})");
+  const std::string head = R"({"id": {"k": [1, "x", true, null]}, "ok": true, "stats": {)";
+  EXPECT_EQ(replies[0].line.rfind(head, 0), 0u) << replies[0].line;
+  EXPECT_EQ(replies[1].id, R"("req-b")");
+  EXPECT_EQ(parsed(replies[1].line).find("id")->as_string(), "req-b");
+}
+
+TEST(Protocol, BlankLineConsumesNoDefaultId) {
+  engine eng(protocol_engine());
+  pp::serve::session_table tab(4);
+  auto replies = converse(eng, tab, {R"({"stats":true})", "", " \t\r", R"({"metrics":true})"});
+  ASSERT_EQ(replies.size(), 2u);
+  EXPECT_EQ(replies[0].id, "0");
+  EXPECT_EQ(replies[1].id, "1");
+  EXPECT_TRUE(parsed(replies[1].line).find("metrics")->is_string());
+}
+
+TEST(Protocol, SessionRoundTripReportsPinnedVersion) {
+  engine eng(protocol_engine());
+  pp::serve::session_table tab(4);
+  auto replies = converse(
+      eng, tab,
+      {R"({"session":"create","name":"g","problem":"sssp","n":300,"seed":5})",
+       R"({"session":"delta","name":"g","add_edges":[[1,2,1]]})",
+       R"({"session":"solve","name":"g","solver":"sssp/incremental","seed":11})",
+       R"({"session":"drop","name":"g"})"});
+  ASSERT_EQ(replies.size(), 4u);
+  std::vector<pp::json::value> r;
+  for (const auto& rep : replies) {
+    r.push_back(parsed(rep.line));
+    ASSERT_TRUE(r.back().find("ok")->as_bool()) << rep.line;
+  }
+  const pp::json::value* created = r[0].find("session");
+  const pp::json::value* delta = r[1].find("session");
+  const pp::json::value* solved = r[2].find("session");
+  EXPECT_EQ(created->find("version")->as_int64(), 0);
+  EXPECT_EQ(delta->find("version")->as_int64(), 1);
+  EXPECT_NE(delta->find("fingerprint")->as_string(), created->find("fingerprint")->as_string());
+  // The solve was parsed after the delta and before the drop: it pins v1.
+  EXPECT_EQ(solved->find("version")->as_int64(), 1);
+  EXPECT_EQ(solved->find("fingerprint")->as_string(), delta->find("fingerprint")->as_string());
+  EXPECT_EQ(r[2].find("result")->find("status")->as_string(), "ok");
+  EXPECT_TRUE(r[3].find("session")->find("dropped")->as_bool());
+  EXPECT_EQ(tab.size(), 0u);
 }
 
 }  // namespace

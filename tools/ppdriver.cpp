@@ -37,19 +37,24 @@
 // Examples:
 //   ppdriver run lis/parallel --n 1000000 --backend openmp --workers 8
 //   ppdriver batch lis/parallel --count 8 --n 20000 --json
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli_flags.h"
 #include "core/json.h"
 #include "core/registry.h"
 #include "core/trace.h"
 
 namespace {
+
+constexpr long long kMaxCount = std::numeric_limits<long long>::max();
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -141,9 +146,9 @@ int parse_options(int argc, char** argv, bool batch_mode, cli_options& opt) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--n") == 0) {
-      opt.n = static_cast<size_t>(std::strtoull(need("--n"), nullptr, 10));
+      opt.n = static_cast<size_t>(parse_int(argv[0], "--n", need("--n"), 0, kMaxCount));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      opt.ctx.seed = std::strtoull(need("--seed"), nullptr, 10);
+      opt.ctx.seed = parse_u64(argv[0], "--seed", need("--seed"));
     } else if (std::strcmp(argv[i], "--backend") == 0) {
       const char* b = need("--backend");
       auto kind = pp::parse_backend(b);
@@ -153,9 +158,12 @@ int parse_options(int argc, char** argv, bool batch_mode, cli_options& opt) {
       }
       opt.ctx.backend = *kind;
     } else if (std::strcmp(argv[i], "--workers") == 0) {
-      opt.ctx.workers = static_cast<unsigned>(std::strtoul(need("--workers"), nullptr, 10));
+      // 0 = the backend's default width.
+      opt.ctx.workers = static_cast<unsigned>(parse_int(
+          argv[0], "--workers", need("--workers"), 0, std::numeric_limits<unsigned>::max()));
     } else if (std::strcmp(argv[i], "--grain") == 0) {
-      opt.ctx.grain = static_cast<size_t>(std::strtoull(need("--grain"), nullptr, 10));
+      opt.ctx.grain =
+          static_cast<size_t>(parse_int(argv[0], "--grain", need("--grain"), 0, kMaxCount));
     } else if (std::strcmp(argv[i], "--pivot") == 0) {
       const char* p = need("--pivot");
       if (std::strcmp(p, "rightmost") == 0) {
@@ -167,17 +175,15 @@ int parse_options(int argc, char** argv, bool batch_mode, cli_options& opt) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--relax-k") == 0) {
-      long k = std::strtol(need("--relax-k"), nullptr, 10);
-      if (k < 1) {
-        std::fprintf(stderr, "%s: --relax-k must be >= 1\n", argv[0]);
-        return 2;
-      }
-      opt.ctx.relax_k = static_cast<unsigned>(k);
+      opt.ctx.relax_k = static_cast<unsigned>(parse_int(
+          argv[0], "--relax-k", need("--relax-k"), 1, std::numeric_limits<unsigned>::max()));
     } else if (std::strcmp(argv[i], "--json") == 0) {
       opt.json = true;
     } else if (!batch_mode && std::strcmp(argv[i], "--repeats") == 0) {
-      opt.repeats = std::atoi(need("--repeats"));
-      if (opt.repeats < 1) opt.repeats = 1;
+      // Values below 1 clamp to one run.
+      opt.repeats = std::max(1, static_cast<int>(parse_int(argv[0], "--repeats", need("--repeats"),
+                                                           std::numeric_limits<int>::min(),
+                                                           std::numeric_limits<int>::max())));
     } else if (!batch_mode && std::strcmp(argv[i], "--trace") == 0) {
       opt.trace_path = need("--trace");
       if (opt.trace_path.empty()) {
@@ -185,8 +191,8 @@ int parse_options(int argc, char** argv, bool batch_mode, cli_options& opt) {
         return 2;
       }
     } else if (batch_mode && std::strcmp(argv[i], "--count") == 0) {
-      opt.count = static_cast<size_t>(std::strtoull(need("--count"), nullptr, 10));
-      if (opt.count < 1) opt.count = 1;
+      opt.count = std::max<size_t>(
+          1, static_cast<size_t>(parse_int(argv[0], "--count", need("--count"), 0, kMaxCount)));
     } else if (batch_mode && std::strcmp(argv[i], "--order") == 0) {
       const char* o = need("--order");
       if (std::strcmp(o, "as_given") == 0) {
@@ -365,9 +371,9 @@ int cmd_golden(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--n") == 0) {
-      n = static_cast<size_t>(std::strtoull(need("--n"), nullptr, 10));
+      n = static_cast<size_t>(parse_int(argv[0], "--n", need("--n"), 0, kMaxCount));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(need("--seed"), nullptr, 10);
+      seed = parse_u64(argv[0], "--seed", need("--seed"));
     } else {
       std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], argv[i]);
       return 2;

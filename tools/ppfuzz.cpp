@@ -30,11 +30,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "cli_flags.h"
 #include "core/registry.h"
 #include "parallel/random.h"
 #include "../tests/checkers.h"
@@ -120,11 +122,12 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--duration") == 0) {
-      duration = std::atof(need("--duration"));
+      duration = parse_double(argv[0], "--duration", need("--duration"));
     } else if (std::strcmp(argv[i], "--max-n") == 0) {
-      max_n = static_cast<size_t>(std::strtoull(need("--max-n"), nullptr, 10));
+      max_n = static_cast<size_t>(parse_int(argv[0], "--max-n", need("--max-n"), 0,
+                                            std::numeric_limits<long long>::max()));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      base_seed = std::strtoull(need("--seed"), nullptr, 10);
+      base_seed = parse_u64(argv[0], "--seed", need("--seed"));
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
       verbose = true;
     } else {

@@ -57,9 +57,10 @@ codebase depends on for correctness and reproducibility:
                        description ("from-scratch ref: <solver>", itself
                        registered — incremental results are bit-compared
                        against it, never approximate), and (b) be
-                       exercised by tests/test_session.cpp. ppserve must
-                       handle all four session verbs (create/delta/solve/
-                       drop), and to_json(session_desc) must emit every
+                       exercised by tests/test_session.cpp. The serve
+                       protocol (src/serve/protocol.cpp, which must exist)
+                       must handle all four session verbs (create/delta/
+                       solve/drop), and to_json(session_desc) must emit every
                        session_desc field, so a session response can never
                        silently drop part of the descriptor.
 
@@ -561,7 +562,8 @@ def check_session_coverage(registry_path, test_path, serve_path, session_h_path,
                            session_cpp_path):
     """Every registered `*/incremental` solver must declare a registered
     from-scratch reference in its description and appear in
-    tests/test_session.cpp; ppserve must dispatch every session verb; and
+    tests/test_session.cpp; src/serve/protocol.cpp must exist and dispatch
+    every session verb; and
     to_json(session_desc) must emit every descriptor field."""
     out = []
     with open(registry_path, encoding="utf-8") as f:
@@ -623,7 +625,16 @@ def check_session_coverage(registry_path, test_path, serve_path, session_h_path,
                             % (name, os.path.basename(test_path)),
                         )
                     )
-    if serve_path is not None and os.path.exists(serve_path):
+    if not os.path.exists(serve_path):
+        out.append(
+            Violation(
+                serve_path,
+                1,
+                "session-coverage",
+                "the session-verb dispatcher %s does not exist" % os.path.basename(serve_path),
+            )
+        )
+    else:
         with open(serve_path, encoding="utf-8") as f:
             serve_raw = f.read()
         for verb in SESSION_VERBS:
@@ -633,7 +644,7 @@ def check_session_coverage(registry_path, test_path, serve_path, session_h_path,
                         serve_path,
                         1,
                         "session-coverage",
-                        "ppserve does not dispatch the session verb '%s' "
+                        "the serve protocol does not dispatch the session verb '%s' "
                         "(want all of create/delta/solve/drop)" % verb,
                     )
                 )
@@ -713,7 +724,7 @@ def lint_tree(root):
         violations += check_session_coverage(
             registry,
             os.path.join(root, "tests", "test_session.cpp"),
-            os.path.join(root, "tools", "ppserve.cpp"),
+            os.path.join(root, "src", "serve", "protocol.cpp"),
             os.path.join(root, "src", "serve", "session.h"),
             os.path.join(root, "src", "serve", "session.cpp"),
         )
@@ -1087,6 +1098,14 @@ def self_test():
         expect(
             len(v) == 0,
             "session-coverage quiet on declared+registered ref, tested solver, full verbs and desc",
+            failures,
+        )
+        v = check_session_coverage(
+            sreg_good, stest, os.path.join(td, "protocol_missing.cpp"), sdesc_h, sdesc_good
+        )
+        expect(
+            any("dispatcher protocol_missing.cpp does not exist" in x.msg for x in v),
+            "session-coverage fires when the serve dispatcher file is missing",
             failures,
         )
 
