@@ -86,7 +86,7 @@ struct tas_coloring_state {
     parallel_for(0, ls.size(), [&](size_t j) {
       vertex_t w = ls[j];
       if (forest.mark(w, leaf_of(w, v))) wake_up(w);
-    }, /*grain=*/64);
+    }, /*grain=*/32);
   }
 };
 
@@ -120,7 +120,7 @@ coloring_result coloring_tas(const graph& g, std::span<const uint32_t> priority,
 
   parallel_for(0, n, [&](size_t v) {
     if (st.forest.empty_tree(static_cast<vertex_t>(v))) st.wake_up(static_cast<vertex_t>(v));
-  }, /*grain=*/256);
+  }, /*grain=*/128);
 
   for (auto c : res.color) res.num_colors = std::max(res.num_colors, c + 1);
   return res;

@@ -48,7 +48,7 @@ knapsack_result knapsack_parallel(int64_t W, std::span<const knapsack_item> item
         if (it.weight <= static_cast<int64_t>(j))
           best = std::max(best, res.dp[j - it.weight] + it.value);
       res.dp[j] = best;
-    });
+    }, detail::grain_for_cost(items.size()));  // each dp[j] scans every item
   }
   res.best = res.dp[W];
   return res;

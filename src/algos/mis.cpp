@@ -131,7 +131,7 @@ void tas_mis_state::remove_vertex(vertex_t u, size_t depth) {
     if (priority[w] < pu) return;  // w is earlier: u is not in w's tree
     if (status[w].load(std::memory_order_acquire) == 2) return;  // already removed (Line 13)
     if (forest.mark(w, leaf_of(w, u))) wake_up(w, depth + 1);
-  }, /*grain=*/64);
+  }, /*grain=*/32);
 }
 
 void tas_mis_state::wake_up(vertex_t v, size_t depth) {
@@ -150,7 +150,7 @@ void tas_mis_state::wake_up(vertex_t v, size_t depth) {
     if (status[u].compare_exchange_strong(e, 2, std::memory_order_acq_rel)) {
       remove_vertex(u, depth + 1);  // first remover propagates
     }
-  }, /*grain=*/64);
+  }, /*grain=*/32);
 }
 
 }  // namespace
@@ -180,7 +180,7 @@ mis_result mis_tas(const graph& g, std::span<const uint32_t> priority, const con
   parallel_for(0, n, [&](size_t v) {
     if (st.forest.empty_tree(static_cast<vertex_t>(v)))
       st.wake_up(static_cast<vertex_t>(v), 1);
-  }, /*grain=*/256);
+  }, /*grain=*/128);
 
   mis_result res;
   res.in_mis.assign(n, 0);

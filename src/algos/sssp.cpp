@@ -57,6 +57,8 @@ std::vector<vertex_t> relax_edges(const wgraph& g, std::span<std::atomic<int64_t
                                 std::plus<size_t>{});
   constexpr vertex_t kInvalid = 0xFFFFFFFFu;
   std::vector<vertex_t> out(total, kInvalid);
+  // A task scans about kMinGrain edges, whatever the frontier's degrees.
+  size_t edge_grain = std::max<size_t>(1, detail::kMinGrain * f / std::max<size_t>(total, 1));
   parallel_for(0, f, [&](size_t i) {
     vertex_t v = frontier[i];
     int64_t dv = from.empty() ? dist[v].load(std::memory_order_relaxed) : from[i];
@@ -71,7 +73,7 @@ std::vector<vertex_t> relax_edges(const wgraph& g, std::span<std::atomic<int64_t
           out[offs[i] + j] = nbrs[j];
       }
     }
-  });
+  }, edge_grain);
   stats.relaxations += total;
   auto changed = pack(std::span<const vertex_t>(out),
                       [&](size_t i) { return out[i] != kInvalid; });
@@ -231,6 +233,8 @@ sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion
   });
 
   std::vector<vertex_t> queued = {source};  // tentative, not yet settled
+  std::vector<uint8_t> inq(n, 0);            // inq[v] == 1 iff v is in `queued`
+  inq[source] = 1;
   while (!queued.empty()) {
     cancel_point();  // between settle rounds: quiescent, cancellable
     // OUT-criterion threshold over the queued set
@@ -260,10 +264,11 @@ sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion
     auto changed = relax_edges(g, std::span<std::atomic<int64_t>>(dist.data(), n), settle,
                                {}, claimed, /*light_only=*/false, 0, res.stats);
     // new queue = unsettled remainder + newly improved vertices that are
-    // not already queued (changed is deduped per call; guard against
-    // duplicates with `rest` via a membership flag)
-    std::vector<uint8_t> inq(n, 0);
-    for (auto v : rest) inq[v] = 1;
+    // not already queued (changed is deduped per call; the membership
+    // flags guard against duplicates with `rest`). The flags persist across
+    // rounds and change only for settled and newly queued vertices, so the
+    // bookkeeping costs O(|settle| + |changed|) per round, not O(n).
+    for (auto v : settle) inq[v] = 0;
     for (auto v : changed)
       if (!inq[v]) {
         rest.push_back(v);

@@ -73,7 +73,9 @@ dominance_result dominance_dp_impl(std::span<const uint32_t> y_ranks,
     cancel_point();  // between wake-up rounds: quiescent, cancellable
     ++round;
     res.stats.wakeup_attempts += todo.size();
-    // Attempt to wake every object in the todo list (Lines 28-33).
+    // Attempt to wake every object in the todo list (Lines 28-33). Each
+    // attempt is an O(log^2 n) range-tree query, so 8 per task already
+    // pays for a fork.
     parallel_for(0, todo.size(), [&](size_t k) {
       uint32_t q = todo[k];
       auto v = tree.query_prefix(qx[q], y_ranks[q], rs.ith(round * n + q));
@@ -87,7 +89,7 @@ dominance_result dominance_dp_impl(std::span<const uint32_t> y_ranks,
         ready_flag[q] = 0;
         new_pivot[q] = Agg::cand_of(v);
       }
-    });
+    }, /*grain=*/8);
     auto frontier = pack(std::span<const uint32_t>(todo),
                          [&](size_t k) { return ready_flag[todo[k]] != 0; });
     auto blocked = pack(std::span<const uint32_t>(todo),

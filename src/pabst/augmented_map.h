@@ -47,6 +47,11 @@ namespace pp {
 // Batch sizes below this run serially inside tree operations.
 inline constexpr size_t kTreeGrain = 512;
 
+// Range batches shorter than twice this run serially in multi_extract: one
+// range costs two splits and a join, about 64 node visits, so this many
+// ranges are about detail::kMinGrain steps of work.
+inline constexpr size_t kRangeGrain = detail::grain_for_cost(64);
+
 template <typename Entry>
 class augmented_map {
  public:
@@ -660,8 +665,13 @@ class augmented_map {
       auto [a0, m0, d0] = split(t, ranges[mid].lo);
       if (m0) d0 = join(nullptr, m0, d0);  // keep the exact-match node
       node *na0 = nullptr, *nd0 = nullptr;
-      par_do([&, ap = a0] { na0 = multi_extract_rec(ap, ranges.subspan(0, mid), outs.subspan(0, mid)); },
-             [&, dp = d0] { nd0 = multi_extract_rec(dp, ranges.subspan(mid + 1), outs.subspan(mid + 1)); });
+      if (!detail::splits(ranges.size(), kRangeGrain)) {
+        na0 = multi_extract_rec(a0, ranges.subspan(0, mid), outs.subspan(0, mid));
+        nd0 = multi_extract_rec(d0, ranges.subspan(mid + 1), outs.subspan(mid + 1));
+      } else {
+        par_do([&, ap = a0] { na0 = multi_extract_rec(ap, ranges.subspan(0, mid), outs.subspan(0, mid)); },
+               [&, dp = d0] { nd0 = multi_extract_rec(dp, ranges.subspan(mid + 1), outs.subspan(mid + 1)); });
+      }
       return join2(na0, nd0);
     }
     auto [a, mlo, b] = split(t, ranges[mid].lo);
@@ -684,7 +694,7 @@ class augmented_map {
       free_node(mhi);
     }
     node *na = nullptr, *nd = nullptr;
-    if (ranges.size() <= 8) {
+    if (!detail::splits(ranges.size(), kRangeGrain)) {
       na = multi_extract_rec(a, ranges.subspan(0, mid), outs.subspan(0, mid));
       nd = multi_extract_rec(d, ranges.subspan(mid + 1), outs.subspan(mid + 1));
     } else {

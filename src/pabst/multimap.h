@@ -67,7 +67,7 @@ class pivot_multimap {
     parallel_for(0, groups.size(), [&](size_t g) {
       for (size_t j = 0; j < groups[g].size(); ++j)
         out[offsets[g] + j] = groups[g][j].key.val;
-    });
+    }, detail::grain_for_cost(out.size() / groups.size()));  // cost: the average group
     return out;
   }
 

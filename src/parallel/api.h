@@ -13,6 +13,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 
@@ -207,19 +208,53 @@ void par_do(L&& left, R&& right) {
 
 namespace detail {
 
-// Grain heuristic: enough sub-ranges to balance (8 per worker) but never
-// absurdly small pieces. A parallel for-loop has O(log n) span from the
-// recursive splitting, matching the model in the paper.
+// Granularity: a fork pays for itself only when each side has enough work,
+// so a default grain is sized by work, not by iteration count (the PAM
+// `do_parallel(n, m)` idiom).
+//
+//  * The grain is the fewest iterations a task runs: a range splits only
+//    while both halves get at least `grain` (see splits), so a range
+//    shorter than 2 * grain runs inline and forks nothing.
+//  * kMinGrain is the work floor, in O(1) steps: auto_grain(n, W) =
+//    max(n / (8W), kMinGrain), i.e. 8 pieces per worker on big loops for
+//    balance, never below the floor. A default-grain loop of fewer than
+//    2 * kMinGrain cheap iterations (the few-item frontier of most phase
+//    rounds) therefore never forks. auto_grain is the only place a default
+//    grain is computed.
+//  * A body that costs far more than an O(1) step (a range-tree query, an
+//    adjacency scan, a DP row over all items) passes an explicit grain of
+//    grain_for_cost(steps per iteration), so one task still does about
+//    kMinGrain steps and expensive loops keep forking at small n.
+//
+// Which grain wins: an explicit `grain` argument, then ctx.grain
+// (--grain / PP_GRAIN), then auto_grain; resolve_grain applies that order
+// for parallel_for and reduce_map alike. A parallel loop has O(log n) span
+// from the recursive splitting plus the O(grain) leaf, matching the model
+// in the paper.
+constexpr size_t kMinGrain = 1024;
+
 inline size_t auto_grain(size_t n, unsigned workers) {
   size_t pieces = static_cast<size_t>(workers) * 8;
-  size_t g = n / (pieces == 0 ? 1 : pieces);
-  if (g < 1) g = 1;
-  return g;
+  return std::max(n / (pieces == 0 ? 1 : pieces), kMinGrain);
 }
+
+// Iterations per task for a body costing about `steps_per_iter` O(1) steps.
+constexpr size_t grain_for_cost(size_t steps_per_iter) {
+  return std::max<size_t>(1, kMinGrain / std::max<size_t>(1, steps_per_iter));
+}
+
+inline size_t resolve_grain(const context& ctx, size_t n, size_t grain) {
+  if (grain != 0) return grain;
+  if (ctx.grain != 0) return ctx.grain;
+  return auto_grain(n, num_workers(ctx));
+}
+
+// Whether a range of n iterations forks at this grain.
+constexpr bool splits(size_t n, size_t grain) { return n >= 2 * grain; }
 
 template <typename F>
 void parallel_for_rec(const context& ctx, size_t lo, size_t hi, F& f, size_t grain) {
-  if (hi - lo <= grain) {
+  if (!splits(hi - lo, grain)) {
     for (size_t i = lo; i < hi; ++i) f(i);
     return;
   }
@@ -232,50 +267,46 @@ void parallel_for_rec(const context& ctx, size_t lo, size_t hi, F& f, size_t gra
 }  // namespace detail
 
 // Apply f(i) for i in [lo, hi). `grain` = 0 defers to ctx.grain, then to
-// the auto heuristic.
+// auto_grain (see resolve_grain); a range that does not split runs inline.
 template <typename F>
 void parallel_for(const context& ctx, size_t lo, size_t hi, F f, size_t grain = 0) {
   if (hi <= lo) return;
   size_t n = hi - lo;
-  if (grain == 0) grain = ctx.grain;
-  switch (ctx.backend) {
-    case backend_kind::sequential: {
-      for (size_t i = lo; i < hi; ++i) f(i);
-      return;
-    }
-    case backend_kind::openmp: {
-      if (omp_in_parallel()) {
-        // Nested inside an OpenMP region (e.g. a parallel_for body that
-        // itself forks): recursive binary splitting over OpenMP tasks, the
-        // same shape as the native backend. The old behavior — silently
-        // serializing the nested loop — destroyed the span bounds of every
-        // algorithm with nested parallelism.
-        if (grain == 0) grain = detail::auto_grain(n, num_workers(ctx));
-        detail::parallel_for_rec(ctx, lo, hi, f, grain);
-      } else {
-        int nt = static_cast<int>(num_workers(ctx));
-        if (grain > 0) {
-          // honor an explicit grain (argument or ctx.grain) as the chunk size
-#pragma omp parallel for schedule(dynamic, static_cast<int>(grain)) num_threads(nt)
-          for (size_t i = lo; i < hi; ++i) f(i);
-        } else {
-#pragma omp parallel for schedule(guided) num_threads(nt)
-          for (size_t i = lo; i < hi; ++i) f(i);
-        }
-      }
-      return;
-    }
-    case backend_kind::native:
-    default: {
-      if (grain == 0) grain = detail::auto_grain(n, num_workers(ctx));
-      detail::parallel_for_rec(ctx, lo, hi, f, grain);
-      return;
-    }
+  const bool chosen = grain != 0 || ctx.grain != 0;
+  grain = detail::resolve_grain(ctx, n, grain);
+  if (ctx.backend == backend_kind::sequential || !detail::splits(n, grain)) {
+    for (size_t i = lo; i < hi; ++i) f(i);
+    return;
   }
+  if (ctx.backend == backend_kind::openmp && !omp_in_parallel()) {
+    int nt = static_cast<int>(num_workers(ctx));
+    if (chosen) {
+      // honor an explicit grain (argument or ctx.grain) as the chunk size
+#pragma omp parallel for schedule(dynamic, static_cast<int>(grain)) num_threads(nt)
+      for (size_t i = lo; i < hi; ++i) f(i);
+    } else {
+#pragma omp parallel for schedule(guided) num_threads(nt)
+      for (size_t i = lo; i < hi; ++i) f(i);
+    }
+    return;
+  }
+  // Native, or nested inside an OpenMP region (e.g. a parallel_for body
+  // that itself forks): recursive binary splitting, over OpenMP tasks in
+  // the nested case, so nested loops keep their span bounds instead of
+  // being silently serialized.
+  detail::parallel_for_rec(ctx, lo, hi, f, grain);
 }
 
+// Under the current context. An explicit grain that the range cannot split
+// runs inline under every context, so that case skips the context lookup
+// (a shared lock and a reference count that concurrent tasks would contend
+// on, e.g. the per-vertex loops of the TAS-tree wake-ups).
 template <typename F>
 void parallel_for(size_t lo, size_t hi, F f, size_t grain = 0) {
+  if (grain != 0 && hi >= lo && !detail::splits(hi - lo, grain)) {
+    for (size_t i = lo; i < hi; ++i) f(i);
+    return;
+  }
   parallel_for(current_context(), lo, hi, std::move(f), grain);
 }
 

@@ -21,12 +21,13 @@ namespace pp {
 // ---------------------------------------------------------------------------
 
 // Reduce f(lo..hi) with an associative `combine`; `map(i)` produces the i-th
-// leaf value. O(n) work, O(log n) span.
+// leaf value. O(n) work, O(log n) span. `grain` resolves as in
+// parallel_for: the argument, then ctx.grain, then auto_grain.
 template <typename T, typename Map, typename Combine>
 T reduce_map(size_t lo, size_t hi, T identity, Map map, Combine combine, size_t grain = 0) {
   if (hi <= lo) return identity;
-  if (grain == 0) grain = detail::auto_grain(hi - lo, num_workers());
-  if (hi - lo <= grain) {
+  if (grain == 0) grain = detail::resolve_grain(current_context(), hi - lo, 0);
+  if (!detail::splits(hi - lo, grain)) {
     T acc = identity;
     for (size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
     return acc;
@@ -78,7 +79,7 @@ T scan_exclusive(std::span<T> xs, T identity, Combine combine) {
     T acc = identity;
     for (size_t i = lo; i < hi; ++i) acc = combine(acc, xs[i]);
     sums[b] = acc;
-  });
+  }, detail::grain_for_cost(bsize));
   T total = identity;
   for (size_t b = 0; b < nblocks; ++b) {
     T next = combine(total, sums[b]);
@@ -93,7 +94,7 @@ T scan_exclusive(std::span<T> xs, T identity, Combine combine) {
       xs[i] = acc;
       acc = next;
     }
-  });
+  }, detail::grain_for_cost(bsize));
   return total;
 }
 
@@ -119,7 +120,7 @@ T scan_inclusive(std::span<T> xs, T identity, Combine combine) {
       xs[i] = acc;
     }
     sums[b] = acc;
-  });
+  }, detail::grain_for_cost(bsize));
   std::vector<T> offsets(nblocks);
   T total = identity;
   for (size_t b = 0; b < nblocks; ++b) {
@@ -129,7 +130,7 @@ T scan_inclusive(std::span<T> xs, T identity, Combine combine) {
   parallel_for(1, nblocks, [&](size_t b) {
     size_t lo = b * bsize, hi = std::min(n, lo + bsize);
     for (size_t i = lo; i < hi; ++i) xs[i] = combine(offsets[b], xs[i]);
-  });
+  }, detail::grain_for_cost(bsize));
   return total;
 }
 

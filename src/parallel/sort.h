@@ -134,7 +134,7 @@ std::vector<size_t> counting_sort_by_key(std::span<const T> xs, std::span<T> out
     size_t lo = b * bsize, hi = std::min(n, lo + bsize);
     size_t* my = counts.data() + b * num_buckets;
     for (size_t i = lo; i < hi; ++i) my[key(xs[i])]++;
-  });
+  }, detail::grain_for_cost(bsize));
 
   // Column-major prefix: for key k, blocks in order → stable placement.
   std::vector<size_t> offsets(num_buckets + 1, 0);
@@ -155,7 +155,7 @@ std::vector<size_t> counting_sort_by_key(std::span<const T> xs, std::span<T> out
     size_t lo = b * bsize, hi = std::min(n, lo + bsize);
     size_t* my = counts.data() + b * num_buckets;
     for (size_t i = lo; i < hi; ++i) out[my[key(xs[i])]++] = xs[i];
-  });
+  }, detail::grain_for_cost(bsize));
   return offsets;
 }
 

@@ -16,8 +16,18 @@
 //                           O(log^2 n);
 //   update(id, value)     — replace the leaf aggregate of one point,
 //                           O(log^2 n);
-//   batch_update(...)     — the same for a batch, deduplicating shared
-//                           inner paths, O(b log^2 n) work, polylog span.
+//   batch_update(...)     — the same for a batch of b points, deduplicating
+//                           shared inner paths: O(b log^2 n) work and
+//                           O(log b log n) span. The O(log n) levels own
+//                           disjoint segment trees and run concurrently
+//                           (one parallel_for, grain sized by a level's
+//                           O(b log n) cost); inside a level, a sort of
+//                           the b leaf slots, then an in-place climb of
+//                           one parallel step per inner level, with no
+//                           allocation per step. Inner loops use the
+//                           default grain, so a small batch touches each
+//                           level sequentially and a large one keeps
+//                           polylog span.
 //
 // The aggregate policy supplies the monoid. Combines receive a pseudo-
 // random word so that policies like Algorithm 3's uniformly-random pivot
@@ -128,7 +138,7 @@ class range_tree2d {
             if ((id & half) == 0) next[lw++] = id;
             else next[rw++] = id;
           }
-        });
+        }, detail::grain_for_cost(m));
         std::swap(ids_by_y, next);
       }
     }
@@ -172,7 +182,9 @@ class range_tree2d {
 
   // Batch leaf replacement; ids must be distinct. Equivalent to calling
   // update() for each element, but inner paths shared between points are
-  // recomputed once, in parallel.
+  // recomputed once. Levels own disjoint segment trees, so they are updated
+  // concurrently, split across tasks by their O(b log n) cost each; see
+  // update_level for the per-level climb.
   void batch_update(std::span<const uint32_t> ids, std::span<const value_type> vals,
                     uint64_t rnd = 0) {
     size_t b = ids.size();
@@ -181,42 +193,13 @@ class range_tree2d {
       for (size_t i = 0; i < b; ++i) update(ids[i], vals[i], rnd);
       return;
     }
-    parallel_for(0, b, [&](size_t i) { leaf_vals_[ids[i]] = vals[i]; });
-    for (uint32_t lv = 0; lv < levels_; ++lv) {
-      uint32_t m = n_pad_ >> lv;
-      uint32_t two_m = 2 * m;
-      auto* st = seg_[lv].data();
-      // Absolute leaf slots, sorted; climbing preserves sortedness.
-      auto slots = tabulate<std::pair<uint32_t, uint32_t>>(b, [&](size_t i) {
-        uint32_t id = ids[i];
-        uint32_t abs = 2 * (id & ~(m - 1)) + m + pos_[lv][id];
-        return std::pair<uint32_t, uint32_t>{abs, static_cast<uint32_t>(i)};
-      });
-      sort_inplace(std::span<std::pair<uint32_t, uint32_t>>(slots));
-      parallel_for(0, b, [&](size_t i) { st[slots[i].first] = vals[slots[i].second]; });
-      // Climb: parent of abs is base + (rel >> 1); rel = abs mod 2m.
-      std::vector<uint32_t> cur(b);
-      parallel_for(0, b, [&](size_t i) { cur[i] = slots[i].first; });
-      while (!cur.empty() && (cur[0] & (two_m - 1)) > 1) {
-        std::vector<uint32_t> parents(cur.size());
-        parallel_for(0, cur.size(), [&](size_t i) {
-          uint32_t abs = cur[i];
-          parents[i] = (abs & ~(two_m - 1)) + ((abs & (two_m - 1)) >> 1);
-        });
-        // adjacent dedup (sorted order is preserved by the monotone map)
-        auto uniq = pack(std::span<const uint32_t>(parents), [&](size_t i) {
-          return i == 0 || parents[i] != parents[i - 1];
-        });
-        parallel_for(0, uniq.size(), [&](size_t i) {
-          uint32_t abs = uniq[i];
-          uint32_t base = abs & ~(two_m - 1);
-          uint32_t rel = abs & (two_m - 1);
-          st[abs] = Agg::combine(st[base + 2 * rel], st[base + 2 * rel + 1],
-                                 hash64(rnd ^ abs ^ (uint64_t{lv} << 32)));
-        });
-        cur = std::move(uniq);
-      }
-    }
+    // One context snapshot for the whole batch: the level tasks' many small
+    // loops then share no lock or reference count.
+    const context ctx = current_context();
+    parallel_for(ctx, 0, b, [&](size_t i) { leaf_vals_[ids[i]] = vals[i]; });
+    parallel_for(ctx, 0, levels_, [&](size_t lv) {
+      update_level(ctx, static_cast<uint32_t>(lv), ids, vals, rnd);
+    }, detail::grain_for_cost(b * log_pad_));
   }
 
   // Current leaf aggregate of a point.
@@ -258,7 +241,43 @@ class range_tree2d {
       auto* st = seg_[lv].data() + base;
       for (uint32_t i = m - 1; i >= 1; --i)
         st[i] = Agg::combine(st[2 * i], st[2 * i + 1], hash64(rng_ ^ (base + i)));
+    }, detail::grain_for_cost(m));
+  }
+
+  // One level of batch_update: write the batch's leaves into the level's
+  // segment trees, sort their absolute slots, then climb one inner level
+  // per step. `cur` holds the sorted slots of the current inner level and
+  // `up` receives their parents; the parent map is monotone, so points
+  // sharing a parent stay adjacent and only the first of each run
+  // recomputes it. Both buffers are allocated once per level: O(b log n)
+  // work and O(log b log n) span per level (the sort plus one parallel
+  // step per inner level).
+  void update_level(const context& ctx, uint32_t lv, std::span<const uint32_t> ids,
+                    std::span<const value_type> vals, uint64_t rnd) {
+    uint32_t m = n_pad_ >> lv;
+    uint32_t mask = 2 * m - 1;  // abs & mask: slot inside the node's segtree
+    auto* st = seg_[lv].data();
+    size_t b = ids.size();
+    std::vector<uint32_t> cur(b), up(b);
+    parallel_for(ctx, 0, b, [&](size_t i) {
+      uint32_t id = ids[i];
+      uint32_t abs = 2 * (id & ~(m - 1)) + m + pos_[lv][id];
+      st[abs] = vals[i];
+      cur[i] = abs;
     });
+    sort_inplace(std::span<uint32_t>(cur));
+    auto parent = [mask](uint32_t abs) { return (abs & ~mask) + ((abs & mask) >> 1); };
+    while ((cur[0] & mask) > 1) {
+      parallel_for(ctx, 0, b, [&](size_t i) {
+        uint32_t p = parent(cur[i]);
+        up[i] = p;
+        if (i > 0 && parent(cur[i - 1]) == p) return;
+        uint32_t base = p & ~mask, rel = p & mask;
+        st[p] = Agg::combine(st[base + 2 * rel], st[base + 2 * rel + 1],
+                             hash64(rnd ^ p ^ (uint64_t{lv} << 32)));
+      });
+      std::swap(cur, up);
+    }
   }
 
   // Monoid sum of the first `cnt_y` smallest-y points of the node at

@@ -98,7 +98,7 @@ TEST(Cancel, PreCancelledTokenUnwindsEveryInstrumentedSolver) {
 }
 
 TEST(Cancel, DeadlineCancelsMidRunFasterThanFullSolve) {
-  auto in = registry::instance().make_input("lis", 8'000, 11);
+  auto in = registry::instance().make_input("lis", 30'000, 11);
   pp::context ctx = native2().with_seed(5);
 
   // Reference: the full solve, no token.
@@ -117,7 +117,7 @@ TEST(Cancel, DeadlineCancelsMidRunFasterThanFullSolve) {
 }
 
 TEST(Cancel, ManualCancelFromAnotherThread) {
-  auto in = registry::instance().make_input("lis", 8'000, 13);
+  auto in = registry::instance().make_input("lis", 30'000, 13);
   pp::context ctx = native2().with_seed(5);
   auto full = registry::run("lis/parallel", in, ctx);
   ASSERT_GT(full.seconds, 0.05);

@@ -96,18 +96,24 @@ TEST(Determinism, ResultsIndependentOfWorkerCount) {
   for (auto b : kBackends)
     if (b != backend_kind::sequential) parallel_backends.push_back(b);
 
+  // Grain 0 is the default (the work floor keeps most loops at these sizes
+  // inline); grain 1 makes every loop fork, so the parallel paths still
+  // run (and race, if they can) at test sizes.
   for (auto b : parallel_backends) {
     for (const auto& c : cases) {
       auto in = registry::instance().make_input(c.problem, c.n, c.seed);
       auto ref = registry::run(c.solver, in, ctx_for(b, c.seed).with_workers(1));
       EXPECT_EQ(ref.workers, 1u) << c.solver << "/" << pp::backend_name(b);
-      for (unsigned w : widths) {
-        auto res = registry::run(c.solver, in, ctx_for(b, c.seed).with_workers(w));
-        EXPECT_EQ(res.workers, w) << c.solver << "/" << pp::backend_name(b);
-        EXPECT_EQ(pp::score_of(res.value), pp::score_of(ref.value))
-            << c.solver << "/" << pp::backend_name(b) << " workers=" << w;
-        EXPECT_EQ(res.stats.rounds, ref.stats.rounds)
-            << c.solver << "/" << pp::backend_name(b) << " workers=" << w;
+      for (size_t grain : {size_t{0}, size_t{1}}) {
+        for (unsigned w : widths) {
+          auto res =
+              registry::run(c.solver, in, ctx_for(b, c.seed).with_workers(w).with_grain(grain));
+          EXPECT_EQ(res.workers, w) << c.solver << "/" << pp::backend_name(b);
+          EXPECT_EQ(pp::score_of(res.value), pp::score_of(ref.value))
+              << c.solver << "/" << pp::backend_name(b) << " workers=" << w << " grain=" << grain;
+          EXPECT_EQ(res.stats.rounds, ref.stats.rounds)
+              << c.solver << "/" << pp::backend_name(b) << " workers=" << w << " grain=" << grain;
+        }
       }
     }
   }

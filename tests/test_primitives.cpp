@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
 #include <numeric>
 #include <random>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "parallel/primitives.h"
@@ -124,6 +127,28 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(pp::backend_name(std::get<0>(info.param))) + "_n" +
              std::to_string(std::get<1>(info.param));
     });
+
+TEST(Reduce, HonorsContextGrain) {
+  // reduce_map resolves its grain like parallel_for: ctx.grain (--grain /
+  // PP_GRAIN) above the input size keeps the whole reduction on the
+  // calling thread, even at 4 workers.
+  pp::context ctx =
+      pp::context{}.with_backend(backend_kind::native).with_workers(4).with_grain(1'000'000);
+  pp::run_scope scope(ctx);
+  std::mutex m;
+  std::set<std::thread::id> seen;
+  int64_t sum = pp::reduce_map(
+      size_t{0}, size_t{100'000}, int64_t{0},
+      [&](size_t i) {
+        std::lock_guard<std::mutex> lk(m);
+        seen.insert(std::this_thread::get_id());
+        return static_cast<int64_t>(i);
+      },
+      std::plus<int64_t>{});
+  EXPECT_EQ(sum, int64_t{99'999} * 100'000 / 2);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(*seen.begin(), std::this_thread::get_id());
+}
 
 TEST(WriteMin, ConcurrentWritersConverge) {
   std::atomic<int64_t> target{1 << 30};

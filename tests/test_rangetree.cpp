@@ -189,6 +189,94 @@ TEST(RangeTree, BatchUpdateEquivalentToPointUpdates) {
   }
 }
 
+// Finish `b` distinct random points of a fresh tree in one batch, at the
+// frontier sizes the dominance engine produces (single items, a handful, a
+// typical round, everything at once); every inner aggregate must equal the
+// combine of its children afterwards.
+template <typename Agg, typename Eq>
+void check_batch_sizes(Eq eq) {
+  constexpr size_t n = 3000;
+  for (size_t b : {size_t{1}, size_t{5}, size_t{64}, n}) {
+    auto model = random_model(n, 300 + b, 0.0);
+    auto t = tree_of<Agg>(model);
+    auto order = pp::random_permutation(n, 7 + b);
+    std::vector<uint32_t> ids(order.begin(), order.begin() + b);
+    std::vector<typename Agg::value_type> vals(b);
+    for (size_t i = 0; i < b; ++i)
+      vals[i] = Agg::finished_leaf(ids[i], static_cast<int32_t>(i % 97));
+    t.batch_update(ids, vals, 1234 + b);
+    ASSERT_TRUE(t.check_aggregates(eq)) << "batch size " << b;
+    for (size_t i = 0; i < b; ++i) {
+      model.finished[ids[i]] = true;
+      model.dp[ids[i]] = static_cast<int32_t>(i % 97);
+    }
+    std::mt19937_64 gen(b);
+    for (int q = 0; q < 50; ++q) {
+      uint32_t qx = static_cast<uint32_t>(gen() % (n + 1));
+      uint32_t qy = static_cast<uint32_t>(gen() % (n + 1));
+      auto got = t.query_prefix(qx, qy, gen());
+      auto expect = model.query(qx, qy);
+      ASSERT_EQ(Agg::has_unfinished(got), expect.unfinished > 0) << "batch size " << b;
+      if (expect.unfinished == 0) {
+        ASSERT_EQ(got.dp, expect.dp) << "batch size " << b;
+      }
+    }
+  }
+}
+
+TEST(RangeTree, BatchUpdateAggregatesAtFrontierSizes) {
+  check_batch_sizes<pp::dom_agg_rightmost>(
+      [](const auto& a, const auto& b) { return a.dp == b.dp && a.cand == b.cand; });
+  // The random policy's candidate depends on the random word, which
+  // check_aggregates does not replay; its counts and dp values do not.
+  check_batch_sizes<pp::dom_agg_random>(
+      [](const auto& a, const auto& b) { return a.unfinished == b.unfinished && a.dp == b.dp; });
+}
+
+// Every query_prefix answer, random candidates included, after the same
+// batch sequence under `ctx`.
+std::vector<pp::dom_agg_random::value_type> random_tree_answers(const pp::context& ctx) {
+  pp::run_scope scope(ctx);
+  constexpr size_t n = 2000;
+  auto model = random_model(n, 91, 0.0);
+  auto t = tree_of<pp::dom_agg_random>(model, /*seed=*/5);
+  auto order = pp::random_permutation(n, 3);
+  std::vector<pp::dom_agg_random::value_type> answers;
+  std::mt19937_64 gen(29);
+  size_t done = 0;
+  for (size_t b : {size_t{1}, size_t{5}, size_t{64}, size_t{700}, n}) {
+    b = std::min(b, n - done);
+    std::vector<uint32_t> ids(order.begin() + done, order.begin() + done + b);
+    std::vector<pp::dom_agg_random::value_type> vals(b);
+    for (size_t i = 0; i < b; ++i)
+      vals[i] = pp::dom_agg_random::finished_leaf(ids[i], static_cast<int32_t>((done + i) % 41));
+    t.batch_update(ids, vals, gen());
+    done += b;
+    for (int q = 0; q < 100; ++q) {
+      uint32_t qx = static_cast<uint32_t>(gen() % (n + 1));
+      uint32_t qy = static_cast<uint32_t>(gen() % (n + 1));
+      answers.push_back(t.query_prefix(qx, qy, gen()));
+    }
+    answers.push_back(t.query_prefix(n, n, 17));  // the whole-tree candidate
+  }
+  return answers;
+}
+
+TEST(RangeTree, BatchUpdateIndependentOfWorkersAndGrain) {
+  // Levels are updated concurrently and, with grain 1, every inner loop
+  // forks; neither may change a single aggregate, random candidates
+  // included.
+  const pp::context base = pp::context{}.with_backend(pp::backend_kind::native);
+  auto one = random_tree_answers(base.with_workers(1));
+  auto four = random_tree_answers(base.with_workers(4).with_grain(1));
+  ASSERT_EQ(one.size(), four.size());
+  for (size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(one[i].dp, four[i].dp) << "answer " << i;
+    EXPECT_EQ(one[i].cand, four[i].cand) << "answer " << i;
+    EXPECT_EQ(one[i].unfinished, four[i].unfinished) << "answer " << i;
+  }
+}
+
 TEST(RangeTree, RandomCandidateRoughlyUniform) {
   // Random candidates are fixed per tree *state* (they are chosen when
   // aggregates are computed, as in Algorithm 3); uniformity is over the

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -174,6 +175,60 @@ TEST(Scheduler, WiderContextUsesMultipleThreads) {
     off_thread = seen.size() > 1;
   }
   EXPECT_TRUE(off_thread) << "2-worker runs never left the calling thread";
+}
+
+// Threads that ran a cheap parallel_for of n iterations under ctx with
+// the given grain argument (0 = default). Each iteration lingers a little,
+// so a loop that forks gives the pool's idle workers time to steal.
+std::set<std::thread::id> threads_of_loop(const pp::context& ctx, size_t n, size_t grain) {
+  pp::run_scope scope(ctx);
+  std::mutex m;
+  std::set<std::thread::id> seen;
+  pp::parallel_for(ctx, 0, n, [&](size_t) {
+    {
+      std::lock_guard<std::mutex> lk(m);
+      seen.insert(std::this_thread::get_id());
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }, grain);
+  return seen;
+}
+
+TEST(Grain, ResolutionOrderAndFloor) {
+  using pp::detail::kMinGrain;
+  EXPECT_EQ(pp::detail::auto_grain(512, 4), kMinGrain);
+  EXPECT_EQ(pp::detail::auto_grain(1 << 20, 4), (size_t{1} << 20) / 32);
+  EXPECT_EQ(pp::detail::grain_for_cost(8), kMinGrain / 8);
+  EXPECT_EQ(pp::detail::grain_for_cost(0), kMinGrain);
+  EXPECT_EQ(pp::detail::grain_for_cost(kMinGrain * 4), 1u);
+  pp::context ctx = pp::context{}.with_backend(pp::backend_kind::native).with_workers(4);
+  EXPECT_EQ(pp::detail::resolve_grain(ctx, 512, 0), kMinGrain);
+  EXPECT_EQ(pp::detail::resolve_grain(ctx.with_grain(7), 512, 0), 7u);
+  EXPECT_EQ(pp::detail::resolve_grain(ctx.with_grain(7), 512, 3), 3u);
+}
+
+TEST(Grain, DefaultGrainRunsSmallCheapLoopsInline) {
+  // The work floor: 512 cheap iterations are below kMinGrain, so even a
+  // 4-worker run must not fork them (the per-round fork storm this floor
+  // removed).
+  pp::context ctx = pp::context{}.with_backend(pp::backend_kind::native).with_workers(4);
+  auto seen = threads_of_loop(ctx, 512, 0);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(*seen.begin(), std::this_thread::get_id());
+}
+
+TEST(Grain, ExplicitGrainAndContextGrainOverrideTheFloor) {
+  // An explicit grain argument, and after it ctx.grain (--grain /
+  // PP_GRAIN), still split the same loop across the pool. Steals are
+  // stochastic, so retry.
+  pp::context ctx = pp::context{}.with_backend(pp::backend_kind::native).with_workers(4);
+  bool arg_forked = false, ctx_forked = false;
+  for (int attempt = 0; attempt < 20 && !(arg_forked && ctx_forked); ++attempt) {
+    arg_forked = arg_forked || threads_of_loop(ctx, 512, 1).size() > 1;
+    ctx_forked = ctx_forked || threads_of_loop(ctx.with_grain(1), 512, 0).size() > 1;
+  }
+  EXPECT_TRUE(arg_forked) << "grain = 1 never left the calling thread";
+  EXPECT_TRUE(ctx_forked) << "ctx.with_grain(1) never left the calling thread";
 }
 
 TEST(Scheduler, PoolCacheReusesByWidth) {

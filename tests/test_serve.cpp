@@ -325,7 +325,7 @@ TEST(Serve, ExpiredBeforePopTakesNoLease) {
   engine eng(opt);
 
   // Inputs built before the lease baseline (the factory leases a pool).
-  auto big = registry::instance().make_input("lis", 8'000, 9);
+  auto big = registry::instance().make_input("lis", 30'000, 9);
   auto small = registry::instance().make_input("lis", 300, 9);
   auto& cache = pp::detail::pool_cache::instance();
   uint64_t leases_before = cache.acquires();
@@ -368,7 +368,7 @@ TEST(Serve, ExpiredBatchEntryResolvedDespiteInteractiveTraffic) {
   opt.ctx = native2().with_seed(3);
   engine eng(opt);
 
-  auto big = registry::instance().make_input("lis", 8'000, 9);
+  auto big = registry::instance().make_input("lis", 30'000, 9);
   auto small = registry::instance().make_input("lis", 200, 9);
   auto blocker = eng.submit({"lis/parallel", big, 1});
   std::this_thread::sleep_for(20ms);  // executor busy with the blocker
@@ -432,7 +432,7 @@ TEST(Serve, InteractiveClassPopsBeforeBatchClass) {
   opt.ctx = native2().with_seed(7);
   engine eng(opt);
 
-  auto big = registry::instance().make_input("lis", 8'000, 9);
+  auto big = registry::instance().make_input("lis", 30'000, 9);
   auto small = registry::instance().make_input("lis", 200, 9);
   auto blocker = eng.submit({"lis/parallel", big, 1});
   std::this_thread::sleep_for(20ms);  // executor now busy with the blocker
@@ -482,7 +482,7 @@ TEST(Serve, CoalescingNeverCrossesClasses) {
   opt.ctx = native2().with_seed(5);
   engine eng(opt);
 
-  auto big = registry::instance().make_input("lis", 8'000, 9);
+  auto big = registry::instance().make_input("lis", 30'000, 9);
   auto small = registry::instance().make_input("lis", 300, 9);
   auto blocker = eng.submit({"lis/parallel", big, 1});
   // Outwait the blocker's own batch window (100ms): its flush must be
@@ -518,7 +518,7 @@ TEST(Serve, CoalescingNeverCrossesClasses) {
 TEST(Serve, MidRunDeadlineCancelsFasterThanFullSolve) {
   // Acceptance: a deadline that expires mid-run resolves its request with
   // `cancelled` in (much) less than the solver's full solve time.
-  auto in = registry::instance().make_input("lis", 8'000, 11);
+  auto in = registry::instance().make_input("lis", 30'000, 11);
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
@@ -556,7 +556,7 @@ TEST(Serve, BlownDeadlineFailsOnlyExpiredBatchmates) {
   // Two requests coalesce into one flush; the first carries a deadline
   // that blows mid-run. It must come back `cancelled` while its unexpired
   // batchmate completes with the exact standalone result.
-  auto in = registry::instance().make_input("lis", 8'000, 13);
+  auto in = registry::instance().make_input("lis", 30'000, 13);
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
@@ -600,7 +600,7 @@ TEST(Serve, PriorityClassesOffIsPlainFifo) {
   opt.ctx = native2().with_seed(7);
   engine eng(opt);
 
-  auto big = registry::instance().make_input("lis", 8'000, 9);
+  auto big = registry::instance().make_input("lis", 30'000, 9);
   auto small = registry::instance().make_input("lis", 200, 9);
   auto blocker = eng.submit({"lis/parallel", big, 1});
   std::this_thread::sleep_for(20ms);
@@ -935,7 +935,7 @@ TEST(Serve, CancelledSoleExecutionIsNotCached) {
   // A cancelled result must never be served to later traffic: resubmitting
   // the same (solver, fingerprint, seed) after a mid-run cancellation
   // executes fresh and succeeds.
-  auto in = registry::instance().make_input("lis", 8'000, 11);
+  auto in = registry::instance().make_input("lis", 30'000, 11);
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
@@ -971,7 +971,7 @@ TEST(Serve, RunningCancellableExecutionRefusesJoiners) {
   // A duplicate arriving while a CANCELLABLE twin is mid-run must not
   // attach (the shared token could poison it); it queues its own execution
   // instead — correct, just uncollapsed.
-  auto in = registry::instance().make_input("lis", 8'000, 13);
+  auto in = registry::instance().make_input("lis", 30'000, 13);
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
