@@ -1,14 +1,14 @@
 // google-benchmark microbenchmarks for the substrates (Appendix A
 // structures): PA-BST point/batch/range ops, 2D range tree query/update,
-// TAS-tree marks, Fenwick prefix-max, and the pivot multimap.
+// TAS-tree marks, Fenwick prefix-max, and the Type-2 pivot buckets.
 #include <benchmark/benchmark.h>
 
 #include <limits>
 #include <random>
 
 #include "core/fenwick.h"
+#include "core/pivot_buckets.h"
 #include "pabst/augmented_map.h"
-#include "pabst/multimap.h"
 #include "parallel/random.h"
 #include "rangetree/policies.h"
 #include "rangetree/range_tree2d.h"
@@ -122,21 +122,22 @@ void BM_FenwickRaiseQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_FenwickRaiseQuery)->Arg(1 << 20);
 
-void BM_MultimapInsertExtract(benchmark::State& state) {
+void BM_PivotBucketsInsertExtract(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
+  size_t pivots = n / 8 + 1;
+  auto keys = pp::tabulate<uint32_t>(n / 16, [&](size_t i) { return static_cast<uint32_t>(i); });
+  std::vector<uint32_t> out, off;
   for (auto _ : state) {
-    pp::pivot_multimap<uint32_t, uint32_t> mm;
-    auto pairs = pp::tabulate<pp::pivot_multimap<uint32_t, uint32_t>::pair_t>(n, [&](size_t i) {
-      return pp::pivot_multimap<uint32_t, uint32_t>::pair_t{
-          static_cast<uint32_t>(pp::hash64(i) % (n / 8 + 1)), static_cast<uint32_t>(i)};
+    pp::pivot_buckets pb(n);
+    pp::parallel_for(0, n, [&](size_t i) {
+      pb.insert(static_cast<uint32_t>(pp::hash64(i) % pivots), static_cast<uint32_t>(i));
     });
-    mm.multi_insert(std::move(pairs));
-    auto keys = pp::tabulate<uint32_t>(n / 16, [&](size_t i) { return static_cast<uint32_t>(i); });
-    benchmark::DoNotOptimize(mm.extract_buckets(keys).size());
+    pb.extract(keys, out, off);
+    benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_MultimapInsertExtract)->Arg(1 << 16);
+BENCHMARK(BM_PivotBucketsInsertExtract)->Arg(1 << 16);
 
 }  // namespace
 

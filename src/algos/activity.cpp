@@ -8,8 +8,8 @@
 #include "core/cancel.h"
 #include "core/fenwick.h"
 #include "core/phase_runner.h"
+#include "core/pivot_buckets.h"
 #include "pabst/augmented_map.h"
-#include "pabst/multimap.h"
 #include "parallel/random.h"
 #include "parallel/sort.h"
 
@@ -205,22 +205,18 @@ activity_result activity_select_type2(std::span<const activity> acts, const cont
     pivot[i] = kpre[i] == 0 ? kNoPivot : pam[kpre[i]];
   });
 
-  // T_pivot multi-map of (pivot, activity) pairs (Sec. 5.1).
-  pivot_multimap<uint32_t, uint32_t> tpivot;
-  {
-    std::vector<pivot_multimap<uint32_t, uint32_t>::pair_t> pairs;
-    auto with_pivot = pack_index(n, [&](size_t i) { return pivot[i] != kNoPivot; });
-    pairs.resize(with_pivot.size());
-    parallel_for(0, with_pivot.size(), [&](size_t k) {
-      pairs[k] = {pivot[with_pivot[k]], static_cast<uint32_t>(with_pivot[k])};
-    });
-    tpivot.multi_insert(std::move(pairs));
-  }
+  // T_pivot (Sec. 5.1): every activity sleeps on its pivot from the start,
+  // since pivots are static here; per-pivot buckets (core/pivot_buckets.h).
+  pivot_buckets tpivot(n);
+  parallel_for(0, n, [&](size_t i) {
+    if (pivot[i] != kNoPivot) tpivot.insert(pivot[i], static_cast<uint32_t>(i));
+  });
 
   atomic_fenwick_max<int64_t> fw(n, 0);
   auto frontier32 = tabulate<uint32_t>(n, [](size_t i) { return static_cast<uint32_t>(i); });
   frontier32 = pack(std::span<const uint32_t>(frontier32),
                     [&](size_t i) { return pivot[i] == kNoPivot; });
+  std::vector<uint32_t> woken, off;
   while (!frontier32.empty()) {
     cancel_point();  // between wake-up rounds: quiescent, cancellable
     res.stats.record_frontier(frontier32.size());
@@ -234,7 +230,8 @@ activity_result activity_select_type2(std::span<const activity> acts, const cont
       fw.raise(id, res.dp[id]);
     });
     sort_inplace(std::span<uint32_t>(frontier32));
-    frontier32 = tpivot.extract_buckets(frontier32);
+    tpivot.extract(frontier32, woken, off);
+    frontier32.swap(woken);
   }
 
   int64_t best = 0;

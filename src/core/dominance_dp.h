@@ -15,7 +15,9 @@
 //     virtual point p[0]);
 //   * an object that is not ready picks an unfinished object of P(i) as its
 //     pivot (policy: uniformly random, or the rightmost heuristic of
-//     Sec. 6.4) and goes to sleep in the pivot multi-map;
+//     Sec. 6.4) and goes to sleep in the pivot buckets (core/pivot_buckets.h:
+//     O(1) work per sleep, O(b log b) per woken bucket of size b, and a
+//     sequential list walk that adds O(max bucket) span to a round);
 //   * when a frontier finishes, the objects pivoted on it are rechecked;
 //   * readiness, DP values and pivot candidates all come from one O(log^2 n)
 //     query on the augmented 2D range tree.
@@ -30,8 +32,8 @@
 #include <vector>
 
 #include "core/context.h"
+#include "core/pivot_buckets.h"
 #include "core/stats.h"
-#include "pabst/multimap.h"
 #include "parallel/primitives.h"
 #include "parallel/random.h"
 #include "rangetree/policies.h"
@@ -59,15 +61,17 @@ dominance_result dominance_dp_impl(std::span<const uint32_t> y_ranks,
 
   range_tree2d<Agg> tree(
       y_ranks, [](uint32_t id) { return Agg::unfinished_leaf(id); }, seed);
-  pivot_multimap<uint32_t, uint32_t> pivots;
+  pivot_buckets pivots(n);
   random_stream rs(hash64(seed ^ 0x5eedull));
 
   // Round 0 plays the role of the virtual point 0: attempt to wake
   // everyone once. Rank-1 objects succeed; the rest register a pivot.
   std::vector<uint32_t> todo = tabulate<uint32_t>(n, [](size_t i) { return static_cast<uint32_t>(i); });
 
-  std::vector<uint8_t> ready_flag(n);
-  std::vector<uint32_t> new_pivot(n);
+  // Per-round scratch, allocated once: pos[k] is todo[k]'s ready flag, then
+  // its slot in the frontier.
+  std::vector<uint32_t> new_pivot(n), pos, frontier, off;
+  std::vector<typename Agg::value_type> vals;
   size_t round = 0;
   while (!todo.empty()) {
     cancel_point();  // between wake-up rounds: quiescent, cancellable
@@ -76,6 +80,7 @@ dominance_result dominance_dp_impl(std::span<const uint32_t> y_ranks,
     // Attempt to wake every object in the todo list (Lines 28-33). Each
     // attempt is an O(log^2 n) range-tree query, so 8 per task already
     // pays for a fork.
+    pos.assign(todo.size() + 1, 0);
     parallel_for(0, todo.size(), [&](size_t k) {
       uint32_t q = todo[k];
       auto v = tree.query_prefix(qx[q], y_ranks[q], rs.ith(round * n + q));
@@ -84,39 +89,33 @@ dominance_result dominance_dp_impl(std::span<const uint32_t> y_ranks,
         if (base == kDomNegInf) base = 0;  // empty dominated set
         if (base < 0) base = 0;
         res.dp[q] = (weights.empty() ? 1 : weights[q]) + base;
-        ready_flag[q] = 1;
+        pos[k] = 1;
       } else {
-        ready_flag[q] = 0;
         new_pivot[q] = Agg::cand_of(v);
       }
     }, /*grain=*/8);
-    auto frontier = pack(std::span<const uint32_t>(todo),
-                         [&](size_t k) { return ready_flag[todo[k]] != 0; });
-    auto blocked = pack(std::span<const uint32_t>(todo),
-                        [&](size_t k) { return ready_flag[todo[k]] == 0; });
-    res.stats.record_frontier(frontier.size());
-
-    // Register new pivots for the still-blocked objects (Lines 35-36).
-    if (!blocked.empty()) {
-      std::vector<pivot_multimap<uint32_t, uint32_t>::pair_t> pairs(blocked.size());
-      parallel_for(0, blocked.size(), [&](size_t k) {
-        pairs[k] = {new_pivot[blocked[k]], blocked[k]};
-      });
-      pivots.multi_insert(std::move(pairs));
-    }
+    // One stable partition pass: ready objects form the frontier, with
+    // their finished leaves, and the still-blocked ones go to sleep on
+    // their new pivots (Lines 35-36).
+    size_t ready = scan_exclusive_add(std::span<uint32_t>(pos));
+    frontier.resize(ready);
+    vals.resize(ready);
+    parallel_for(0, todo.size(), [&](size_t k) {
+      uint32_t q = todo[k];
+      if (pos[k + 1] != pos[k]) {
+        frontier[pos[k]] = q;
+        vals[pos[k]] = Agg::finished_leaf(q, res.dp[q]);
+      } else {
+        pivots.insert(new_pivot[q], q);
+      }
+    });
+    res.stats.record_frontier(ready);
 
     // Publish the frontier's dp values in the range tree (Line 37).
-    if (!frontier.empty()) {
-      auto vals = tabulate<typename Agg::value_type>(frontier.size(), [&](size_t k) {
-        return Agg::finished_leaf(frontier[k], res.dp[frontier[k]]);
-      });
-      tree.batch_update(frontier, vals, rs.ith(round));
-      // Wake the objects pivoted on the finished frontier (Line 27).
-      sort_inplace(std::span<uint32_t>(frontier));
-      todo = pivots.extract_buckets(frontier);
-    } else {
-      todo.clear();
-    }
+    tree.batch_update(frontier, vals, rs.ith(round));
+    // Wake the objects pivoted on the finished frontier (Line 27).
+    sort_inplace(std::span<uint32_t>(frontier));
+    pivots.extract(frontier, todo, off);
   }
 
   int64_t best = 0;

@@ -47,11 +47,6 @@ namespace pp {
 // Batch sizes below this run serially inside tree operations.
 inline constexpr size_t kTreeGrain = 512;
 
-// Range batches shorter than twice this run serially in multi_extract: one
-// range costs two splits and a join, about 64 node visits, so this many
-// ranges are about detail::kMinGrain steps of work.
-inline constexpr size_t kRangeGrain = detail::grain_for_cost(64);
-
 template <typename Entry>
 class augmented_map {
  public:
@@ -260,23 +255,6 @@ class augmented_map {
   std::vector<std::optional<val_t>> multi_find(std::span<const key_t> ks) const {
     std::vector<std::optional<val_t>> out(ks.size());
     multi_find_rec(root_, ks, std::span<std::optional<val_t>>(out));
-    return out;
-  }
-
-  // Closed key range used by multi_extract_ranges.
-  struct key_range {
-    key_t lo;
-    key_t hi;
-  };
-
-  // Remove all entries whose key falls in one of the given ranges and
-  // return them, grouped per range (in key order within each group). Ranges
-  // must be sorted and pairwise disjoint (lo <= hi, hi_i < lo_{i+1}).
-  // O((m + f) log n) work for m ranges / f found entries; O(log m log n +
-  // log f) span.
-  std::vector<std::vector<entry_t>> multi_extract_ranges(std::span<const key_range> ranges) {
-    std::vector<std::vector<entry_t>> out(ranges.size());
-    root_ = multi_extract_rec(root_, ranges, std::span<std::vector<entry_t>>(out));
     return out;
   }
 
@@ -653,55 +631,6 @@ class augmented_map {
       par_do([&] { multi_find_rec(t->left, ks.subspan(0, li), out.subspan(0, li)); },
              [&] { multi_find_rec(t->right, ks.subspan(ri), out.subspan(ri)); });
     }
-  }
-
-  static node* multi_extract_rec(node* t, std::span<const key_range> ranges,
-                                 std::span<std::vector<entry_t>> outs) {
-    if (ranges.empty() || t == nullptr) return t;
-    size_t mid = ranges.size() / 2;
-    if (Entry::comp(ranges[mid].hi, ranges[mid].lo)) {
-      // Empty range (lo > hi): extract nothing, but still recurse on both
-      // sides of the split point so neighbouring ranges are handled.
-      auto [a0, m0, d0] = split(t, ranges[mid].lo);
-      if (m0) d0 = join(nullptr, m0, d0);  // keep the exact-match node
-      node *na0 = nullptr, *nd0 = nullptr;
-      if (!detail::splits(ranges.size(), kRangeGrain)) {
-        na0 = multi_extract_rec(a0, ranges.subspan(0, mid), outs.subspan(0, mid));
-        nd0 = multi_extract_rec(d0, ranges.subspan(mid + 1), outs.subspan(mid + 1));
-      } else {
-        par_do([&, ap = a0] { na0 = multi_extract_rec(ap, ranges.subspan(0, mid), outs.subspan(0, mid)); },
-               [&, dp = d0] { nd0 = multi_extract_rec(dp, ranges.subspan(mid + 1), outs.subspan(mid + 1)); });
-      }
-      return join2(na0, nd0);
-    }
-    auto [a, mlo, b] = split(t, ranges[mid].lo);
-    auto [c, mhi, d] = split(b, ranges[mid].hi);
-    // Collect extracted entries in key order: lo-match, (lo,hi) interior, hi-match.
-    auto& out = outs[mid];
-    out.reserve((mlo ? 1 : 0) + node_size(c) + (mhi ? 1 : 0));
-    if (mlo) {
-      out.push_back(entry_t{mlo->key, mlo->val});
-      free_node(mlo);
-    }
-    if (c) {
-      size_t base = out.size();
-      out.resize(base + node_size(c));
-      flatten_rec(c, std::span<entry_t>(out).subspan(base));
-      destroy(c);
-    }
-    if (mhi) {
-      out.push_back(entry_t{mhi->key, mhi->val});
-      free_node(mhi);
-    }
-    node *na = nullptr, *nd = nullptr;
-    if (!detail::splits(ranges.size(), kRangeGrain)) {
-      na = multi_extract_rec(a, ranges.subspan(0, mid), outs.subspan(0, mid));
-      nd = multi_extract_rec(d, ranges.subspan(mid + 1), outs.subspan(mid + 1));
-    } else {
-      par_do([&, ap = a] { na = multi_extract_rec(ap, ranges.subspan(0, mid), outs.subspan(0, mid)); },
-             [&, dp = d] { nd = multi_extract_rec(dp, ranges.subspan(mid + 1), outs.subspan(mid + 1)); });
-    }
-    return join2(na, nd);
   }
 
   // --- set operations (BFS16 union/intersect/difference) --------------------------

@@ -80,14 +80,21 @@ TEST(Determinism, ResultsIndependentOfWorkerCount) {
   if (hw == 0) hw = 2;
   const unsigned widths[] = {1u, 2u, hw};
 
+  // The Type-2 wake-up engines (lis, whac, activity/type2) also pin their
+  // wake-up counters: bucket order is the one thing the pivot structure
+  // could let depend on timing.
   struct case_t {
     const char* problem;
     const char* solver;
     size_t n;
     uint64_t seed;
+    pp::pivot_policy pivot = pp::pivot_policy::rightmost;
   };
   const case_t cases[] = {
       {"lis", "lis/parallel", 4'000, 17},
+      {"lis", "lis/parallel", 4'000, 17, pp::pivot_policy::uniform_random},
+      {"whac", "whac/parallel", 2'000, 19},
+      {"activity", "activity/type2", 4'000, 31},
       {"graph", "mis/rounds", 2'000, 23},
       {"sssp", "sssp/phase_parallel", 2'000, 29},
   };
@@ -102,17 +109,22 @@ TEST(Determinism, ResultsIndependentOfWorkerCount) {
   for (auto b : parallel_backends) {
     for (const auto& c : cases) {
       auto in = registry::instance().make_input(c.problem, c.n, c.seed);
-      auto ref = registry::run(c.solver, in, ctx_for(b, c.seed).with_workers(1));
+      const auto base = ctx_for(b, c.seed).with_pivot(c.pivot);
+      auto ref = registry::run(c.solver, in, base.with_workers(1));
       EXPECT_EQ(ref.workers, 1u) << c.solver << "/" << pp::backend_name(b);
       for (size_t grain : {size_t{0}, size_t{1}}) {
         for (unsigned w : widths) {
-          auto res =
-              registry::run(c.solver, in, ctx_for(b, c.seed).with_workers(w).with_grain(grain));
-          EXPECT_EQ(res.workers, w) << c.solver << "/" << pp::backend_name(b);
-          EXPECT_EQ(pp::score_of(res.value), pp::score_of(ref.value))
-              << c.solver << "/" << pp::backend_name(b) << " workers=" << w << " grain=" << grain;
-          EXPECT_EQ(res.stats.rounds, ref.stats.rounds)
-              << c.solver << "/" << pp::backend_name(b) << " workers=" << w << " grain=" << grain;
+          auto res = registry::run(c.solver, in, base.with_workers(w).with_grain(grain));
+          const std::string where = std::string(c.solver) + "/" +
+                                    std::string(pp::backend_name(b)) + " " +
+                                    pp::pivot_policy_name(c.pivot) +
+                                    " workers=" + std::to_string(w) +
+                                    " grain=" + std::to_string(grain);
+          EXPECT_EQ(res.workers, w) << where;
+          EXPECT_EQ(pp::score_of(res.value), pp::score_of(ref.value)) << where;
+          EXPECT_EQ(res.stats.rounds, ref.stats.rounds) << where;
+          EXPECT_EQ(res.stats.wakeup_attempts, ref.stats.wakeup_attempts) << where;
+          EXPECT_EQ(res.stats.avg_wakeups(), ref.stats.avg_wakeups()) << where;
         }
       }
     }

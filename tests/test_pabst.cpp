@@ -337,30 +337,6 @@ TEST(PabstBatch, MultiFind) {
   }
 }
 
-TEST(PabstBatch, MultiExtractRanges) {
-  auto es = sorted_entries(10000, 71);  // keys 0,2,...,19998
-  auto m = MaxMap::from_sorted(es);
-  using R = MaxMap::key_range;
-  std::vector<R> ranges = {{0, 10}, {100, 99}, {200, 200}, {5000, 5100}, {30000, 40000}};
-  auto got = m.multi_extract_ranges(ranges);
-  ASSERT_EQ(got.size(), ranges.size());
-  EXPECT_EQ(got[0].size(), 6u);   // 0,2,4,6,8,10
-  EXPECT_EQ(got[1].size(), 0u);   // empty range (lo > hi)
-  EXPECT_EQ(got[2].size(), 1u);   // exactly key 200
-  EXPECT_EQ(got[3].size(), 51u);  // 5000..5100 step 2
-  EXPECT_EQ(got[4].size(), 0u);   // beyond all keys
-  EXPECT_TRUE(m.check_invariants());
-  EXPECT_EQ(m.size(), es.size() - 6 - 1 - 51);
-  EXPECT_FALSE(m.contains(0));
-  EXPECT_FALSE(m.contains(200));
-  EXPECT_TRUE(m.contains(12));
-  EXPECT_TRUE(m.contains(198));
-  EXPECT_TRUE(m.contains(202));
-  // extracted groups are in key order
-  for (auto& g : got)
-    for (size_t i = 1; i < g.size(); ++i) ASSERT_LT(g[i - 1].key, g[i].key);
-}
-
 TEST(PabstBatch, LargeBatchesRunParallel) {
   // Exceeds kTreeGrain so the par_do paths execute.
   constexpr size_t n = 200000;
