@@ -90,11 +90,10 @@ activity_result activity_select_type1(std::span<const activity> acts, const cont
                [](const auto& a, const auto& b) { return a.key < b.key; });
   auto ttime = time_map::from_sorted(time_entries);
 
+  // Keys (end, i) already ascend strictly: the input is end-sorted.
   auto dp_entries = tabulate<dp_map::entry_t>(n, [&](size_t i) {
     return dp_map::entry_t{{acts[i].end, static_cast<uint32_t>(i)}, kNegInf64};
   });
-  sort_inplace(std::span<dp_map::entry_t>(dp_entries),
-               [](const auto& a, const auto& b) { return a.key < b.key; });
   auto tdp = dp_map::from_sorted(dp_entries);
 
   res.stats = run_type1(

@@ -51,41 +51,21 @@ coloring_result coloring_sequential(const graph& g, std::span<const uint32_t> pr
 namespace {
 
 struct tas_coloring_state {
-  const graph& g;
-  std::span<const uint32_t> priority;
-  std::vector<vertex_t> sorted_adj;  // per vertex, sorted by priority
-  std::vector<size_t> adj_off;
-  std::vector<uint32_t> num_blocking;
+  priority_split nbrs;  // earlier neighbors are the leaves of a vertex's TAS tree
   std::vector<uint32_t>& color;
   tas_forest forest;
 
-  std::span<const vertex_t> blocking(vertex_t v) const {
-    return std::span<const vertex_t>(sorted_adj.data() + adj_off[v], num_blocking[v]);
-  }
-  std::span<const vertex_t> later(vertex_t v) const {
-    return std::span<const vertex_t>(sorted_adj.data() + adj_off[v] + num_blocking[v],
-                                     (adj_off[v + 1] - adj_off[v]) - num_blocking[v]);
-  }
-
-  uint32_t leaf_of(vertex_t v, vertex_t u) const {
-    auto b = blocking(v);
-    uint32_t pu = priority[u];
-    size_t lo = 0, hi = b.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (priority[b[mid]] < pu) lo = mid + 1;
-      else hi = mid;
-    }
-    return static_cast<uint32_t>(lo);
-  }
+  tas_coloring_state(const graph& g, std::span<const uint32_t> priority,
+                     std::vector<uint32_t>& out, const context& ctx)
+      : nbrs(g, priority, ctx), color(out), forest(nbrs.num_earlier(), ctx) {}
 
   void wake_up(vertex_t v) {
     // All blocking neighbors carry final colors: color greedily.
-    color[v] = mex_color(blocking(v), color);
-    auto ls = later(v);
+    color[v] = mex_color(nbrs.earlier(v), color);
+    auto ls = nbrs.later(v);
     parallel_for(0, ls.size(), [&](size_t j) {
       vertex_t w = ls[j];
-      if (forest.mark(w, leaf_of(w, v))) wake_up(w);
+      if (forest.mark(w, nbrs.leaf_of(w, v))) wake_up(w);
     }, /*grain=*/32);
   }
 };
@@ -98,25 +78,7 @@ coloring_result coloring_tas(const graph& g, std::span<const uint32_t> priority,
   vertex_t n = g.num_vertices();
   coloring_result res;
   res.color.assign(n, kUncolored);
-
-  std::vector<size_t> off(n + 1, 0);
-  for (vertex_t v = 0; v < n; ++v) off[v + 1] = off[v] + g.degree(v);
-  std::vector<vertex_t> sadj(off[n]);
-  std::vector<uint32_t> nblock(n);
-  parallel_for(0, n, [&](size_t v) {
-    auto nbrs = g.neighbors(static_cast<vertex_t>(v));
-    std::copy(nbrs.begin(), nbrs.end(), sadj.begin() + off[v]);
-    std::sort(sadj.begin() + off[v], sadj.begin() + off[v + 1],
-              [&](vertex_t a, vertex_t b) { return priority[a] < priority[b]; });
-    uint32_t pv = priority[v];
-    uint32_t b = 0;
-    while (b < nbrs.size() && priority[sadj[off[v] + b]] < pv) ++b;
-    nblock[v] = b;
-  });
-
-  tas_forest forest{std::span<const uint32_t>(nblock), ctx};  // before nblock is moved
-  tas_coloring_state st{g,          priority,        std::move(sadj), std::move(off),
-                        std::move(nblock), res.color, std::move(forest)};
+  tas_coloring_state st(g, priority, res.color, ctx);
 
   parallel_for(0, n, [&](size_t v) {
     if (st.forest.empty_tree(static_cast<vertex_t>(v))) st.wake_up(static_cast<vertex_t>(v));

@@ -5,7 +5,8 @@
 // color unused by already-colored neighbors. The parallel version wakes a
 // vertex through a TAS tree the moment its last higher-priority neighbor
 // is colored — the same wake-up structure as Algorithm 4, giving O(n + m)
-// work and O(span of the priority DAG * log d_max) span; with random
+// work (the setup splits each adjacency list by priority in one pass, not
+// a sort) and O(span of the priority DAG * log d_max) span; with random
 // priorities the DAG depth is O(log n) whp.
 //
 // Both produce the identical coloring (the greedy coloring is a

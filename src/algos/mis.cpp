@@ -1,6 +1,5 @@
 #include "algos/mis.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 
@@ -74,48 +73,16 @@ namespace {
 
 // Shared state of the asynchronous Algorithm 4.
 struct tas_mis_state {
-  const graph& g;
-  std::span<const uint32_t> priority;
-  // adjacency re-sorted by priority, so blocking neighbors are a prefix
-  std::vector<vertex_t> sorted_adj;
-  std::vector<size_t> adj_off;
-  std::vector<uint32_t> num_blocking;
+  priority_split nbrs;  // earlier neighbors are the leaves of a vertex's TAS tree
   std::vector<std::atomic<uint8_t>> status;  // 0 undecided, 1 selected, 2 removed
   tas_forest forest;
   std::atomic<size_t> max_depth{0};  // recursion depth proxy for the span claim
 
-  tas_mis_state(const graph& gr, std::span<const uint32_t> prio,
-                std::vector<vertex_t> sadj, std::vector<size_t> off,
-                std::vector<uint32_t> nblock, const context& ctx)
-      : g(gr),
-        priority(prio),
-        sorted_adj(std::move(sadj)),
-        adj_off(std::move(off)),
-        num_blocking(nblock.begin(), nblock.end()),
-        status(gr.num_vertices()),
-        forest(std::span<const uint32_t>(num_blocking), ctx) {
-    parallel_for(ctx, 0, gr.num_vertices(), [&](size_t v) {
+  tas_mis_state(const graph& g, std::span<const uint32_t> priority, const context& ctx)
+      : nbrs(g, priority, ctx), status(g.num_vertices()), forest(nbrs.num_earlier(), ctx) {
+    parallel_for(ctx, 0, g.num_vertices(), [&](size_t v) {
       status[v].store(0, std::memory_order_relaxed);
     });
-  }
-
-  std::span<const vertex_t> sorted_neighbors(vertex_t v) const {
-    return std::span<const vertex_t>(sorted_adj.data() + adj_off[v],
-                                     adj_off[v + 1] - adj_off[v]);
-  }
-
-  // Leaf index of neighbor u inside v's TAS tree = u's rank in v's
-  // priority-sorted adjacency (binary search).
-  uint32_t leaf_of(vertex_t v, vertex_t u) const {
-    auto nbrs = sorted_neighbors(v);
-    uint32_t pu = priority[u];
-    size_t lo = 0, hi = nbrs.size();
-    while (lo < hi) {
-      size_t mid = (lo + hi) / 2;
-      if (priority[nbrs[mid]] < pu) lo = mid + 1;
-      else hi = mid;
-    }
-    return static_cast<uint32_t>(lo);
   }
 
   void wake_up(vertex_t v, size_t depth);
@@ -124,30 +91,31 @@ struct tas_mis_state {
 
 void tas_mis_state::remove_vertex(vertex_t u, size_t depth) {
   // Notify every TAS tree containing u (= later-priority neighbors).
-  auto nbrs = sorted_neighbors(u);
-  uint32_t pu = priority[u];
-  parallel_for(0, nbrs.size(), [&](size_t j) {
-    vertex_t w = nbrs[j];
-    if (priority[w] < pu) return;  // w is earlier: u is not in w's tree
+  auto ls = nbrs.later(u);
+  parallel_for(0, ls.size(), [&](size_t j) {
+    vertex_t w = ls[j];
     if (status[w].load(std::memory_order_acquire) == 2) return;  // already removed (Line 13)
-    if (forest.mark(w, leaf_of(w, u))) wake_up(w, depth + 1);
+    if (forest.mark(w, nbrs.leaf_of(w, u))) wake_up(w, depth + 1);
   }, /*grain=*/32);
 }
 
 void tas_mis_state::wake_up(vertex_t v, size_t depth) {
   // v's blocking neighbors are all unavailable and v was never removed,
   // so v joins the MIS (see header: a later neighbor cannot be selected
-  // before v is decided).
+  // before v is decided). Its earlier neighbors are all removed already,
+  // so only the later ones can still be taken.
   uint8_t expect = 0;
   bool won = status[v].compare_exchange_strong(expect, 1, std::memory_order_acq_rel);
   assert(won && "a ready vertex must still be undecided");
   (void)won;
   write_max(&max_depth, depth);
-  auto nbrs = sorted_neighbors(v);
-  parallel_for(0, nbrs.size(), [&](size_t j) {
-    vertex_t u = nbrs[j];
+  auto ls = nbrs.later(v);
+  parallel_for(0, ls.size(), [&](size_t j) {
+    vertex_t u = ls[j];
     uint8_t e = 0;
-    if (status[u].compare_exchange_strong(e, 2, std::memory_order_acq_rel)) {
+    // Test before the CAS: a neighbor another vertex removed costs a load.
+    if (status[u].load(std::memory_order_relaxed) == 0 &&
+        status[u].compare_exchange_strong(e, 2, std::memory_order_acq_rel)) {
       remove_vertex(u, depth + 1);  // first remover propagates
     }
   }, /*grain=*/32);
@@ -158,23 +126,7 @@ void tas_mis_state::wake_up(vertex_t v, size_t depth) {
 mis_result mis_tas(const graph& g, std::span<const uint32_t> priority, const context& ctx) {
   run_scope scope(ctx);
   vertex_t n = g.num_vertices();
-  // adjacency sorted by priority, blocking counts
-  std::vector<size_t> off(n + 1, 0);
-  for (vertex_t v = 0; v < n; ++v) off[v + 1] = off[v] + g.degree(v);
-  std::vector<vertex_t> sadj(off[n]);
-  std::vector<uint32_t> nblock(n);
-  parallel_for(0, n, [&](size_t v) {
-    auto nbrs = g.neighbors(static_cast<vertex_t>(v));
-    std::copy(nbrs.begin(), nbrs.end(), sadj.begin() + off[v]);
-    std::sort(sadj.begin() + off[v], sadj.begin() + off[v + 1],
-              [&](vertex_t a, vertex_t b) { return priority[a] < priority[b]; });
-    uint32_t pv = priority[v];
-    uint32_t b = 0;
-    while (b < nbrs.size() && priority[sadj[off[v] + b]] < pv) ++b;
-    nblock[v] = b;
-  });
-
-  tas_mis_state st(g, priority, std::move(sadj), std::move(off), std::move(nblock), ctx);
+  tas_mis_state st(g, priority, ctx);
 
   // Kick off every vertex with no blocking neighbors (Lines 5-6).
   parallel_for(0, n, [&](size_t v) {

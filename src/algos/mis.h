@@ -11,8 +11,10 @@
 //                    among undecided neighbors. O(rounds * m) work.
 //   mis_tas        — Algorithm 4: fully asynchronous wake-ups through TAS
 //                    trees over each vertex's blocking (higher-priority)
-//                    neighbors. O(m) work, O(log n log d_max) span whp
-//                    with random priorities.
+//                    neighbors. O(n + m) work: the setup splits each
+//                    adjacency list by priority in one pass (no sort), and
+//                    a decided vertex notifies only its later neighbors.
+//                    O(log n log d_max) span whp with random priorities.
 //
 // Priorities are a permutation of 0..n-1; *smaller value = processed
 // earlier*. Use pp::random_permutation for the random order the theory

@@ -40,7 +40,11 @@ sssp_result sssp_dijkstra(const wgraph& g, vertex_t source, const context& ctx) 
 
 namespace {
 
-// Relax all out-edges of `frontier` satisfying `edge_ok(w)`, each from
+// Which out-edges a relax_edges call relaxes: weight <= delta, weight >
+// delta, or every edge.
+enum class edge_class { light, heavy, all };
+
+// Relax the out-edges of `frontier` in class `edges`, each from
 // `from[i]` when given (the distances of a synchronous substep) or else
 // from the live distance. Returns the deduplicated list of vertices whose
 // distance improved. `claimed` must be all-zero on entry and is restored
@@ -48,7 +52,7 @@ namespace {
 std::vector<vertex_t> relax_edges(const wgraph& g, std::span<std::atomic<int64_t>> dist,
                                   std::span<const vertex_t> frontier,
                                   std::span<const int64_t> from,
-                                  std::vector<std::atomic<uint8_t>>& claimed, bool light_only,
+                                  std::vector<std::atomic<uint8_t>>& claimed, edge_class edges,
                                   uint32_t delta, phase_stats& stats) {
   size_t f = frontier.size();
   std::vector<size_t> offs(f + 1, 0);
@@ -65,7 +69,9 @@ std::vector<vertex_t> relax_edges(const wgraph& g, std::span<std::atomic<int64_t
     auto nbrs = g.out_neighbors(v);
     auto wts = g.out_weights(v);
     for (size_t j = 0; j < nbrs.size(); ++j) {
-      if (light_only ? wts[j] > delta : wts[j] <= delta) continue;
+      bool light = wts[j] <= delta;
+      if ((edges == edge_class::light && !light) || (edges == edge_class::heavy && light))
+        continue;
       int64_t nd = dv + wts[j];
       if (write_min(&dist[nbrs[j]], nd)) {
         // claim u once per relax phase
@@ -83,8 +89,16 @@ std::vector<vertex_t> relax_edges(const wgraph& g, std::span<std::atomic<int64_t
   return changed;
 }
 
+// Buckets of width delta, each drained by Bellman-Ford substeps over its
+// light edges, then one pass over its heavy edges (single_bucket: one
+// bucket holding everything, i.e. frontier Bellman-Ford over all edges).
+// `one_pass` asserts delta <= w*, the minimum edge weight. Then a vertex in
+// bucket i (d in [i*delta, (i+1)*delta)) relaxes every out-edge to
+// d + w >= i*delta + w* >= (i+1)*delta, past its own bucket: one substep
+// relaxing all out-edges settles the bucket, and no heavy phase is needed,
+// so every edge out of a reachable vertex is relaxed exactly once.
 sssp_result delta_stepping_impl(const wgraph& g, vertex_t source, uint32_t delta,
-                                bool single_bucket) {
+                                bool single_bucket, bool one_pass) {
   sssp_result res;
   vertex_t n = g.num_vertices();
   res.dist.assign(n, kInfDist);
@@ -109,7 +123,8 @@ sssp_result delta_stepping_impl(const wgraph& g, vertex_t source, uint32_t delta
     if (buckets[cur].empty()) continue;
     bool counted_round = false;  // count only buckets that settle something
     std::vector<vertex_t> settled;  // vertices finalized in this bucket
-    // Inner Bellman-Ford substeps on light edges until the bucket drains.
+    // Inner Bellman-Ford substeps on light edges until the bucket drains
+    // (under one_pass: a single substep over all edges).
     std::vector<vertex_t> frontier = std::move(buckets[cur]);
     buckets[cur].clear();
     while (!frontier.empty()) {
@@ -123,8 +138,15 @@ sssp_result delta_stepping_impl(const wgraph& g, vertex_t source, uint32_t delta
         if (!single_bucket && bucket_of(d) != cur) return false;
         return settled_in_step[v] == 0;
       });
-      // mark (serial-safe: pack already deduplicated ids)
-      for (auto v : active) settled_in_step[v] = 1;
+      // Mark, dropping repeats: earlier buckets can each push the same
+      // vertex into this one, with the distances it had then.
+      size_t k = 0;
+      for (auto v : active)
+        if (!settled_in_step[v]) {
+          settled_in_step[v] = 1;
+          active[k++] = v;
+        }
+      active.resize(k);
       if (active.empty()) break;
       if (!counted_round) {
         res.stats.rounds++;
@@ -145,9 +167,10 @@ sssp_result delta_stepping_impl(const wgraph& g, vertex_t source, uint32_t delta
         parallel_for(0, active.size(),
                      [&](size_t i) { from[i] = dist[active[i]].load(std::memory_order_relaxed); });
       }
-      auto changed = relax_edges(g, std::span<std::atomic<int64_t>>(dist.data(), n),
-                                 active, from, claimed, /*light_only=*/!single_bucket, delta,
-                                 res.stats);
+      auto changed = relax_edges(g, std::span<std::atomic<int64_t>>(dist.data(), n), active,
+                                 from, claimed,
+                                 single_bucket || one_pass ? edge_class::all : edge_class::light,
+                                 delta, res.stats);
       frontier.clear();
       for (auto u : changed) {
         int64_t d = dist[u].load(std::memory_order_relaxed);
@@ -170,9 +193,9 @@ sssp_result delta_stepping_impl(const wgraph& g, vertex_t source, uint32_t delta
     }
     // Heavy-edge phase: relax heavy edges of everything settled here once.
     for (auto v : settled) settled_in_step[v] = 0;
-    if (!single_bucket && !settled.empty()) {
+    if (!single_bucket && !one_pass && !settled.empty()) {
       auto changed = relax_edges(g, std::span<std::atomic<int64_t>>(dist.data(), n),
-                                 settled, {}, claimed, /*light_only=*/false, delta, res.stats);
+                                 settled, {}, claimed, edge_class::heavy, delta, res.stats);
       for (auto u : changed) push_bucket(u, dist[u].load(std::memory_order_relaxed));
     }
   }
@@ -187,19 +210,23 @@ sssp_result sssp_bellman_ford(const wgraph& g, vertex_t source, const context& c
   run_scope scope(ctx);
   // Delta = infinity and a single bucket: the inner loop degenerates to
   // frontier-based Bellman-Ford.
-  return delta_stepping_impl(g, source, 0, /*single_bucket=*/true);
+  return delta_stepping_impl(g, source, 0, /*single_bucket=*/true, /*one_pass=*/false);
 }
 
 sssp_result sssp_delta_stepping(const wgraph& g, vertex_t source, uint32_t delta,
                                 const context& ctx) {
   run_scope scope(ctx);
-  return delta_stepping_impl(g, source, std::max(delta, 1u), /*single_bucket=*/false);
+  delta = std::max(delta, 1u);
+  return delta_stepping_impl(g, source, delta, /*single_bucket=*/false,
+                             /*one_pass=*/delta <= g.min_weight());
 }
 
 sssp_result sssp_phase_parallel(const wgraph& g, vertex_t source, const context& ctx) {
   run_scope scope(ctx);
   uint32_t wstar = g.num_edges() == 0 ? 1 : g.min_weight();
-  return delta_stepping_impl(g, source, std::max<uint32_t>(wstar, 1), /*single_bucket=*/false);
+  // Delta = w* meets one_pass unless w* = 0, where Delta is raised to 1.
+  return delta_stepping_impl(g, source, std::max<uint32_t>(wstar, 1), /*single_bucket=*/false,
+                             /*one_pass=*/wstar >= 1);
 }
 
 sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion,
@@ -262,7 +289,7 @@ sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion
     auto rest = pack(std::span<const vertex_t>(queued), [&](size_t i) { return !ready(i); });
     res.stats.record_frontier(settle.size());
     auto changed = relax_edges(g, std::span<std::atomic<int64_t>>(dist.data(), n), settle,
-                               {}, claimed, /*light_only=*/false, 0, res.stats);
+                               {}, claimed, edge_class::all, 0, res.stats);
     // new queue = unsettled remainder + newly improved vertices that are
     // not already queued (changed is deduped per call; the membership
     // flags guard against duplicates with `rest`). The flags persist across

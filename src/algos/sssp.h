@@ -13,6 +13,12 @@
 //   sssp_delta_stepping — Meyer-Sanders buckets with light/heavy edge
 //                         split and CAS write-min relaxations;
 //   sssp_phase_parallel — Delta-stepping with Delta = w* (Theorem 4.5).
+//
+// Whenever Delta <= w*, an edge out of bucket i (d in [i*Delta,
+// (i+1)*Delta)) lands at d + w >= (i+1)*Delta, never in bucket i. Such a
+// bucket settles in one substep that relaxes all its out-edges and needs no
+// heavy phase, so each edge out of a reachable vertex is relaxed exactly
+// once: `relaxations` equals Dijkstra's.
 #pragma once
 
 #include <cstdint>

@@ -67,6 +67,8 @@ class graph {
     return std::span<const vertex_t>(adj_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]);
   }
   size_t degree(vertex_t v) const { return offsets_[v + 1] - offsets_[v]; }
+  // v's neighbors occupy adjacency slots [offsets()[v], offsets()[v + 1]).
+  std::span<const size_t> offsets() const { return offsets_; }
   vertex_t max_degree() const {
     vertex_t d = 0;
     for (vertex_t v = 0; v < n_; ++v) d = std::max<vertex_t>(d, static_cast<vertex_t>(degree(v)));

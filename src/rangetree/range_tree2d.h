@@ -155,17 +155,6 @@ class range_tree2d {
     return res;
   }
 
-  // Monoid sum over the general rectangle {j : x_lo <= j < x_hi,
-  // y_lo <= yrank(j) < y_hi} (Theorem 2.1, k = 2). O(log^2 n).
-  value_type query_rect(uint32_t x_lo, uint32_t x_hi, uint32_t y_lo, uint32_t y_hi,
-                        uint64_t rnd = 0) const {
-    value_type res = Agg::identity();
-    x_hi = std::min(x_hi, n_);
-    if (x_lo >= x_hi || y_lo >= y_hi) return res;
-    rect_rec(0, 0, x_lo, x_hi, y_lo, y_hi, rnd, res);
-    return res;
-  }
-
   // Replace the leaf aggregate of one point. O(log^2 n).
   void update(uint32_t id, value_type v, uint64_t rnd = 0) {
     leaf_vals_[id] = v;
@@ -297,45 +286,6 @@ class range_tree2d {
       l >>= 1;
       r >>= 1;
     }
-  }
-
-  // Monoid sum of the node's points with yrank in [y_lo, y_hi).
-  void node_band(uint32_t lv, uint32_t lo, uint32_t y_lo, uint32_t y_hi, uint64_t rnd,
-                 value_type& res) const {
-    uint32_t m = n_pad_ >> lv;
-    const uint32_t* ys = ysorted_[lv].data() + lo;
-    uint32_t l0 = static_cast<uint32_t>(std::lower_bound(ys, ys + m, y_lo) - ys);
-    uint32_t r0 = static_cast<uint32_t>(std::lower_bound(ys, ys + m, y_hi) - ys);
-    if (l0 >= r0) return;
-    const auto* st = seg_[lv].data() + 2 * lo;
-    uint32_t l = m + l0, r = m + r0;
-    uint64_t salt = rnd ^ (uint64_t{lo} << 21) ^ lv;
-    uint32_t step = 0;
-    while (l < r) {
-      if (l & 1) res = Agg::combine(res, st[l++], hash64(salt + ++step));
-      if (r & 1) res = Agg::combine(res, st[--r], hash64(salt + ++step));
-      l >>= 1;
-      r >>= 1;
-    }
-  }
-
-  void rect_rec(uint32_t lv, uint32_t lo, uint32_t x_lo, uint32_t x_hi, uint32_t y_lo,
-                uint32_t y_hi, uint64_t rnd, value_type& res) const {
-    uint32_t m = n_pad_ >> lv;
-    if (x_hi <= lo || x_lo >= lo + m) return;
-    if (lv == levels_) {  // terminal scan
-      uint32_t a = std::max(lo, x_lo), b = std::min(lo + m, x_hi);
-      for (uint32_t id = a; id < b; ++id)
-        if (yrank_[id] >= y_lo && yrank_[id] < y_hi)
-          res = Agg::combine(res, leaf_vals_[id], hash64(rnd ^ (0x9D5Fu + id)));
-      return;
-    }
-    if (x_lo <= lo && x_hi >= lo + m) {  // fully covered in x
-      node_band(lv, lo, y_lo, y_hi, rnd, res);
-      return;
-    }
-    rect_rec(lv + 1, lo, x_lo, x_hi, y_lo, y_hi, rnd, res);
-    rect_rec(lv + 1, lo + m / 2, x_lo, x_hi, y_lo, y_hi, rnd, res);
   }
 
   void query_rec(uint32_t lv, uint32_t lo, uint32_t qx, uint32_t qy, uint64_t rnd,

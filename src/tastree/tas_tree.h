@@ -14,13 +14,23 @@
 // (`tas_forest`), with the standard implicit-heap layout per tree: for a
 // tree with m leaves, slots 1..m-1 are internal nodes and slots m..2m-1 are
 // leaves; parent(i) = i/2; slot 1 is the root.
+//
+// For the graph algorithms (MIS, coloring) v's predecessors are its
+// earlier-priority neighbors, and `priority_split` supplies the leaves: leaf
+// k of v's tree is v's k-th earlier neighbor in id order. A TAS tree needs
+// only some bijection from predecessors to leaves, so id order serves, and
+// the split is one pass over each adjacency list instead of a sort by
+// priority.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "graph/csr.h"
 #include "parallel/api.h"
 #include "parallel/primitives.h"
 
@@ -80,6 +90,51 @@ class tas_forest {
   std::vector<size_t> offsets_;            // per-tree slot ranges (2*m slots each)
   std::vector<uint32_t> leaves_;           // per-tree leaf counts
   std::vector<std::atomic<uint8_t>> flags_;  // the forest arena
+};
+
+// Each vertex's neighbors split by priority (smaller = earlier): first the
+// earlier ones in ascending id order, then the later ones in descending id
+// order. One pass over each id-sorted CSR list, O(m) work in all; the
+// split shares g's offsets, so g must outlive it.
+class priority_split {
+ public:
+  priority_split(const graph& g, std::span<const uint32_t> priority, const context& ctx)
+      : off_(g.offsets()), adj_(g.num_directed_edges()), num_earlier_(g.num_vertices()) {
+    parallel_for(ctx, 0, g.num_vertices(), [&](size_t v) {
+      auto nbrs = g.neighbors(static_cast<vertex_t>(v));
+      assert(std::is_sorted(nbrs.begin(), nbrs.end()) && "CSR neighbor lists are id-sorted");
+      uint32_t pv = priority[v];
+      vertex_t* front = adj_.data() + off_[v];
+      vertex_t* back = adj_.data() + off_[v + 1];
+      for (auto u : nbrs) {
+        if (priority[u] < pv) *front++ = u;
+        else *--back = u;
+      }
+      num_earlier_[v] = static_cast<uint32_t>(front - (adj_.data() + off_[v]));
+    });
+  }
+
+  std::span<const vertex_t> earlier(vertex_t v) const {
+    return {adj_.data() + off_[v], num_earlier_[v]};
+  }
+  std::span<const vertex_t> later(vertex_t v) const {
+    return {adj_.data() + off_[v] + num_earlier_[v], adj_.data() + off_[v + 1]};
+  }
+  // Per-vertex earlier-neighbor counts: the leaf counts of the TAS forest.
+  std::span<const uint32_t> num_earlier() const { return num_earlier_; }
+
+  // Leaf of earlier neighbor u in v's TAS tree: u's rank in earlier(v).
+  uint32_t leaf_of(vertex_t v, vertex_t u) const {
+    auto e = earlier(v);
+    auto it = std::lower_bound(e.begin(), e.end(), u);
+    assert(it != e.end() && *it == u && "u must be an earlier neighbor of v");
+    return static_cast<uint32_t>(it - e.begin());
+  }
+
+ private:
+  std::span<const size_t> off_;
+  std::vector<vertex_t> adj_;
+  std::vector<uint32_t> num_earlier_;
 };
 
 }  // namespace pp

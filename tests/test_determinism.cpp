@@ -82,7 +82,9 @@ TEST(Determinism, ResultsIndependentOfWorkerCount) {
 
   // The Type-2 wake-up engines (lis, whac, activity/type2) also pin their
   // wake-up counters: bucket order is the one thing the pivot structure
-  // could let depend on timing.
+  // could let depend on timing. SSSP pins its relaxation count. The TAS
+  // solvers (mis/tas, coloring/tas) pin score and rounds; their wake-chain
+  // depth (substeps) is timing-dependent.
   struct case_t {
     const char* problem;
     const char* solver;
@@ -96,6 +98,8 @@ TEST(Determinism, ResultsIndependentOfWorkerCount) {
       {"whac", "whac/parallel", 2'000, 19},
       {"activity", "activity/type2", 4'000, 31},
       {"graph", "mis/rounds", 2'000, 23},
+      {"graph", "mis/tas", 2'000, 23},
+      {"graph", "coloring/tas", 2'000, 23},
       {"sssp", "sssp/phase_parallel", 2'000, 29},
   };
 
@@ -125,6 +129,7 @@ TEST(Determinism, ResultsIndependentOfWorkerCount) {
           EXPECT_EQ(res.stats.rounds, ref.stats.rounds) << where;
           EXPECT_EQ(res.stats.wakeup_attempts, ref.stats.wakeup_attempts) << where;
           EXPECT_EQ(res.stats.avg_wakeups(), ref.stats.avg_wakeups()) << where;
+          EXPECT_EQ(res.stats.relaxations, ref.stats.relaxations) << where;
         }
       }
     }

@@ -307,45 +307,6 @@ TEST(RangeTree, RandomCandidateRoughlyUniform) {
   }
 }
 
-TEST(RangeTree, RectQueriesMatchBrute) {
-  for (size_t n : {0ul, 1ul, 9ul, 200ul, 3000ul}) {
-    auto model = random_model(n, 500 + n, 0.6);
-    auto t = tree_of<pp::dom_agg_random>(model);
-    std::mt19937_64 gen(31 + n);
-    for (int q = 0; q < 200; ++q) {
-      uint32_t x1 = static_cast<uint32_t>(gen() % (n + 2));
-      uint32_t x2 = static_cast<uint32_t>(gen() % (n + 2));
-      uint32_t y1 = static_cast<uint32_t>(gen() % (n + 2));
-      uint32_t y2 = static_cast<uint32_t>(gen() % (n + 2));
-      auto got = t.query_rect(x1, x2, y1, y2, gen());
-      // brute force over the same rectangle
-      uint32_t unfinished = 0;
-      int32_t dp = pp::kDomNegInf;
-      for (uint32_t j = std::min<size_t>(x1, n); j < std::min<size_t>(x2, n); ++j) {
-        if (model.yrank[j] < y1 || model.yrank[j] >= y2) continue;
-        if (model.finished[j]) dp = std::max(dp, model.dp[j]);
-        else unfinished++;
-      }
-      ASSERT_EQ(got.unfinished, unfinished) << n << ": " << x1 << "," << x2 << "," << y1 << "," << y2;
-      ASSERT_EQ(got.dp, dp);
-    }
-  }
-}
-
-TEST(RangeTree, RectDegenerateRanges) {
-  auto model = random_model(64, 9, 0.5);
-  auto t = tree_of<pp::dom_agg_rightmost>(model);
-  // empty in x, empty in y, inverted
-  EXPECT_EQ(t.query_rect(10, 10, 0, 64).dp, pp::kDomNegInf);
-  EXPECT_EQ(t.query_rect(0, 64, 5, 5).dp, pp::kDomNegInf);
-  EXPECT_EQ(t.query_rect(30, 10, 0, 64).dp, pp::kDomNegInf);
-  // full rectangle == prefix query with maximal bounds
-  auto full = t.query_rect(0, 64, 0, 64);
-  auto pref = t.query_prefix(64, 64);
-  EXPECT_EQ(full.dp, pref.dp);
-  EXPECT_EQ(full.cand, pref.cand);
-}
-
 TEST(RangeTree, EmptyQueriesReturnIdentity) {
   auto model = random_model(100, 3, 0.5);
   auto t = tree_of<pp::dom_agg_rightmost>(model);

@@ -103,13 +103,41 @@ TEST(Sssp, SmallDeltaMeansMoreBucketSteps) {
 }
 
 TEST(Sssp, DeltaEqualWstarDoesNoRepeatedSettling) {
-  // With Delta = w*, each bucket needs exactly one light substep per new
-  // frontier (no vertex is settled twice): relaxations stay close to m.
+  // With Delta = w*, no relaxation lands in its own bucket, so each bucket
+  // settles in one substep over all its out-edges and no vertex is settled
+  // twice: relaxations stay close to m.
   auto g = pp::random_graph(2000, 10000, 9);
   auto wg = pp::add_weights(g, 1000, 1100, 10);  // narrow weight range
   auto ds = pp::sssp_delta_stepping(wg, 0, 1000, kCtx);
   // every directed edge relaxed a bounded number of times
   EXPECT_LE(ds.stats.relaxations, 3 * wg.num_edges());
+}
+
+TEST(Sssp, PhaseParallelRelaxesEachEdgeOnce) {
+  // Delta = w*: every out-edge of a reachable vertex is relaxed exactly
+  // once, as in Dijkstra. The two-tier graph (local edges of weight 2,
+  // shortcuts of weight 50) has buckets that mix both tiers.
+  std::vector<pp::wgraph::wedge> es;
+  constexpr uint32_t n = 1000;
+  for (uint32_t i = 0; i + 1 < n; ++i) {
+    es.push_back({i, i + 1, 2});
+    es.push_back({i + 1, i, 2});
+  }
+  for (uint32_t i = 0; i < n; i += 100) {
+    es.push_back({0, i, 50});
+    es.push_back({i, 0, 50});
+  }
+  const pp::wgraph graphs[] = {pp::add_weights(pp::random_graph(2000, 10000, 11), 5, 80, 12),
+                               pp::wgraph::from_edges(n, es)};
+  for (const auto& wg : graphs) {
+    auto dj = pp::sssp_dijkstra(wg, 0, kCtx);
+    auto phase = pp::sssp_phase_parallel(wg, 0, kCtx);
+    EXPECT_EQ(phase.dist, dj.dist);
+    EXPECT_EQ(phase.stats.relaxations, dj.stats.relaxations);
+    EXPECT_EQ(phase.stats.processed, dj.stats.processed);
+    EXPECT_EQ(pp::sssp_delta_stepping(wg, 0, wg.min_weight(), kCtx).stats.relaxations,
+              dj.stats.relaxations);
+  }
 }
 
 }  // namespace

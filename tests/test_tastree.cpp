@@ -2,11 +2,13 @@
 // tree, no matter the marking order or concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <random>
 #include <vector>
 
+#include "graph/generators.h"
 #include "parallel/random.h"
 #include "tastree/tas_tree.h"
 
@@ -100,6 +102,35 @@ TEST(TasTree, PartialMarksDoNotComplete) {
   pp::tas_forest f(counts, kCtx);
   for (uint32_t l = 0; l < 9; ++l) EXPECT_FALSE(f.mark(0, l)) << l;
   EXPECT_TRUE(f.mark(0, 9));
+}
+
+TEST(PrioritySplit, EarlierAndLaterNeighborsOnHubGraph) {
+  // RMAT's skewed degrees give hubs with thousands of neighbors; grain 1
+  // makes the split loop fork at this size.
+  auto g = pp::rmat_graph(1 << 12, 1 << 15, 5);
+  ASSERT_GT(g.max_degree(), 500u);
+  auto prio = pp::random_permutation(g.num_vertices(), 6);
+  pp::priority_split split(g, prio, pp::context{}.with_workers(4).with_grain(1));
+  ASSERT_EQ(split.num_earlier().size(), g.num_vertices());
+  for (pp::vertex_t v = 0; v < g.num_vertices(); ++v) {
+    std::vector<pp::vertex_t> want_earlier, want_later;
+    for (auto u : g.neighbors(v)) (prio[u] < prio[v] ? want_earlier : want_later).push_back(u);
+    auto e = split.earlier(v);
+    ASSERT_EQ(std::vector<pp::vertex_t>(e.begin(), e.end()), want_earlier) << "v=" << v;
+    ASSERT_EQ(split.num_earlier()[v], want_earlier.size());
+    auto l = split.later(v);
+    std::vector<pp::vertex_t> got_later(l.begin(), l.end());
+    std::sort(got_later.begin(), got_later.end());
+    ASSERT_EQ(got_later, want_later) << "v=" << v;
+    // leaf_of is a bijection from earlier(v) onto [0, |earlier(v)|).
+    std::vector<uint8_t> hit(want_earlier.size(), 0);
+    for (auto u : want_earlier) {
+      uint32_t leaf = split.leaf_of(v, u);
+      ASSERT_LT(leaf, hit.size());
+      ASSERT_FALSE(hit[leaf]) << "v=" << v << " u=" << u;
+      hit[leaf] = 1;
+    }
+  }
 }
 
 }  // namespace
