@@ -3,11 +3,11 @@
 // The repo's concurrency invariants — which mutex guards which member, and
 // which functions must be entered with a lock held — used to live in
 // comments (the pool-lease protocol in parallel/scheduler.h, the admission
-// deques in serve/engine.h, the context slot in core/context.h). This
-// header turns them into machine-checked facts: Clang's -Wthread-safety
-// static analysis proves, at compile time and over ALL interleavings, that
-// every access to a PP_GUARDED_BY member happens under its mutex — TSan
-// only sees the interleavings a test happens to hit.
+// deques in serve/engine.h). This header turns them into machine-checked
+// facts: Clang's -Wthread-safety static analysis proves, at compile time
+// and over ALL interleavings, that every access to a PP_GUARDED_BY member
+// happens under its mutex — TSan only sees the interleavings a test
+// happens to hit.
 //
 // Two parts:
 //
@@ -20,13 +20,13 @@
 //  * pp::sync — drop-in lock types. The analysis is attribute-driven:
 //    libstdc++'s std::mutex / std::lock_guard carry no attributes, so a
 //    lock taken through them is invisible to the checker. pp::sync::mutex,
-//    shared_mutex, lock_guard, unique_lock, and shared_lock are zero-cost
-//    inline wrappers over the std types with the capability attributes
-//    attached. Condition variables keep working: unique_lock is a
-//    BasicLockable, so std::condition_variable_any waits on it directly.
-//    Predicate lambdas passed to wait(lk, pred) are analyzed as separate
-//    functions that do NOT know the lock is held — write the wait loop
-//    out (`while (!pred) cv.wait(lk);`) so guarded reads stay inside the
+//    lock_guard, and unique_lock are zero-cost inline wrappers over the
+//    std types with the capability attributes attached. Condition
+//    variables keep working: unique_lock is a BasicLockable, so
+//    std::condition_variable_any waits on it directly. Predicate lambdas
+//    passed to wait(lk, pred) are analyzed as separate functions that do
+//    NOT know the lock is held — write the wait loop out
+//    (`while (!pred) cv.wait(lk);`) so guarded reads stay inside the
 //    annotated scope.
 //
 // Annotation discipline used across the repo:
@@ -40,7 +40,6 @@
 #pragma once
 
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__)
 #define PP_THREAD_ANNOTATION(x) __attribute__((x))
@@ -59,14 +58,10 @@
 #define PP_PT_GUARDED_BY(x) PP_THREAD_ANNOTATION(pt_guarded_by(x))
 // Function that must be called with the capability held (and not released).
 #define PP_REQUIRES(...) PP_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define PP_REQUIRES_SHARED(...) \
-  PP_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 // Function that acquires / releases the capability (no argument on a
 // member of the capability type itself: the capability is *this).
 #define PP_ACQUIRE(...) PP_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define PP_ACQUIRE_SHARED(...) PP_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define PP_RELEASE(...) PP_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define PP_RELEASE_SHARED(...) PP_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 // Function that acquires the capability iff it returns the given value.
 #define PP_TRY_ACQUIRE(...) PP_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 // Function that must NOT be called with the capability held (deadlock
@@ -92,23 +87,6 @@ class PP_CAPABILITY("mutex") mutex {
 
  private:
   std::mutex m_;
-};
-
-// Reader-writer mutex with capability attributes (the context slot).
-class PP_CAPABILITY("shared_mutex") shared_mutex {
- public:
-  shared_mutex() = default;
-  shared_mutex(const shared_mutex&) = delete;
-  shared_mutex& operator=(const shared_mutex&) = delete;
-
-  void lock() PP_ACQUIRE() { m_.lock(); }
-  void unlock() PP_RELEASE() { m_.unlock(); }
-  bool try_lock() PP_TRY_ACQUIRE(true) { return m_.try_lock(); }
-  void lock_shared() PP_ACQUIRE_SHARED() { m_.lock_shared(); }
-  void unlock_shared() PP_RELEASE_SHARED() { m_.unlock_shared(); }
-
- private:
-  std::shared_mutex m_;
 };
 
 // std::lock_guard counterpart: exclusive lock for one scope.
@@ -154,20 +132,6 @@ class PP_SCOPED_CAPABILITY unique_lock {
  private:
   M& m_;
   bool owns_;
-};
-
-// std::shared_lock counterpart over sync::shared_mutex.
-template <typename M>
-class PP_SCOPED_CAPABILITY shared_lock {
- public:
-  explicit shared_lock(M& m) PP_ACQUIRE_SHARED(m) : m_(m) { m_.lock_shared(); }
-  ~shared_lock() PP_RELEASE() { m_.unlock_shared(); }
-
-  shared_lock(const shared_lock&) = delete;
-  shared_lock& operator=(const shared_lock&) = delete;
-
- private:
-  M& m_;
 };
 
 }  // namespace pp::sync

@@ -28,13 +28,13 @@
 //  * a throw on a pool worker thread would escape its job and terminate;
 //  * a throw on the run thread between a fork and its join would abandon a
 //    job another worker is still executing (dangling references);
-//  * the implicit parallel_for form reads the process-wide context slot,
-//    which under concurrent serving executors can hold a *different*
-//    run's context — a token read there could cancel the wrong run.
-// The thread-local install below avoids all three: `run_scope` installs
-// the context's token on the run's own thread only, round boundaries are
-// outside every parallel region, and nested scopes shadow (a token-free
-// nested run is never cancelled by an enclosing token).
+//  * a forked half inherits its run's context but not its token, so a
+//    check on a thread running a stolen half never fires.
+// The thread-local install below keeps every check where it works:
+// `run_scope` installs the context's token on the run's own thread only,
+// round boundaries are outside every parallel region, and nested scopes
+// shadow (a token-free nested run is never cancelled by an enclosing
+// token).
 //
 // This contract is enforced mechanically: tools/pplint.py (ctest
 // `test_pplint` + a CI job) rejects any `cancel_point()` that appears
@@ -131,9 +131,10 @@ class cancel_token {
 
 namespace detail {
 // The token governing the run executing on THIS thread (installed by
-// run_scope via scoped_cancel). Thread-local on purpose: pool workers and
-// concurrent executors never observe another run's token, unlike the
-// process-wide context slot.
+// run_scope via scoped_cancel). Thread-local on purpose and, unlike the
+// active context (core/context.h), never handed to a forked half: a
+// thread running a stolen job sees no token, so cancel_point() there is a
+// no-op and cannot throw out of a job.
 inline thread_local const cancel_token* tl_cancel = nullptr;
 }  // namespace detail
 

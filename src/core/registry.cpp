@@ -331,8 +331,8 @@ batch_result<solver_value> registry::run_batch_impl(
   // Per-item dispatches below construct nested scopes that reuse the
   // pinned pool, so scheduler acquisition is amortized across the batch —
   // and nests correctly when run_batch is itself called from inside an
-  // enclosing run (the nested scope is not top-level for the race
-  // detector, and no second lease is taken).
+  // enclosing run (the nested scope shadows the enclosing one, and no
+  // second lease is taken).
   run_scope scope(ctx);
   out.workers = scope.workers();
   for (size_t i : order) {

@@ -110,15 +110,14 @@ class scoped_scheduler {
 };
 
 // What every solver entry installs: activates `c` for the implicit
-// parallel_for/par_do forms (scoped_context), binds the run's scheduler
-// (scoped_scheduler) so the whole solve executes on one leased pool
-// instead of paying a lease cycle per top-level parallel region, AND
-// installs the context's cancel token for this thread (scoped_cancel) so
-// the phase loops' cancel_point() polls the right run's token — and only
-// it. Construction order matters: the scope registers with the race
-// detector before the lease pins the thread. A run_scope emits no trace
-// span; the `run` span comes from run_timed (core/result.h), once per
-// registry solve.
+// parallel_for/par_do forms on this thread and every thread its forks
+// reach (scoped_context), binds the run's scheduler (scoped_scheduler) so
+// the whole solve executes on one leased pool instead of paying a lease
+// cycle per top-level parallel region, AND installs the context's cancel
+// token for this thread only (scoped_cancel) so the phase loops'
+// cancel_point() polls the right run's token — and only it. A run_scope
+// emits no trace span; the `run` span comes from run_timed
+// (core/result.h), once per registry solve.
 class run_scope {
  public:
   explicit run_scope(const context& c) : scope_(c), sched_(c), cancel_(c.cancel) {}
@@ -160,10 +159,16 @@ void par_do_native(const context& ctx, L&& left, R&& right) {
   }
 }
 
+// The task may run on any thread of the team, so it carries the forking
+// thread's active context with it (as fn_job does on the native backend).
 template <typename L, typename R>
 void par_do_omp_inner(L&& left, R&& right) {
-#pragma omp task shared(left) default(shared)
-  left();
+  const context* active = tl_active;
+#pragma omp task shared(left) default(shared) firstprivate(active)
+  {
+    inherited_context inherit(active);
+    left();
+  }
   right();
 #pragma omp taskwait
 }
@@ -174,9 +179,13 @@ void par_do_omp(const context& ctx, L&& left, R&& right) {
     par_do_omp_inner(left, right);
   } else {
     int nt = static_cast<int>(num_workers(ctx));
+    const context* active = tl_active;
 #pragma omp parallel default(shared) num_threads(nt)
 #pragma omp single nowait
-    par_do_omp_inner(left, right);
+    {
+      inherited_context inherit(active);
+      par_do_omp_inner(left, right);
+    }
   }
 }
 
@@ -280,13 +289,20 @@ void parallel_for(const context& ctx, size_t lo, size_t hi, F f, size_t grain = 
   }
   if (ctx.backend == backend_kind::openmp && !omp_in_parallel()) {
     int nt = static_cast<int>(num_workers(ctx));
-    if (chosen) {
-      // honor an explicit grain (argument or ctx.grain) as the chunk size
-#pragma omp parallel for schedule(dynamic, static_cast<int>(grain)) num_threads(nt)
-      for (size_t i = lo; i < hi; ++i) f(i);
-    } else {
-#pragma omp parallel for schedule(guided) num_threads(nt)
-      for (size_t i = lo; i < hi; ++i) f(i);
+    // Every team thread runs its iterations under the forking thread's
+    // active context.
+    const context* active = detail::tl_active;
+#pragma omp parallel num_threads(nt)
+    {
+      detail::inherited_context inherit(active);
+      if (chosen) {
+        // honor an explicit grain (argument or ctx.grain) as the chunk size
+#pragma omp for schedule(dynamic, static_cast<int>(grain)) nowait
+        for (size_t i = lo; i < hi; ++i) f(i);
+      } else {
+#pragma omp for schedule(guided) nowait
+        for (size_t i = lo; i < hi; ++i) f(i);
+      }
     }
     return;
   }
@@ -297,16 +313,9 @@ void parallel_for(const context& ctx, size_t lo, size_t hi, F f, size_t grain = 
   detail::parallel_for_rec(ctx, lo, hi, f, grain);
 }
 
-// Under the current context. An explicit grain that the range cannot split
-// runs inline under every context, so that case skips the context lookup
-// (a shared lock and a reference count that concurrent tasks would contend
-// on, e.g. the per-vertex loops of the TAS-tree wake-ups).
+// Under the current context.
 template <typename F>
 void parallel_for(size_t lo, size_t hi, F f, size_t grain = 0) {
-  if (grain != 0 && hi >= lo && !detail::splits(hi - lo, grain)) {
-    for (size_t i = lo; i < hi; ++i) f(i);
-    return;
-  }
   parallel_for(current_context(), lo, hi, std::move(f), grain);
 }
 

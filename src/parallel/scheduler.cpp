@@ -30,8 +30,6 @@ unsigned env_or_hardware_workers() {
 
 work_stealing_pool* this_thread_pool() { return tl_pool; }
 
-bool on_scheduler_worker_thread() { return tl_pool != nullptr && tl_worker_id > 0; }
-
 unsigned resolve_native_workers(unsigned requested) {
   if (requested >= 1) return requested;
   static const unsigned def = env_or_hardware_workers();

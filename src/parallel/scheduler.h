@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/annotations.h"
+#include "core/context.h"
 
 namespace pp::detail {
 
@@ -51,18 +52,26 @@ struct job {
   ~job() = default;
 };
 
+// A forked half runs under its forking thread's context: the job records
+// that thread's active context when it is created (right before the push)
+// and execute() installs it around the body, on a thief and on an owner
+// that runs the job while it waits alike.
 template <typename F>
 struct fn_job final : job {
-  explicit fn_job(F& f) : f_(&f) {}
+  explicit fn_job(F& f) : f_(&f), ctx_(tl_active) {}
   void execute() override {
     F* f = f_;
-    (*f)();
+    {
+      inherited_context inherit(ctx_);
+      (*f)();
+    }
     done.store(true, std::memory_order_release);
     // `this` may be dead now; do not touch members.
   }
 
  private:
   F* f_;
+  const context* ctx_;
 };
 
 class work_stealing_pool {
@@ -126,11 +135,6 @@ class work_stealing_pool {
 // attach and detach) or, on a worker thread, the pool that spawned it.
 // nullptr for threads outside any native-backend computation.
 work_stealing_pool* this_thread_pool();
-
-// True only on a pool-spawned worker thread (slot > 0) — i.e. a thread
-// executing someone else's run. The lease holder (slot 0) is the run's own
-// thread and returns false.
-bool on_scheduler_worker_thread();
 
 // Width the native backend uses for `requested` workers: the request
 // itself, or — when the request is 0 — the PP_THREADS env var, else

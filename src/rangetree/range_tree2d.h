@@ -182,9 +182,9 @@ class range_tree2d {
       for (size_t i = 0; i < b; ++i) update(ids[i], vals[i], rnd);
       return;
     }
-    // One context snapshot for the whole batch: the level tasks' many small
-    // loops then share no lock or reference count.
-    const context ctx = current_context();
+    // One context for the whole batch, passed to the level tasks' many
+    // small loops explicitly.
+    const context& ctx = current_context();
     parallel_for(ctx, 0, b, [&](size_t i) { leaf_vals_[ids[i]] = vals[i]; });
     parallel_for(ctx, 0, levels_, [&](size_t lv) {
       update_level(ctx, static_cast<uint32_t>(lv), ids, vals, rnd);

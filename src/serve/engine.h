@@ -58,13 +58,12 @@
 //    skipped at pop time rather than blocking the head of the queue.
 //
 // Every batch executes under the engine's single execution profile
-// (options::ctx + workers_per_run): concurrent top-level scopes then agree
-// on every knob except the per-item seeds, which solvers consume through
-// their explicit context argument — never through the process-wide current
-// context — so concurrent executors cannot cross-contaminate each other
-// (and the context scope-race detector stays quiet). Requests therefore
-// carry solver + input + seed only; backend/width policy belongs to the
-// server operator, as in any serving system.
+// (options::ctx + workers_per_run), with a per-item seed. Each executor's
+// run_scope installs its batch's context on that executor's thread and on
+// the workers of the pool it leases, so concurrent executors never observe
+// each other's settings. Requests carry solver + input + seed only;
+// backend/width policy belongs to the server operator, as in any serving
+// system.
 #pragma once
 
 #include <atomic>

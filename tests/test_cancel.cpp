@@ -54,16 +54,6 @@ TEST(Cancel, TokenBasics) {
   EXPECT_NO_THROW(far.check());
 }
 
-TEST(Cancel, ContextEqualityIgnoresToken) {
-  // The scope-race detector compares configs; two runs differing only in
-  // their cancel tokens are NOT conflicting configs (concurrent serving
-  // batches carry per-request deadline tokens).
-  pp::context a = native2().with_seed(9);
-  pp::context b = a.with_cancel(cancel_token::manual());
-  EXPECT_TRUE(a == b);
-  EXPECT_FALSE(a == a.with_seed(10));
-}
-
 TEST(Cancel, PreCancelledTokenUnwindsEveryInstrumentedSolver) {
   // A token that has already fired stops each phase loop at its first
   // cancel_point: the run returns a cancelled envelope after round 0.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -122,6 +123,58 @@ TEST_P(ContextBackends, GrainOverrideStillCorrect) {
   EXPECT_EQ(sum, n);
 }
 
+TEST_P(ContextBackends, ForkedHalvesInheritTheScope) {
+  // Every thread that executes part of a run — a native thief, an OpenMP
+  // task or team thread — reads the run's innermost scope; a scope opened
+  // inside one body shadows only that body's own subtree.
+  constexpr size_t rows = 8, cols = 256, shadowed = 3;
+  pp::run_scope scope(
+      context{}.with_backend(GetParam()).with_workers(2).with_grain(1).with_seed(77));
+
+  std::vector<uint64_t> seed(rows * cols, 0);
+  std::vector<backend_kind> backend(rows * cols, backend_kind::sequential);
+  std::vector<uint64_t> after_shadow(rows, 0);
+  pp::parallel_for(0, rows, [&](size_t r) {
+    auto row = [&] {
+      pp::parallel_for(0, cols, [&](size_t c) {
+        seed[r * cols + c] = pp::current_context().seed;
+        backend[r * cols + c] = pp::current_context().backend;
+      });
+    };
+    if (r == shadowed) {
+      pp::scoped_context shadow(pp::current_context().with_seed(5));
+      row();
+    } else {
+      row();
+    }
+    after_shadow[r] = pp::current_context().seed;
+  });
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t want = r == shadowed ? 5 : 77;
+    size_t wrong = 0;
+    for (size_t c = 0; c < cols; ++c)
+      wrong += seed[r * cols + c] != want || backend[r * cols + c] != GetParam();
+    EXPECT_EQ(wrong, 0u) << "row " << r;
+    EXPECT_EQ(after_shadow[r], 77u) << "row " << r;
+  }
+
+  uint64_t left = 0, right = 0;
+  backend_kind left_backend = backend_kind::sequential, right_backend = left_backend;
+  pp::par_do(
+      [&] {
+        left = pp::current_context().seed;
+        left_backend = pp::current_context().backend;
+      },
+      [&] {
+        right = pp::current_context().seed;
+        right_backend = pp::current_context().backend;
+      });
+  EXPECT_EQ(left, 77u);
+  EXPECT_EQ(right, 77u);
+  EXPECT_EQ(left_backend, GetParam());
+  EXPECT_EQ(right_backend, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, ContextBackends,
                          ::testing::ValuesIn(pp_test::backends_under_test()),
                          [](const auto& info) {
@@ -141,43 +194,33 @@ TEST(Context, NumWorkers) {
       hw + 3);
 }
 
-TEST(Context, EqualityComparesEveryKnob) {
-  context a;
-  EXPECT_EQ(a, context{});
-  EXPECT_FALSE(a == a.with_workers(2));
-  EXPECT_FALSE(a == a.with_seed(7));
-  EXPECT_FALSE(a == a.with_backend(backend_kind::openmp));
-  EXPECT_FALSE(a == a.with_grain(64));
-  EXPECT_FALSE(a == a.with_pivot(pp::pivot_policy::uniform_random));
-}
-
-TEST(Context, ScopeRaceDetectorFlagsConflictingTopLevelScopes) {
-  // Two live top-level scoped_contexts with different configs is exactly
-  // the cross-contamination race the detector exists for. This test only
-  // checks the counter (the assert fires in debug builds); NDEBUG test
-  // runs still observe the flagged conflict.
-  uint64_t before = pp::detail::scope_conflicts();
-  pp::detail::scopes().assert_on_conflict.store(false);  // deliberate race below
-  std::atomic<int> phase{0};
-  std::thread other([&] {
-    pp::scoped_context scope(context{}.with_seed(111));
-    phase.store(1);
-    while (phase.load() < 2) std::this_thread::yield();
-  });
-  while (phase.load() < 1) std::this_thread::yield();
-  { pp::scoped_context racer(context{}.with_seed(222)); }
-  phase.store(2);
-  other.join();
-  pp::detail::scopes().assert_on_conflict.store(true);
-  EXPECT_GT(pp::detail::scope_conflicts(), before);
-
-  // Nested scopes on one thread are NOT top-level races: no new conflict.
-  uint64_t nested_before = pp::detail::scope_conflicts();
-  {
-    pp::scoped_context outer(context{}.with_seed(1));
-    pp::scoped_context inner(context{}.with_seed(2));
+TEST(Context, ConcurrentScopesDoNotCrossContaminate) {
+  // Two runs live at the same time on two threads, each with its own seed
+  // and its own leased pool. Grain 1 forks every iteration, so halves get
+  // stolen; every thread executing a run's loop body — its own thread and
+  // its pool's thieves alike — must read that run's seed, never the other.
+  constexpr size_t n = 4096;
+  const uint64_t seeds[2] = {101, 202};
+  std::vector<uint64_t> seen[2] = {std::vector<uint64_t>(n, 0), std::vector<uint64_t>(n, 0)};
+  std::barrier both_live(2);
+  auto run = [&](int t) {
+    pp::run_scope scope(context{}
+                            .with_backend(backend_kind::native)
+                            .with_workers(2)
+                            .with_grain(1)
+                            .with_seed(seeds[t]));
+    both_live.arrive_and_wait();  // both scopes are installed
+    pp::parallel_for(0, n, [&](size_t i) { seen[t][i] = pp::current_context().seed; });
+    both_live.arrive_and_wait();  // neither scope closes before both loops end
+  };
+  std::thread a(run, 0), b(run, 1);
+  a.join();
+  b.join();
+  for (int t = 0; t < 2; ++t) {
+    size_t wrong = 0;
+    for (uint64_t s : seen[t]) wrong += s != seeds[t];
+    EXPECT_EQ(wrong, 0u) << "run " << t << " read another run's seed";
   }
-  EXPECT_EQ(pp::detail::scope_conflicts(), nested_before);
 }
 
 TEST(Context, ParseBackend) {

@@ -303,8 +303,7 @@ TEST(Scheduler, BatchHoldsOneLeaseLoopPaysPerRun) {
 TEST(Scheduler, BatchNestsInsideEnclosingRun) {
   // run_batch from inside an already-scheduled run (a server request
   // handler that batches sub-tasks): the batch scope must reuse the pinned
-  // pool — no second lease — and must not register as a racing top-level
-  // scope with a conflicting config.
+  // pool — no second lease.
   auto& reg = pp::registry::instance();
   auto& cache = pp::detail::pool_cache::instance();
   std::vector<pp::problem_input> inputs;
@@ -313,12 +312,10 @@ TEST(Scheduler, BatchNestsInsideEnclosingRun) {
   pp::context outer = pp::context{}.with_backend(pp::backend_kind::native).with_workers(2);
   pp::run_scope enclosing(outer);
   uint64_t before = cache.acquires();
-  uint64_t conflicts_before = pp::detail::scope_conflicts();
   // The nested batch even asks for a different width; it stays pinned.
   auto batch = pp::registry::run_batch("lis/parallel", inputs, outer.with_workers(4));
   EXPECT_EQ(cache.acquires() - before, 0u);
   EXPECT_EQ(batch.workers, 2u);  // honest: the pinned width, not the request
-  EXPECT_EQ(pp::detail::scope_conflicts(), conflicts_before);
   EXPECT_EQ(batch.count(), 3u);
 }
 

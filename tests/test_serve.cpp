@@ -59,8 +59,7 @@ TEST(Serve, EverySolverMatchesStandaloneRun) {
     req.seed = 23 + inputs.size();
     futs.emplace_back(s.name, eng.submit(std::move(req)));
   }
-  // Resolve everything before running the standalone comparisons so no
-  // engine run_scope overlaps the main thread's (their profiles differ).
+  // Resolve everything before running the standalone comparisons.
   std::vector<std::pair<std::string, response>> got;
   for (auto& [name, fut] : futs) got.emplace_back(name, fut.get());
   eng.stop();
@@ -823,8 +822,7 @@ TEST(Serve, CachedAndDedupedMatchStandaloneForEverySolver) {
   auto st = eng.stats();
   EXPECT_EQ(st.deduped, names.size()) << "every pair's second submission must attach";
 
-  // Cached repeats (resolve before the standalone runs below so no engine
-  // run_scope overlaps the main thread's).
+  // Cached repeats (resolved before the standalone runs below).
   std::vector<response> cached;
   for (size_t i = 0; i < names.size(); ++i) {
     const auto& in = inputs.at(reg.info(names[i])->problem);
@@ -1033,26 +1031,6 @@ TEST(Serve, LruEvictionHonorsCacheBound) {
   EXPECT_EQ(st.cache_hits, 1u);
   EXPECT_EQ(st.cache_misses, 4u);
   EXPECT_EQ(st.batches, 4u);
-}
-
-TEST(Serve, NoScopeRaceConflicts) {
-  // Concurrent executors share one execution profile, so the context
-  // scope-race detector must stay quiet under parallel serving load.
-  uint64_t conflicts_before = pp::detail::scope_conflicts();
-  engine_options opt;
-  opt.max_inflight_runs = 3;
-  opt.workers_per_run = 1;
-  opt.batch_window = std::chrono::microseconds{0};
-  opt.max_batch = 1;
-  opt.ctx = native2().with_workers(1).with_seed(11);
-  engine eng(opt);
-
-  auto in = registry::instance().make_input("lis", 1'000, 5);
-  std::vector<std::future<response>> futs;
-  for (size_t i = 0; i < 24; ++i) futs.push_back(eng.submit({"lis/parallel", in, i}));
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
-  eng.stop();
-  EXPECT_EQ(pp::detail::scope_conflicts(), conflicts_before);
 }
 
 // ---- wire protocol (pp::serve::connection) ---------------------------------

@@ -8,8 +8,9 @@ codebase depends on for correctness and reproducibility:
                        parallel_for(...) / par_do(...) argument list: a throw
                        on a pool worker escapes its job and terminates, a
                        throw between fork and join dangles references, and
-                       the implicit form reads the process-wide context slot
-                       (see src/core/cancel.h).
+                       a thread running a stolen half has no token
+                       installed, so the check never fires there (see
+                       src/core/cancel.h).
   banned-clock-rand    src/ and tools/ must not use std::rand, srand, or
                        std::chrono::system_clock. Randomness flows through
                        pp::hash64/derive_seed (reproducible); timing uses
