@@ -2,8 +2,8 @@
 // loop of registry::run, across batch sizes {1, 16, 256} x backends.
 //
 // The batched pipeline exists to amortize dispatch setup — scheduler pool
-// lease, worker wake-up, OpenMP team warm-up — across many inputs of one
-// problem (the serving-traffic shape of the ROADMAP north star). This
+// lease, worker wake-up — across many inputs of one problem (the
+// serving-traffic shape of the ROADMAP north star). This
 // bench quantifies it: both variants run the identical K inputs under the
 // identical derived per-item seeds, so they do identical solver work and
 // any gap is pure dispatch overhead. On the native backend it also counts
@@ -97,8 +97,7 @@ int main() {
     return std::max({5, bench::repeats(), static_cast<int>(512 / K)});
   };
   const size_t batch_sizes[] = {1, 16, 256};
-  const pp::backend_kind backends[] = {pp::backend_kind::sequential, pp::backend_kind::openmp,
-                                       pp::backend_kind::native};
+  const pp::backend_kind backends[] = {pp::backend_kind::sequential, pp::backend_kind::native};
 
   std::printf("%s on %s inputs, n = %zu per item, min over >=%d interleaved repeats\n"
               "overhead us/item = (variant wall clock - sum of per-item solve seconds) / K\n\n",

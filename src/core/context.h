@@ -42,7 +42,7 @@ inline const char* pivot_policy_name(pivot_policy p) {
 
 struct context {
   backend_kind backend = backend_kind::native;
-  unsigned workers = 0;  // 0 = backend default (pool size / omp_get_max_threads)
+  unsigned workers = 0;  // 0 = backend default (PP_THREADS, else hardware concurrency)
   uint64_t seed = 1;     // seed for every random choice a solver makes
   size_t grain = 0;      // parallel_for grain; 0 = auto heuristic
   pivot_policy pivot = pivot_policy::rightmost;
@@ -59,7 +59,7 @@ struct context {
   cancel_token cancel{};
 
   // Value-style builders so call sites can derive variants in one line:
-  //   registry::run(name, in, ctx.with_backend(backend_kind::openmp))
+  //   registry::run(name, in, ctx.with_backend(backend_kind::sequential))
   context with_backend(backend_kind b) const {
     context c = *this;
     c.backend = b;
@@ -122,8 +122,7 @@ namespace detail {
 // one its forking thread had. Null outside every run. Per-thread, so two
 // concurrent runs never observe each other's context: a fork hands the
 // pointer to whichever thread executes the stolen half (fn_job in
-// parallel/scheduler.h, the OpenMP task and team paths in parallel/api.h),
-// and pools are leased to one run at a time.
+// parallel/scheduler.h), and pools are leased to one run at a time.
 inline thread_local const context* tl_active = nullptr;
 
 // RAII install of an already-live context as this thread's active one,

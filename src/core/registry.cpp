@@ -327,7 +327,7 @@ batch_result<solver_value> registry::run_batch_impl(
   };
 
   // The whole batch shares ONE run_scope: the context is installed and the
-  // scheduler bound (pool lease / OpenMP team warm-up) here, once.
+  // scheduler bound (pool lease) here, once.
   // Per-item dispatches below construct nested scopes that reuse the
   // pinned pool, so scheduler acquisition is amortized across the batch —
   // and nests correctly when run_batch is itself called from inside an

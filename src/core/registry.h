@@ -274,13 +274,13 @@ class registry {
                                       const context& ctx = default_context());
 
   // Batched dispatch: run `name` on every input under ONE run_scope (one
-  // scoped_context + one scheduler binding), so the pool lease / OpenMP
-  // team warm-up is paid once per batch instead of once per item — the
-  // serving-traffic shape. Item i executes under
-  // ctx.with_seed(derive_seed(ctx.seed, i)) (unless opts.derive_seeds is
-  // off), so results are independent of opts.order and reproducible
-  // item-by-item with plain run() calls. Items land in `items`/`scores`
-  // at their input index regardless of execution order. Throws like run().
+  // scoped_context + one scheduler binding), so the pool lease is paid
+  // once per batch instead of once per item — the serving-traffic shape.
+  // Item i executes under ctx.with_seed(derive_seed(ctx.seed, i)) (unless
+  // opts.derive_seeds is off), so results are independent of opts.order
+  // and reproducible item-by-item with plain run() calls. Items land in
+  // `items`/`scores` at their input index regardless of execution order.
+  // Throws like run().
   static batch_result<solver_value> run_batch(std::string_view name,
                                               std::span<const problem_input> inputs,
                                               const context& ctx = default_context(),

@@ -11,8 +11,6 @@
 // observes the right backend, worker count, and grain inside a solve.
 #pragma once
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cstddef>
 #include <utility>
@@ -28,75 +26,32 @@ namespace pp {
 // native backend: the width of the pool the calling thread is already
 // pinned to (a run keeps its pool from fork to join), else the width a
 // fresh lease would have — ctx.workers, or the PP_THREADS/hardware default
-// when 0. The OpenMP `num_threads` clauses and the auto_grain heuristic
-// read this same value, so every backend agrees on what "W workers" means.
+// when 0. The auto_grain heuristic reads this same value.
 inline unsigned num_workers(const context& ctx) {
-  switch (ctx.backend) {
-    case backend_kind::sequential:
-      return 1;
-    case backend_kind::openmp:
-      // Inside a parallel region the run executes on the enclosing team,
-      // whatever the context asks for (the nested par_do/parallel_for
-      // paths spawn tasks into it) — report that, mirroring the native
-      // pinned-pool rule below.
-      if (omp_in_parallel()) return static_cast<unsigned>(omp_get_num_threads());
-      return ctx.workers != 0 ? ctx.workers
-                              : static_cast<unsigned>(omp_get_max_threads());
-    case backend_kind::native:
-    default: {
-      if (const detail::work_stealing_pool* pool = detail::this_thread_pool())
-        return pool->num_workers();
-      return detail::resolve_native_workers(ctx.workers);
-    }
-  }
+  if (ctx.backend == backend_kind::sequential) return 1;
+  if (const detail::work_stealing_pool* pool = detail::this_thread_pool())
+    return pool->num_workers();
+  return detail::resolve_native_workers(ctx.workers);
 }
 
 inline unsigned num_workers() { return num_workers(current_context()); }
 
-namespace detail {
-// Nesting depth of scoped_scheduler on this thread; only the outermost
-// binding pays one-time setup (the OpenMP team warm-up).
-inline thread_local int tl_sched_depth = 0;
-}  // namespace detail
-
 // RAII scheduler binding for one top-level run. On the native backend it
 // leases a work-stealing pool of exactly num_workers(ctx) workers and pins
 // the calling thread to it; nested constructions (a run inside a run)
-// reuse the already-pinned pool. On OpenMP it resolves the width and, at
-// the outermost binding only, warms the team (libgomp spawns threads
-// lazily at the first parallel region, which would otherwise land inside
-// run_timed's clock — unlike the native lease, whose spawn cost is paid
-// here). `workers()` is the honest count stamped into run_result.
+// reuse the already-pinned pool. `workers()` is the honest count stamped
+// into run_result.
 class scoped_scheduler {
  public:
-  explicit scoped_scheduler(const context& ctx)
-      : outermost_(detail::tl_sched_depth++ == 0) {
-    switch (ctx.backend) {
-      case backend_kind::sequential:
-        workers_ = 1;
-        break;
-      case backend_kind::openmp: {
-        workers_ = num_workers(ctx);
-        if (outermost_ && !omp_in_parallel()) {
-          int nt = static_cast<int>(workers_);
-#pragma omp parallel num_threads(nt)
-          {
-          }
-        }
-        break;
-      }
-      case backend_kind::native:
-      default:
-        if (const detail::work_stealing_pool* pool = detail::this_thread_pool()) {
-          workers_ = pool->num_workers();
-        } else {
-          lease_ = detail::pool_lease(detail::resolve_native_workers(ctx.workers));
-          workers_ = lease_.width();
-        }
-        break;
+  explicit scoped_scheduler(const context& ctx) {
+    if (ctx.backend == backend_kind::sequential) return;
+    if (const detail::work_stealing_pool* pool = detail::this_thread_pool()) {
+      workers_ = pool->num_workers();
+    } else {
+      lease_ = detail::pool_lease(detail::resolve_native_workers(ctx.workers));
+      workers_ = lease_.width();
     }
   }
-  ~scoped_scheduler() { --detail::tl_sched_depth; }
 
   scoped_scheduler(const scoped_scheduler&) = delete;
   scoped_scheduler& operator=(const scoped_scheduler&) = delete;
@@ -104,7 +59,6 @@ class scoped_scheduler {
   unsigned workers() const { return workers_; }
 
  private:
-  bool outermost_;
   detail::pool_lease lease_;
   unsigned workers_ = 1;
 };
@@ -129,18 +83,23 @@ class run_scope {
   scoped_cancel cancel_;
 };
 
-namespace detail {
-
+// Run `left` and `right`, potentially in parallel; returns when both are
+// done (a binary fork).
 template <typename L, typename R>
-void par_do_native(const context& ctx, L&& left, R&& right) {
-  work_stealing_pool* pool = this_thread_pool();
-  pool_lease lease;
+void par_do(const context& ctx, L&& left, R&& right) {
+  if (ctx.backend == backend_kind::sequential) {
+    left();
+    right();
+    return;
+  }
+  detail::work_stealing_pool* pool = detail::this_thread_pool();
+  detail::pool_lease lease;
   if (pool == nullptr) {
     // Outermost fork of a run that was not dispatched through
     // registry::run/run_timed: lease a pool of the context's width for the
     // duration of this fork-join tree.
-    lease = pool_lease(resolve_native_workers(ctx.workers));
-    pool = this_thread_pool();
+    lease = detail::pool_lease(detail::resolve_native_workers(ctx.workers));
+    pool = detail::this_thread_pool();
   }
   if (pool->num_workers() == 1) {
     // A 1-wide pool has no other workers: run strictly sequentially
@@ -149,64 +108,13 @@ void par_do_native(const context& ctx, L&& left, R&& right) {
     right();
     return;
   }
-  fn_job<R> rjob(right);
+  detail::fn_job<R> rjob(right);
   pool->push(&rjob);
   left();
   if (pool->try_pop_specific(&rjob)) {
     right();
   } else {
     pool->wait_for(rjob);
-  }
-}
-
-// The task may run on any thread of the team, so it carries the forking
-// thread's active context with it (as fn_job does on the native backend).
-template <typename L, typename R>
-void par_do_omp_inner(L&& left, R&& right) {
-  const context* active = tl_active;
-#pragma omp task shared(left) default(shared) firstprivate(active)
-  {
-    inherited_context inherit(active);
-    left();
-  }
-  right();
-#pragma omp taskwait
-}
-
-template <typename L, typename R>
-void par_do_omp(const context& ctx, L&& left, R&& right) {
-  if (omp_in_parallel()) {
-    par_do_omp_inner(left, right);
-  } else {
-    int nt = static_cast<int>(num_workers(ctx));
-    const context* active = tl_active;
-#pragma omp parallel default(shared) num_threads(nt)
-#pragma omp single nowait
-    {
-      inherited_context inherit(active);
-      par_do_omp_inner(left, right);
-    }
-  }
-}
-
-}  // namespace detail
-
-// Run `left` and `right`, potentially in parallel; returns when both are
-// done (a binary fork).
-template <typename L, typename R>
-void par_do(const context& ctx, L&& left, R&& right) {
-  switch (ctx.backend) {
-    case backend_kind::sequential:
-      left();
-      right();
-      break;
-    case backend_kind::openmp:
-      detail::par_do_omp(ctx, std::forward<L>(left), std::forward<R>(right));
-      break;
-    case backend_kind::native:
-    default:
-      detail::par_do_native(ctx, std::forward<L>(left), std::forward<R>(right));
-      break;
   }
 }
 
@@ -280,37 +188,11 @@ void parallel_for_rec(const context& ctx, size_t lo, size_t hi, F& f, size_t gra
 template <typename F>
 void parallel_for(const context& ctx, size_t lo, size_t hi, F f, size_t grain = 0) {
   if (hi <= lo) return;
-  size_t n = hi - lo;
-  const bool chosen = grain != 0 || ctx.grain != 0;
-  grain = detail::resolve_grain(ctx, n, grain);
-  if (ctx.backend == backend_kind::sequential || !detail::splits(n, grain)) {
+  if (ctx.backend == backend_kind::sequential) {
     for (size_t i = lo; i < hi; ++i) f(i);
     return;
   }
-  if (ctx.backend == backend_kind::openmp && !omp_in_parallel()) {
-    int nt = static_cast<int>(num_workers(ctx));
-    // Every team thread runs its iterations under the forking thread's
-    // active context.
-    const context* active = detail::tl_active;
-#pragma omp parallel num_threads(nt)
-    {
-      detail::inherited_context inherit(active);
-      if (chosen) {
-        // honor an explicit grain (argument or ctx.grain) as the chunk size
-#pragma omp for schedule(dynamic, static_cast<int>(grain)) nowait
-        for (size_t i = lo; i < hi; ++i) f(i);
-      } else {
-#pragma omp for schedule(guided) nowait
-        for (size_t i = lo; i < hi; ++i) f(i);
-      }
-    }
-    return;
-  }
-  // Native, or nested inside an OpenMP region (e.g. a parallel_for body
-  // that itself forks): recursive binary splitting, over OpenMP tasks in
-  // the nested case, so nested loops keep their span bounds instead of
-  // being silently serialized.
-  detail::parallel_for_rec(ctx, lo, hi, f, grain);
+  detail::parallel_for_rec(ctx, lo, hi, f, detail::resolve_grain(ctx, hi - lo, grain));
 }
 
 // Under the current context.

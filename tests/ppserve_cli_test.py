@@ -72,7 +72,7 @@ def check(cond, msg):
 for flags in (["--queue", "-1"], ["--max-batch", "-3"], ["--batch-window-us", "-5"],
               ["--max-inflight", "-2"], ["--workers-per-run", "-1"], ["--max-n", "0"],
               ["--queue", "banana"], ["--cache-entries", "-1"], ["--cache-entries", "0"],
-              ["--cache-entries", "banana"]):
+              ["--cache-entries", "banana"], ["--backend", "openmp"]):
     rc, out, err = run(flags)
     check(rc == 2, f"{' '.join(flags)} rejected with exit 2 (got {rc}, stderr: {err.strip()!r})")
 

@@ -1,25 +1,12 @@
-// Shared helper: which backends the backend-parametrized tests sweep.
-//
-// PP_TEST_SKIP_OPENMP=1 drops the OpenMP backend. The CI ThreadSanitizer
-// job sets it because libgomp is not TSan-instrumented: its task barriers
-// are invisible to TSan, so every cross-task handoff in the OpenMP paths
-// is reported as a false race. The native work-stealing scheduler — the
-// code the TSan job exists to guard — synchronizes with std::mutex and
-// std::atomic and is fully TSan-visible.
+// Shared helper: which backends the backend-parametrized tests sweep. The
+// sequential backend is the reference every native run is compared with.
 #pragma once
-
-#include <cstdlib>
-#include <vector>
 
 #include "parallel/backend.h"
 
 namespace pp_test {
 
-inline std::vector<pp::backend_kind> backends_under_test() {
-  std::vector<pp::backend_kind> b{pp::backend_kind::sequential, pp::backend_kind::openmp,
-                                  pp::backend_kind::native};
-  if (std::getenv("PP_TEST_SKIP_OPENMP") != nullptr) b.erase(b.begin() + 1);
-  return b;
-}
+inline constexpr pp::backend_kind kBackends[] = {pp::backend_kind::sequential,
+                                                 pp::backend_kind::native};
 
 }  // namespace pp_test

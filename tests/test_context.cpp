@@ -1,6 +1,6 @@
 // Tests for the execution-context API (core/context.h + the context
 // overloads of par_do/parallel_for in parallel/api.h): scoping semantics
-// and the OpenMP nested-parallel_for fix.
+// and nested parallel_for.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,12 +29,12 @@ TEST(Context, Defaults) {
 
 TEST(Context, WithBuilders) {
   context c;
-  context d = c.with_backend(backend_kind::openmp)
+  context d = c.with_backend(backend_kind::sequential)
                   .with_workers(3)
                   .with_seed(42)
                   .with_grain(128)
                   .with_pivot(pp::pivot_policy::uniform_random);
-  EXPECT_EQ(d.backend, backend_kind::openmp);
+  EXPECT_EQ(d.backend, backend_kind::sequential);
   EXPECT_EQ(d.workers, 3u);
   EXPECT_EQ(d.seed, 42u);
   EXPECT_EQ(d.grain, 128u);
@@ -84,9 +84,8 @@ TEST_P(ContextBackends, ParDoExplicitContext) {
 }
 
 TEST_P(ContextBackends, NestedParallelForIsCorrect) {
-  // Nested parallelism: outer rows x inner cols. Under OpenMP the inner
-  // loops used to silently serialize; now they run as tasks. All backends
-  // must produce the identical matrix.
+  // Nested parallelism: outer rows x inner cols. All backends must
+  // produce the identical matrix.
   context ctx = context{}.with_backend(GetParam());
   constexpr size_t rows = 64, cols = 2'000;
   std::vector<uint32_t> m(rows * cols, 0);
@@ -124,9 +123,9 @@ TEST_P(ContextBackends, GrainOverrideStillCorrect) {
 }
 
 TEST_P(ContextBackends, ForkedHalvesInheritTheScope) {
-  // Every thread that executes part of a run — a native thief, an OpenMP
-  // task or team thread — reads the run's innermost scope; a scope opened
-  // inside one body shadows only that body's own subtree.
+  // Every thread that executes part of a run — the forking thread or a
+  // native thief — reads the run's innermost scope; a scope opened inside
+  // one body shadows only that body's own subtree.
   constexpr size_t rows = 8, cols = 256, shadowed = 3;
   pp::run_scope scope(
       context{}.with_backend(GetParam()).with_workers(2).with_grain(1).with_seed(77));
@@ -176,14 +175,13 @@ TEST_P(ContextBackends, ForkedHalvesInheritTheScope) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ContextBackends,
-                         ::testing::ValuesIn(pp_test::backends_under_test()),
+                         ::testing::ValuesIn(pp_test::kBackends),
                          [](const auto& info) {
                            return std::string(pp::backend_name(info.param));
                          });
 
 TEST(Context, NumWorkers) {
   EXPECT_EQ(pp::num_workers(context{}.with_backend(backend_kind::sequential)), 1u);
-  EXPECT_EQ(pp::num_workers(context{}.with_backend(backend_kind::openmp).with_workers(3)), 3u);
   EXPECT_GE(pp::num_workers(context{}.with_backend(backend_kind::native)), 1u);
   // context::workers is honored exactly on the native backend — each width
   // gets its own pool from the cache, so no singleton clamps the request.
@@ -225,11 +223,11 @@ TEST(Context, ConcurrentScopesDoNotCrossContaminate) {
 
 TEST(Context, ParseBackend) {
   EXPECT_EQ(pp::parse_backend("native"), backend_kind::native);
-  EXPECT_EQ(pp::parse_backend("openmp"), backend_kind::openmp);
-  EXPECT_EQ(pp::parse_backend("omp"), backend_kind::openmp);
   EXPECT_EQ(pp::parse_backend("sequential"), backend_kind::sequential);
   EXPECT_EQ(pp::parse_backend("seq"), backend_kind::sequential);
   EXPECT_FALSE(pp::parse_backend("tbb").has_value());
+  EXPECT_FALSE(pp::parse_backend("openmp").has_value());
+  EXPECT_FALSE(pp::parse_backend("omp").has_value());
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Cross-backend determinism, driven through the registry: the same seed
 // and the same input must produce identical results AND identical round
-// counts (phase_stats.rounds) on the sequential, OpenMP, and native
-// backends. This is the reproducibility contract of the library's
+// counts (phase_stats.rounds) on the sequential and native backends. This is the reproducibility contract of the library's
 // stateless (seed, index)-hashed randomness: no random choice may depend
 // on scheduling.
 #include <gtest/gtest.h>
@@ -18,9 +17,7 @@ namespace {
 using pp::backend_kind;
 using pp::registry;
 
-// sequential, openmp, native — minus openmp under PP_TEST_SKIP_OPENMP
-// (the CI TSan job; see test_backends.h).
-const std::vector<backend_kind> kBackends = pp_test::backends_under_test();
+using pp_test::kBackends;
 
 pp::context ctx_for(backend_kind b, uint64_t seed) {
   return pp::context{}.with_backend(b).with_seed(seed);

@@ -1,6 +1,6 @@
 // Cross-module integration tests:
 //   * every parallel algorithm must return bit-identical results across
-//     the three backends (native work-stealing, OpenMP, sequential) — the
+//     the two backends (native work-stealing, sequential) — the
 //     determinism guarantee of DESIGN.md §4.5;
 //   * the dominance engine is exercised directly with degenerate qx/yrank
 //     shapes that no single front-end produces.
@@ -30,8 +30,7 @@ namespace {
 const pp::context kCtx{};
 
 using pp::backend_kind;
-const backend_kind kBackends[] = {backend_kind::native, backend_kind::openmp,
-                                  backend_kind::sequential};
+const backend_kind kBackends[] = {backend_kind::native, backend_kind::sequential};
 
 TEST(BackendDeterminism, Lis) {
   auto a = pp::lis_line_pattern(30000, 7, 100000, 3);

@@ -120,7 +120,7 @@ TEST_P(PrimTest, MinIndexFirstOnTies) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PrimTest,
-    ::testing::Combine(::testing::ValuesIn(pp_test::backends_under_test()),
+    ::testing::Combine(::testing::ValuesIn(pp_test::kBackends),
                        ::testing::Values(size_t{0}, size_t{1}, size_t{2}, size_t{100},
                                          size_t{4097}, size_t{100000})),
     [](const auto& info) {

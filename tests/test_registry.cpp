@@ -83,10 +83,10 @@ TEST(Registry, WrongInputAlternativeThrows) {
 
 TEST(Registry, EnvelopeIsFilled) {
   auto in = registry::instance().make_input("lis", 2'000, 5);
-  pp::context ctx = pp::context{}.with_backend(pp::backend_kind::openmp).with_seed(5);
+  pp::context ctx = pp::context{}.with_backend(pp::backend_kind::native).with_seed(5);
   auto res = registry::run("lis/parallel", in, ctx);
   EXPECT_EQ(res.solver, "lis/parallel");
-  EXPECT_EQ(res.backend, pp::backend_kind::openmp);
+  EXPECT_EQ(res.backend, pp::backend_kind::native);
   EXPECT_EQ(res.seed, 5u);
   EXPECT_GE(res.seconds, 0.0);
   EXPECT_GT(res.stats.rounds, 0u);
@@ -99,16 +99,14 @@ TEST(Registry, EnvelopeIsFilled) {
 }
 
 TEST(Registry, EnvelopeReportsActualWorkerCount) {
-  // Acceptance criterion of ISSUE 2: a run asking for W workers reports
-  // width W on both parallel backends (the native pool really has W
-  // deques; the OpenMP region really passes W to num_threads).
+  // A run asking for W workers on the native backend reports width W
+  // (the leased pool really has W deques).
   auto in = registry::instance().make_input("lis", 1'000, 7);
-  for (auto b : {pp::backend_kind::native, pp::backend_kind::openmp}) {
-    for (unsigned w : {1u, 2u, 3u}) {
-      auto res = registry::run("lis/parallel", in,
-                               pp::context{}.with_backend(b).with_seed(7).with_workers(w));
-      EXPECT_EQ(res.workers, w) << pp::backend_name(b) << " workers=" << w;
-    }
+  for (unsigned w : {1u, 2u, 3u}) {
+    auto res = registry::run(
+        "lis/parallel", in,
+        pp::context{}.with_backend(pp::backend_kind::native).with_seed(7).with_workers(w));
+    EXPECT_EQ(res.workers, w) << "workers=" << w;
   }
   auto seq = registry::run(
       "lis/parallel", in,

@@ -49,7 +49,7 @@ TEST(Relaxed, StructurallyValidAcrossBackendsAndK) {
       auto ref = registry::run(
           ref_name, input,
           pp::context{}.with_backend(pp::backend_kind::sequential).with_seed(seed));
-      for (auto b : pp_test::backends_under_test()) {
+      for (auto b : pp_test::kBackends) {
         for (unsigned k : ks) {
           auto res = registry::run(name, input,
                                    pp::context{}.with_backend(b).with_seed(seed).with_relax_k(k));
@@ -186,7 +186,7 @@ TEST(Relaxed, SsspExactOnHighDiameterGrid) {
   auto ref = registry::run(
       "sssp/dijkstra", input,
       pp::context{}.with_backend(pp::backend_kind::sequential).with_seed(1));
-  for (auto b : pp_test::backends_under_test()) {
+  for (auto b : pp_test::kBackends) {
     auto res =
         registry::run("sssp/relaxed", input, pp::context{}.with_backend(b).with_seed(1));
     std::string why;

@@ -1,5 +1,5 @@
 // Tests for the work-stealing scheduler and the par_do/parallel_for API,
-// across all three backends, plus the per-context pool cache: leases pin a
+// across both backends, plus the per-context pool cache: leases pin a
 // run to a pool of exactly ctx.workers deques, workers=1 runs are strictly
 // sequential, and concurrent runs never share a pool.
 #include <gtest/gtest.h>
@@ -100,7 +100,7 @@ TEST_P(BackendTest, ManySequentialParallelRegions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest,
-                         ::testing::ValuesIn(pp_test::backends_under_test()),
+                         ::testing::ValuesIn(pp_test::kBackends),
                          [](const auto& info) {
                            return std::string(pp::backend_name(info.param));
                          });

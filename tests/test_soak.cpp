@@ -55,7 +55,7 @@ TEST(Soak, EverySolverEveryBackendThreeSeeds) {
       }
 
       const bool relaxed = pp::paradigm_of(s) == pp::solver_paradigm::relaxed;
-      for (auto b : pp_test::backends_under_test()) {
+      for (auto b : pp_test::kBackends) {
         auto res = registry::run(s.name, input, pp::context{}.with_backend(b).with_seed(seed));
         if (relaxed) {
           // Relaxed solvers promise structural validity (exact distances

@@ -84,7 +84,7 @@ TEST_P(SortTest, SortIndicesMatchesDirectSort) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SortTest,
-    ::testing::Combine(::testing::ValuesIn(pp_test::backends_under_test()),
+    ::testing::Combine(::testing::ValuesIn(pp_test::kBackends),
                        ::testing::Values(size_t{0}, size_t{1}, size_t{10}, size_t{8192},
                                          size_t{100000})),
     [](const auto& info) {

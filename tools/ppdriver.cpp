@@ -13,7 +13,7 @@
 //   --seed S           base seed (default 1): input i is built from
 //                      derive_seed(S, i) for batch, S for run; execution
 //                      seeds follow the same rule
-//   --backend B        native | openmp | sequential   (default: process default)
+//   --backend B        native | sequential   (default: process default)
 //   --workers W        worker count (0 = backend default)
 //   --grain G          parallel_for grain (0 = auto)
 //   --pivot P          rightmost | random   (Type-2 pivot policy)
@@ -35,7 +35,7 @@
 //                      identical either way)
 //
 // Examples:
-//   ppdriver run lis/parallel --n 1000000 --backend openmp --workers 8
+//   ppdriver run lis/parallel --n 1000000 --backend native --workers 8
 //   ppdriver batch lis/parallel --count 8 --n 20000 --json
 #include <algorithm>
 #include <cctype>

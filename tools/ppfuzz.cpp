@@ -16,8 +16,7 @@
 //   reproduce: ppdriver run mis/tas --n 800 --seed 123 --backend native
 //
 // Exit code: 0 = all iterations agreed, 1 = at least one failure (the
-// nightly workflow fails on it). PP_TEST_SKIP_OPENMP=1 drops the OpenMP
-// backend, same as the test suite (for TSan-instrumented builds).
+// nightly workflow fails on it).
 //
 // Already-exercised (solver, backend, input-fingerprint, seed) quadruples
 // are skipped (content-addressed corpus dedup; the "deduped" count in the
@@ -144,9 +143,7 @@ int main(int argc, char** argv) {
     if (!registry::instance().contains(ref)) continue;
     candidates.push_back({s.name, ref, pp::backend_kind::native, 0, 0});
   }
-  std::vector<pp::backend_kind> backends{pp::backend_kind::sequential,
-                                         pp::backend_kind::openmp, pp::backend_kind::native};
-  if (std::getenv("PP_TEST_SKIP_OPENMP") != nullptr) backends.erase(backends.begin() + 1);
+  const pp::backend_kind backends[] = {pp::backend_kind::sequential, pp::backend_kind::native};
 
   pp::random_stream rng(pp::hash64(base_seed ^ 0xf022a3ull) | 1);
   auto t0 = std::chrono::steady_clock::now();
@@ -166,7 +163,7 @@ int main(int argc, char** argv) {
   std::set<std::tuple<std::string, pp::backend_kind, pp::fingerprint, uint64_t>> corpus;
   while (elapsed() < duration) {
     trial t = candidates[rng.ith_bounded(iters * 4 + 0, candidates.size())];
-    t.backend = backends[rng.ith_bounded(iters * 4 + 1, backends.size())];
+    t.backend = backends[rng.ith_bounded(iters * 4 + 1, std::size(backends))];
     // Seed from a bounded 1024-slot pool, not the full 64-bit space: the
     // input is a pure function of (problem, n, seed), so fuzz diversity
     // lives in the (solver, backend, n, seed) cross product either way —

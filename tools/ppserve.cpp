@@ -102,7 +102,7 @@ int usage(const char* argv0) {
                "usage: %s [--port P] [--metrics-port P] [--trace-dir DIR]\n"
                "          [--max-inflight R] [--workers-per-run W]\n"
                "          [--batch-window-us U] [--max-batch K] [--queue N]\n"
-               "          [--backend native|openmp|sequential] [--seed S] [--max-n N]\n"
+               "          [--backend native|sequential] [--seed S] [--max-n N]\n"
                "          [--relax-k K] [--cache-entries N] [--cache-off]\n"
                "          [--max-sessions N]\n"
                "reads newline-delimited JSON requests on stdin (and TCP port P),\n"
