@@ -25,8 +25,10 @@
 #include <cstring>
 #include <functional>
 #include <initializer_list>
+#include <limits>
 #include <string>
 
+#include "../tools/cli_flags.h"
 #include "core/context.h"
 #include "core/json.h"
 #include "parallel/api.h"
@@ -74,15 +76,25 @@ inline int repeats() {
 }
 
 // The execution context for this benchmark process: the library defaults,
-// overridden by PP_BACKEND / PP_WORKERS / PP_SEED / PP_GRAIN env vars.
+// overridden by PP_BACKEND / PP_WORKERS / PP_SEED / PP_GRAIN env vars. An
+// unknown backend or a malformed number exits 2, as the CLIs' flags do.
 inline pp::context env_context() {
   pp::context c = pp::default_context();
   if (const char* b = std::getenv("PP_BACKEND")) {
-    if (auto kind = pp::parse_backend(b)) c.backend = *kind;
+    auto kind = pp::parse_backend(b);
+    if (!kind) {
+      std::fprintf(stderr, "bench: PP_BACKEND: unknown backend '%s'\n", b);
+      std::exit(2);
+    }
+    c.backend = *kind;
   }
-  if (const char* w = std::getenv("PP_WORKERS")) c.workers = static_cast<unsigned>(std::atoi(w));
-  if (const char* s = std::getenv("PP_SEED")) c.seed = std::strtoull(s, nullptr, 10);
-  if (const char* g = std::getenv("PP_GRAIN")) c.grain = std::strtoull(g, nullptr, 10);
+  if (const char* w = std::getenv("PP_WORKERS"))
+    c.workers = static_cast<unsigned>(
+        parse_int("bench", "PP_WORKERS", w, 0, std::numeric_limits<unsigned>::max()));
+  if (const char* s = std::getenv("PP_SEED")) c.seed = parse_u64("bench", "PP_SEED", s);
+  if (const char* g = std::getenv("PP_GRAIN"))
+    c.grain = static_cast<size_t>(
+        parse_int("bench", "PP_GRAIN", g, 0, std::numeric_limits<long long>::max()));
   return c;
 }
 

@@ -1,67 +1,16 @@
 // google-benchmark microbenchmarks for the substrates (Appendix A
-// structures): PA-BST point/batch/range ops, 2D range tree query/update,
-// TAS-tree marks, Fenwick prefix-max, and the Type-2 pivot buckets.
+// structures): 2D range tree query/update, TAS-tree marks, Fenwick
+// prefix-max, and the Type-2 pivot buckets.
 #include <benchmark/benchmark.h>
-
-#include <limits>
-#include <random>
 
 #include "core/fenwick.h"
 #include "core/pivot_buckets.h"
-#include "pabst/augmented_map.h"
 #include "parallel/random.h"
 #include "rangetree/policies.h"
 #include "rangetree/range_tree2d.h"
 #include "tastree/tas_tree.h"
 
 namespace {
-
-using MaxEntry = pp::max_val_entry<int64_t, int64_t, std::numeric_limits<int64_t>::min()>;
-using MaxMap = pp::augmented_map<MaxEntry>;
-
-MaxMap build_map(size_t n) {
-  auto es = pp::tabulate<MaxMap::entry_t>(n, [](size_t i) {
-    return MaxMap::entry_t{static_cast<int64_t>(2 * i), static_cast<int64_t>(pp::hash64(i) % 1000)};
-  });
-  return MaxMap::from_sorted(es);
-}
-
-void BM_PabstBuild(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    auto m = build_map(n);
-    benchmark::DoNotOptimize(m.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_PabstBuild)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_PabstAugRange(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  auto m = build_map(n);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    int64_t lo = static_cast<int64_t>(pp::hash64(i++) % (2 * n));
-    benchmark::DoNotOptimize(m.aug_range(lo, lo + 1000));
-  }
-}
-BENCHMARK(BM_PabstAugRange)->Arg(1 << 18);
-
-void BM_PabstMultiInsert(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto m = build_map(n);
-    auto batch = pp::tabulate<MaxMap::entry_t>(n / 4, [&](size_t i) {
-      return MaxMap::entry_t{static_cast<int64_t>(2 * i * 4 + 1), 7};
-    });
-    state.ResumeTiming();
-    m.multi_insert(batch);
-    benchmark::DoNotOptimize(m.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n / 4));
-}
-BENCHMARK(BM_PabstMultiInsert)->Arg(1 << 18);
 
 void BM_RangeTreeQuery(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));

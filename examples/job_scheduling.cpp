@@ -54,7 +54,7 @@ int main() {
   const pp::context ctx = pp::default_context();
   pp::activity_result seq, par1, par2;
   double ts = secs([&] { seq = pp::activity_select_seq(jobs, ctx); });
-  double t1 = secs([&] { par1 = pp::activity_select_type1_flat(jobs, ctx); });
+  double t1 = secs([&] { par1 = pp::activity_select_type1(jobs, ctx); });
   double t2 = secs([&] { par2 = pp::activity_select_type2(jobs, ctx); });
 
   std::printf("best total payment: %lld (seq %.3fs | type1 %.3fs | type2 %.3fs)\n",

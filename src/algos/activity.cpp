@@ -7,9 +7,7 @@
 
 #include "core/cancel.h"
 #include "core/fenwick.h"
-#include "core/phase_runner.h"
 #include "core/pivot_buckets.h"
-#include "pabst/augmented_map.h"
 #include "parallel/random.h"
 #include "parallel/sort.h"
 
@@ -17,12 +15,23 @@ namespace pp {
 
 namespace {
 
-constexpr int64_t kNegInf64 = std::numeric_limits<int64_t>::min() / 4;
-
 // first end-order position whose end exceeds s (activities end-sorted):
 // the dp query range is exactly [0, that position).
 size_t compat_prefix(std::span<const int64_t> ends, int64_t s) {
   return static_cast<size_t>(std::upper_bound(ends.begin(), ends.end(), s) - ends.begin());
+}
+
+// compat_prefix(ends, s) given that every end before position k is <= s:
+// an exponential search forward from k, O(log(result - k)) steps.
+size_t compat_prefix_from(std::span<const int64_t> ends, size_t k, int64_t s) {
+  size_t step = 1;
+  while (k + step < ends.size() && ends[k + step] <= s) {
+    k += step;
+    step *= 2;
+  }
+  auto hi = ends.begin() + static_cast<ptrdiff_t>(std::min(k + step, ends.size()));
+  return static_cast<size_t>(std::upper_bound(ends.begin() + static_cast<ptrdiff_t>(k), hi, s) -
+                             ends.begin());
 }
 
 std::vector<int64_t> ends_of(std::span<const activity> acts) {
@@ -65,7 +74,17 @@ activity_result activity_select_seq(std::span<const activity> acts, const contex
   return res;
 }
 
-// --- Type 1, PA-BST version (Algorithm 2) --------------------------------------
+// --- Type 1 (Algorithm 2) ---------------------------------------------------------
+//
+// The activity set is static and a round finishes a prefix of the start
+// order, so Algorithm 2's two trees become flat arrays. T_time is the ids
+// in start order with suffix minima of end: the unfinished activities are
+// always the suffix [p, n), the earliest unfinished end is sufmin[p], and
+// the frontier (every unfinished activity starting before it, Lemma 4.1)
+// is [p, q) for one lower_bound. T_DP is an atomic prefix-max Fenwick over
+// the end order, and each activity's query range [0, kpre) is computed
+// once, up front: kpre ascends along the start order, so a task walks a
+// block of it forward (O(n) work on typical inputs, O(n log n) at worst).
 
 activity_result activity_select_type1(std::span<const activity> acts, const context& ctx) {
   run_scope scope(ctx);
@@ -75,94 +94,38 @@ activity_result activity_select_type1(std::span<const activity> acts, const cont
   res.dp.assign(n, 0);
   if (n == 0) return res;
 
-  using tkey = std::pair<int64_t, uint32_t>;
-  // T_time: (start, idx) -> end, augmented with the minimum end time.
-  using time_entry = min_val_entry<tkey, int64_t, std::numeric_limits<int64_t>::max()>;
-  using time_map = augmented_map<time_entry>;
-  // T_DP: (end, idx) -> dp, augmented with the maximum dp value.
-  using dp_entry = max_val_entry<tkey, int64_t, kNegInf64>;
-  using dp_map = augmented_map<dp_entry>;
-
-  auto time_entries = tabulate<time_map::entry_t>(n, [&](size_t i) {
-    return time_map::entry_t{{acts[i].start, static_cast<uint32_t>(i)}, acts[i].end};
-  });
-  sort_inplace(std::span<time_map::entry_t>(time_entries),
-               [](const auto& a, const auto& b) { return a.key < b.key; });
-  auto ttime = time_map::from_sorted(time_entries);
-
-  // Keys (end, i) already ascend strictly: the input is end-sorted.
-  auto dp_entries = tabulate<dp_map::entry_t>(n, [&](size_t i) {
-    return dp_map::entry_t{{acts[i].end, static_cast<uint32_t>(i)}, kNegInf64};
-  });
-  auto tdp = dp_map::from_sorted(dp_entries);
-
-  res.stats = run_type1(
-      // extract: all unfinished activities starting strictly before the
-      // earliest unfinished end time (Lemma 4.1 => exactly the next rank).
-      [&]() -> std::vector<time_map::entry_t> {
-        if (ttime.empty()) return {};
-        int64_t e_x = ttime.aug_all();
-        auto frontier = ttime.split_off_le({e_x, 0}, /*inclusive=*/false);
-        return frontier.flatten();
-      },
-      [&](const std::vector<time_map::entry_t>& frontier) {
-        size_t m = frontier.size();
-        // compute dp values against finished activities only (Line 6)
-        std::vector<dp_map::entry_t> ups(m);
-        parallel_for(0, m, [&](size_t k) {
-          uint32_t idx = frontier[k].key.second;
-          int64_t s = frontier[k].key.first;
-          int64_t q = tdp.aug_le({s, std::numeric_limits<uint32_t>::max()});
-          res.dp[idx] = acts[idx].weight + std::max<int64_t>(q, 0);
-          ups[k] = dp_map::entry_t{{acts[idx].end, idx}, res.dp[idx]};
-        });
-        // publish them (Line 7)
-        sort_inplace(std::span<dp_map::entry_t>(ups),
-                     [](const auto& a, const auto& b) { return a.key < b.key; });
-        tdp.multi_update(ups);
-      });
-
-  int64_t best = 0;
-  for (auto v : res.dp) best = std::max(best, v);
-  res.best = best;
-  return res;
-}
-
-// --- Type 1, flat-array ablation -------------------------------------------------
-
-activity_result activity_select_type1_flat(std::span<const activity> acts, const context& ctx) {
-  run_scope scope(ctx);
-  check_sorted(acts);
-  size_t n = acts.size();
-  activity_result res;
-  res.dp.assign(n, 0);
-  if (n == 0) return res;
-
   auto ends = ends_of(acts);
-  // ids in start order + suffix minima of end over that order
   auto sidx = sort_indices(n, [&](uint32_t a, uint32_t b) {
     if (acts[a].start != acts[b].start) return acts[a].start < acts[b].start;
     return a < b;
   });
   std::vector<int64_t> starts(n), sufmin(n + 1, std::numeric_limits<int64_t>::max());
-  parallel_for(0, n, [&](size_t j) { starts[j] = acts[sidx[j]].start; });
+  std::vector<uint32_t> kpre(n);
+  constexpr size_t kBlock = 1024;
+  parallel_for(0, (n + kBlock - 1) / kBlock, [&](size_t b) {
+    size_t k = 0;
+    for (size_t j = b * kBlock; j < std::min(n, (b + 1) * kBlock); ++j) {
+      starts[j] = acts[sidx[j]].start;
+      k = compat_prefix_from(ends, k, starts[j]);
+      kpre[j] = static_cast<uint32_t>(k);
+    }
+  }, detail::grain_for_cost(kBlock));
   for (size_t j = n; j-- > 0;) sufmin[j] = std::min(sufmin[j + 1], acts[sidx[j]].end);
 
   atomic_fenwick_max<int64_t> fw(n, 0);
   size_t p = 0;
   while (p < n) {
     cancel_point();  // between frontier rounds: quiescent, cancellable
-    int64_t e_x = sufmin[p];
-    size_t q = static_cast<size_t>(std::lower_bound(starts.begin() + p, starts.end(), e_x) -
+    size_t q = static_cast<size_t>(std::lower_bound(starts.begin() + p, starts.end(), sufmin[p]) -
                                    starts.begin());
-    // [p, q) = unfinished with start < e_x; nonempty (the argmin itself)
+    // [p, q) is nonempty (it holds the argmin) and an antichain: every
+    // member ends after every member's start, so each one's end position
+    // is >= every kpre in the round. A raise therefore never touches a
+    // Fenwick node another member's query reads, and lines 6 and 7 of
+    // Algorithm 2 share one loop.
     parallel_for(p, q, [&](size_t j) {
       uint32_t id = sidx[j];
-      size_t k = compat_prefix(ends, acts[id].start);
-      res.dp[id] = acts[id].weight + std::max<int64_t>(fw.prefix_max(k), 0);
-    });
-    parallel_for(p, q, [&](size_t j) {
-      uint32_t id = sidx[j];
+      res.dp[id] = acts[id].weight + std::max<int64_t>(fw.prefix_max(kpre[j]), 0);
       fw.raise(id, res.dp[id]);
     });
     res.stats.record_frontier(q - p);

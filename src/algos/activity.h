@@ -5,16 +5,14 @@
 // answer is max_i dp[i]. The rank of activity i is the maximum number of
 // pairwise-compatible activities ending with i.
 //
-// Four implementations sharing that contract:
+// Three implementations sharing that contract:
 //   activity_select_seq        — classic sequential O(n log n) DP
 //                                (Fenwick prefix-max over the end order);
-//   activity_select_type1      — Algorithm 2: two PA-BSTs; frontier = all
-//                                unfinished activities starting before the
-//                                earliest unfinished end (range query);
-//   activity_select_type1_flat — same frontier rule on flat sorted arrays
-//                                + suffix-min + atomic Fenwick (the
-//                                "arrays beat trees" ablation; cf. the
-//                                paper's footnote 5 remark for SSSP);
+//   activity_select_type1      — Algorithm 2: frontier = all unfinished
+//                                activities starting before the earliest
+//                                unfinished end; T_time is the start order
+//                                with suffix minima of end, T_DP an atomic
+//                                prefix-max Fenwick;
 //   activity_select_type2      — Sec. 5.1: each activity pivots on the
 //                                latest-starting compatible predecessor
 //                                (Lemma 5.1: rank(x) = rank(pivot)+1), so
@@ -52,7 +50,6 @@ void sort_activities(std::vector<activity>& acts);
 
 activity_result activity_select_seq(std::span<const activity> acts, const context& ctx);
 activity_result activity_select_type1(std::span<const activity> acts, const context& ctx);
-activity_result activity_select_type1_flat(std::span<const activity> acts, const context& ctx);
 activity_result activity_select_type2(std::span<const activity> acts, const context& ctx);
 
 // Random instance following Sec. 6.1: uniform start times in [0, t_range),

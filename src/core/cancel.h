@@ -16,8 +16,8 @@
 //   auto res = pp::registry::run("lis/parallel", in, ctx.with_cancel(tok));
 //   if (res.status == pp::run_status::cancelled) ...  // unwound between rounds
 //
-// Granularity is the *phase*: the round loops (core/phase_runner.h,
-// core/dominance_dp.h, and the hand-rolled loops in src/algos/) call
+// Granularity is the *phase*: the round loops (core/dominance_dp.h and
+// the hand-rolled loops in src/algos/) call
 // `cancel_point()` between rounds on the run's own thread, which throws
 // `cancelled_error` when the installed token has been cancelled or its
 // deadline has passed. `run_timed` (core/result.h) catches it and stamps

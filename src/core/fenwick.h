@@ -3,11 +3,12 @@
 //
 // Prefix-max Fenwicks only ever *raise* values, which makes the atomic
 // variant race-free under concurrent updates (write_max per node is
-// commutative and monotone): batches of dp updates in the flat Type-1
-// activity-selection variant and the Type-2 wake-up algorithms can be
-// applied with plain parallel_for. Queries must still be separated from
-// updates by the round structure (the phase-parallel frontier guarantees
-// all dp values a query depends on were written in earlier rounds).
+// commutative and monotone): batches of dp updates in Type-1 activity
+// selection and the Type-2 wake-up algorithms can be applied with plain
+// parallel_for. A query must not race a raise it depends on: the round
+// structure writes every dp value a query needs in an earlier round.
+// prefix_max(k) reads only nodes <= k and raise(p) writes only nodes
+// > p, so a query may run beside raises at positions >= k.
 #pragma once
 
 #include <atomic>

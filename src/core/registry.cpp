@@ -94,7 +94,10 @@ std::string summary_of(const solver_value& v) {
         else if constexpr (std::is_same_v<T, huffman_result>) return "huffman(wpl)";
         else if constexpr (std::is_same_v<T, list_ranking_result>) return "list(checksum)";
         else if constexpr (std::is_same_v<T, weighted_ranking_result>) return "list(checksum)";
-        else return "shuffle(checksum)";
+        else if constexpr (std::is_same_v<T, shuffle_result>) return "shuffle(checksum)";
+        else if constexpr (std::is_same_v<T, knapsack_result>) return "knapsack(best)";
+        else if constexpr (std::is_same_v<T, whac_result>) return "whac(best)";
+        else static_assert(sizeof(T) == 0, "summary_of: result type has no label");
       },
       v);
   phase_stats st = stats_of(v);
@@ -538,13 +541,9 @@ void register_builtins(registry& r) {
                [act](const problem_input& in, const context& ctx) -> solver_value {
                  return activity_select_seq(act(in, "activity/sequential").acts, ctx);
                });
-  r.add_solver({"activity/type1", "activity", "Algorithm 2: PA-BST range-query frontiers"},
+  r.add_solver({"activity/type1", "activity", "Algorithm 2: range-query frontiers on flat arrays"},
                [act](const problem_input& in, const context& ctx) -> solver_value {
                  return activity_select_type1(act(in, "activity/type1").acts, ctx);
-               });
-  r.add_solver({"activity/type1_flat", "activity", "Type-1 frontiers on flat sorted arrays"},
-               [act](const problem_input& in, const context& ctx) -> solver_value {
-                 return activity_select_type1_flat(act(in, "activity/type1_flat").acts, ctx);
                });
   r.add_solver({"activity/type2", "activity", "Sec. 5.1 pivot wake-ups"},
                [act](const problem_input& in, const context& ctx) -> solver_value {

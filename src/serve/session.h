@@ -11,9 +11,8 @@
 //   snapshot_input s = tab.snapshot("road");  // immutable view of version v+1
 //   eng.submit({.solver="sssp/incremental", .input=s, .session="road"});
 //
-// Versioning model (the PAM shape, cf. src/pabst/augmented_map.h's header
-// note — that tree rebuilds in place, so the session store keeps its own
-// persistent structure):
+// Versioning model (the PAM shape: versions share structure by path
+// copying):
 //
 //  * Every version is an immutable `version_state` held by shared_ptr —
 //    the reader refcount. snapshot() pins the current head; a solve in

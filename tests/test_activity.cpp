@@ -1,4 +1,4 @@
-// Tests for weighted activity selection: all four implementations must
+// Tests for weighted activity selection: all three implementations must
 // agree with each other and with an O(n^2) brute force; rounds must track
 // the input rank.
 #include <gtest/gtest.h>
@@ -52,16 +52,13 @@ TEST_P(ActivityRandom, AllImplementationsMatchBrute) {
 
   auto seq = pp::activity_select_seq(acts, kCtx);
   auto t1 = pp::activity_select_type1(acts, kCtx);
-  auto t1f = pp::activity_select_type1_flat(acts, kCtx);
   auto t2 = pp::activity_select_type2(acts, kCtx);
 
   EXPECT_EQ(seq.dp, expect);
   EXPECT_EQ(t1.dp, expect);
-  EXPECT_EQ(t1f.dp, expect);
   EXPECT_EQ(t2.dp, expect);
   EXPECT_EQ(seq.best, best);
   EXPECT_EQ(t1.best, best);
-  EXPECT_EQ(t1f.best, best);
   EXPECT_EQ(t2.best, best);
 }
 
@@ -69,11 +66,11 @@ TEST_P(ActivityRandom, ParallelVariantsAgreeOnRounds) {
   auto [n, t_range, seed] = GetParam();
   auto acts = small_random(n, t_range, std::max<int64_t>(t_range / 4, 2), seed);
   auto t1 = pp::activity_select_type1(acts, kCtx);
-  auto t1f = pp::activity_select_type1_flat(acts, kCtx);
   auto t2 = pp::activity_select_type2(acts, kCtx);
-  // All three process frontier r = the rank-r activities: same round count.
-  EXPECT_EQ(t1.stats.rounds, t1f.stats.rounds);
+  // Both process frontier r = the rank-r activities: the same rounds and
+  // the same largest frontier.
   EXPECT_EQ(t1.stats.rounds, t2.stats.rounds);
+  EXPECT_EQ(t1.stats.max_frontier, t2.stats.max_frontier);
   EXPECT_EQ(t1.stats.processed, acts.size());
   EXPECT_EQ(t2.stats.processed, acts.size());
 }
@@ -87,6 +84,24 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ActivityRandom,
                                            std::tuple{size_t{500}, int64_t{50}, uint64_t{6}},
                                            std::tuple{size_t{1000}, int64_t{10000}, uint64_t{7}},
                                            std::tuple{size_t{1000}, int64_t{30}, uint64_t{8}}));
+
+// At n = 20k the kpre prepass runs as 20 block tasks, and at grain 64 the
+// largest frontier rounds (over 2 x 64 activities, asserted below) split
+// into tasks too; at 4 workers those tasks run concurrently.
+class ActivityForked : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ActivityForked, Type1MatchesSeqWhenRoundsFork) {
+  auto acts = small_random(20000, 4000, 400, 12);
+  auto seq = pp::activity_select_seq(acts, kCtx);
+  auto ctx = kCtx.with_workers(GetParam()).with_grain(64);
+  auto t1 = pp::activity_select_type1(acts, ctx);
+  EXPECT_EQ(t1.dp, seq.dp);
+  EXPECT_EQ(t1.best, seq.best);
+  EXPECT_EQ(t1.stats.processed, acts.size());
+  EXPECT_GT(t1.stats.max_frontier, 2 * 64u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, ActivityForked, ::testing::Values(1u, 4u));
 
 TEST(Activity, DisjointChainHasRankN) {
   // n back-to-back activities: rank = n, dp strictly increasing.
@@ -137,8 +152,8 @@ TEST(Activity, GeneratorRankScalesWithLength) {
   // Longer mean durations => fewer compatible chains => smaller rank.
   auto short_acts = pp::random_activities(20000, 1000000, 10.0, 3.0, 10, 11);
   auto long_acts = pp::random_activities(20000, 1000000, 10000.0, 300.0, 10, 11);
-  auto r_short = pp::activity_select_type1_flat(short_acts, kCtx).stats.rounds;
-  auto r_long = pp::activity_select_type1_flat(long_acts, kCtx).stats.rounds;
+  auto r_short = pp::activity_select_type1(short_acts, kCtx).stats.rounds;
+  auto r_long = pp::activity_select_type1(long_acts, kCtx).stats.rounds;
   EXPECT_GT(r_short, r_long);
 }
 

@@ -61,7 +61,6 @@ TEST(Cancel, PreCancelledTokenUnwindsEveryInstrumentedSolver) {
       {"lis/parallel", "lis"},
       {"whac/parallel", "whac"},
       {"activity/type1", "activity"},
-      {"activity/type1_flat", "activity"},
       {"activity/type2", "activity"},
       {"activity_unweighted/parallel", "activity"},
       {"mis/rounds", "graph"},

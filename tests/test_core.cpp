@@ -1,5 +1,5 @@
 // Direct unit tests for src/core: Fenwick prefix-max trees (plain and
-// atomic/concurrent), the Type-1 runner, and phase statistics.
+// atomic/concurrent) and phase statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/fenwick.h"
-#include "core/phase_runner.h"
 #include "core/stats.h"
 #include "parallel/random.h"
 
@@ -68,28 +67,6 @@ TEST(AtomicFenwickMax, RepeatedConcurrentRaisesSamePosition) {
   pp::atomic_fenwick_max<int64_t> fw(64, 0);
   pp::parallel_for(0, 10000, [&](size_t i) { fw.raise(i % 64, static_cast<int64_t>(i)); }, 8);
   EXPECT_EQ(fw.prefix_max(64), 9999);
-}
-
-TEST(PhaseRunner, RunsUntilEmptyAndCollectsStats) {
-  int round = 0;
-  auto stats = pp::run_type1(
-      [&]() {
-        ++round;
-        return std::vector<int>(round <= 4 ? 10 - 2 * round : 0, 7);
-      },
-      [&](const std::vector<int>& frontier) {
-        for (int x : frontier) EXPECT_EQ(x, 7);
-      });
-  EXPECT_EQ(stats.rounds, 4u);
-  EXPECT_EQ(stats.processed, 8u + 6 + 4 + 2);
-  EXPECT_EQ(stats.max_frontier, 8u);
-}
-
-TEST(PhaseRunner, EmptyFirstFrontierMeansZeroRounds) {
-  auto stats = pp::run_type1([]() { return std::vector<int>{}; },
-                             [](const std::vector<int>&) { FAIL(); });
-  EXPECT_EQ(stats.rounds, 0u);
-  EXPECT_EQ(stats.processed, 0u);
 }
 
 TEST(PhaseStats, AvgWakeups) {

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <limits>
 #include <random>
-#include <set>
 #include <vector>
 
 #include "algos/activity.h"
@@ -15,7 +14,6 @@
 #include "algos/mis.h"
 #include "algos/whac.h"
 #include "graph/generators.h"
-#include "pabst/augmented_map.h"
 #include "parallel/random.h"
 
 namespace {
@@ -155,78 +153,6 @@ TEST(PaperTheorems, WhacDominanceTransformIsExact) {
     bool dominance = (a.t + a.p < b.t + b.p) && (a.t - a.p < b.t - b.p);
     ASSERT_EQ(reachable, dominance) << a.t << "," << a.p << " -> " << b.t << "," << b.p;
   }
-}
-
-// --- PA-BST set operations (Just Join) --------------------------------------------
-
-using MaxEntry = pp::max_val_entry<int64_t, int64_t, std::numeric_limits<int64_t>::min()>;
-using MaxMap = pp::augmented_map<MaxEntry>;
-
-MaxMap make_map(const std::set<int64_t>& keys, int64_t val_base) {
-  std::vector<MaxMap::entry_t> es;
-  for (auto k : keys) es.push_back({k, val_base + k});
-  return MaxMap::from_sorted(es);
-}
-
-class SetOps : public ::testing::TestWithParam<std::tuple<size_t, size_t, uint64_t>> {
- protected:
-  void SetUp() override {
-    auto [na, nb, seed] = GetParam();
-    std::mt19937_64 gen(seed);
-    for (size_t i = 0; i < na; ++i) ka_.insert(static_cast<int64_t>(gen() % 5000));
-    for (size_t i = 0; i < nb; ++i) kb_.insert(static_cast<int64_t>(gen() % 5000));
-  }
-  std::set<int64_t> ka_, kb_;
-};
-
-TEST_P(SetOps, UnionMatchesStdAndPrefersLeft) {
-  auto u = MaxMap::map_union(make_map(ka_, 1000000), make_map(kb_, 2000000));
-  std::set<int64_t> expect = ka_;
-  expect.insert(kb_.begin(), kb_.end());
-  ASSERT_EQ(u.size(), expect.size());
-  EXPECT_TRUE(u.check_invariants());
-  for (auto k : expect) {
-    const int64_t* v = u.find(k);
-    ASSERT_NE(v, nullptr);
-    EXPECT_EQ(*v, (ka_.count(k) ? 1000000 : 2000000) + k);
-  }
-}
-
-TEST_P(SetOps, IntersectionMatchesStd) {
-  auto m = MaxMap::map_intersection(make_map(ka_, 0), make_map(kb_, 0));
-  std::vector<int64_t> expect;
-  std::set_intersection(ka_.begin(), ka_.end(), kb_.begin(), kb_.end(),
-                        std::back_inserter(expect));
-  ASSERT_EQ(m.size(), expect.size());
-  EXPECT_TRUE(m.check_invariants());
-  for (auto k : expect) EXPECT_TRUE(m.contains(k));
-}
-
-TEST_P(SetOps, DifferenceMatchesStd) {
-  auto m = MaxMap::map_difference(make_map(ka_, 0), make_map(kb_, 0));
-  std::vector<int64_t> expect;
-  std::set_difference(ka_.begin(), ka_.end(), kb_.begin(), kb_.end(),
-                      std::back_inserter(expect));
-  ASSERT_EQ(m.size(), expect.size());
-  EXPECT_TRUE(m.check_invariants());
-  for (auto k : expect) EXPECT_TRUE(m.contains(k));
-  for (auto k : kb_) EXPECT_FALSE(m.contains(k));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SetOps,
-                         ::testing::Values(std::tuple{size_t{0}, size_t{100}, 1ul},
-                                           std::tuple{size_t{100}, size_t{0}, 2ul},
-                                           std::tuple{size_t{50}, size_t{50}, 3ul},
-                                           std::tuple{size_t{2000}, size_t{2000}, 4ul},
-                                           std::tuple{size_t{3000}, size_t{10}, 5ul},
-                                           std::tuple{size_t{10}, size_t{3000}, 6ul}));
-
-TEST(SetOps, UnionAugmentationCorrect) {
-  std::set<int64_t> ka = {1, 3, 5}, kb = {2, 3, 8};
-  auto u = MaxMap::map_union(make_map(ka, 100), make_map(kb, 0));
-  // values: 101,2,103,105,8 -> max 105
-  EXPECT_EQ(u.aug_all(), 105);
-  EXPECT_EQ(u.aug_le(3), 103);
 }
 
 }  // namespace
