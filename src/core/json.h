@@ -2,11 +2,12 @@
 //
 // The machine-readable result envelopes (`pp::to_json` over run_result /
 // batch_result in core/registry.h, and ppdriver's --json output) are built
-// on the writer. The writer emits RFC 8259 JSON: objects/arrays with
-// automatic comma placement, full string escaping, and doubles via %.17g
-// (shortest round-trip is not required; 17 significant digits always
-// round-trips). Non-finite doubles have no JSON spelling and are emitted
-// as null.
+// on the writer: value() writes a vector as an array and a record with a
+// field list (core/fields.h) as an object. The writer emits RFC 8259 JSON:
+// objects/arrays with automatic comma placement, full string escaping, and
+// doubles via %.17g (shortest round-trip is not required; 17 significant
+// digits always round-trips). Non-finite doubles have no JSON spelling and
+// are emitted as null.
 //
 // The reader (json::value + json::parse below) is the counterpart the
 // ppserve daemon uses to decode newline-delimited request lines: a small
@@ -25,12 +26,14 @@
 
 #include <cerrno>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -111,8 +114,33 @@ class writer {
     return *this;
   }
 
+  // Any other integer type, as the 64-bit type of its signedness.
+  template <std::integral I>
+    requires(!std::same_as<I, bool>)
+  writer& value(I v) {
+    if constexpr (std::is_signed_v<I>) return value(static_cast<int64_t>(v));
+    else return value(static_cast<uint64_t>(v));
+  }
+
   template <typename V>
-  writer& member(std::string_view k, V v) {
+  writer& value(const std::vector<V>& xs) {
+    begin_array();
+    for (const V& x : xs) value(x);
+    return end_array();
+  }
+
+  // A record with a field list (core/fields.h): one object of its fields,
+  // written by the write_fields overload found next to the record's type.
+  template <typename R>
+    requires requires(writer& w, const R& r) { write_fields(w, r); }
+  writer& value(const R& r) {
+    begin_object();
+    write_fields(*this, r);
+    return end_object();
+  }
+
+  template <typename V>
+  writer& member(std::string_view k, const V& v) {
     key(k);
     return value(v);
   }

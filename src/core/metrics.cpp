@@ -1,53 +1,17 @@
-// The one place metric names live. tools/pplint.py's metrics-coverage
-// rule extracts every `("pp_..."` literal below and requires it to appear
-// in both the README metric catalog and the tests/test_trace.cpp
-// Prometheus golden — add a metric here and the lint tells you where the
-// docs and tests still owe it.
+// Registration and Prometheus rendering of the catalog that PP_METRICS
+// lists in core/metrics.h.
 #include "core/metrics.h"
 
 #include <cstdio>
 
 namespace pp::metrics {
 
-catalog::catalog()
-    : serve_submitted("pp_serve_submitted_total",
-                      "Requests admitted to the engine queue as entries"),
-      serve_completed("pp_serve_completed_total",
-                      "Responses delivered ok (cache hits and fanned-out waiters included)"),
-      serve_failed("pp_serve_failed_total", "Responses delivered with a non-QoS error"),
-      serve_expired("pp_serve_expired_total",
-                    "Requests dropped because their deadline passed while queued"),
-      serve_cancelled("pp_serve_cancelled_total",
-                      "Requests whose solve was cancelled mid-run by a blown deadline"),
-      serve_cache_hits("pp_serve_cache_hits_total",
-                       "Requests answered from the result cache at admission"),
-      serve_cache_misses("pp_serve_cache_misses_total",
-                         "Cache lookups that held no entry for the key"),
-      serve_deduped("pp_serve_deduped_total",
-                    "Requests collapsed onto an identical in-flight execution"),
-      serve_queue_depth("pp_serve_queue_depth", "Requests waiting in the admission queue"),
-      serve_inflight("pp_serve_inflight_runs", "run_batch flushes executing right now"),
-      serve_batch_size("pp_serve_batch_size", "Coalesced requests per run_batch flush"),
-      serve_latency_interactive("pp_serve_latency_interactive_usec",
-                                "Submit-to-delivery latency, interactive class (microseconds)"),
-      serve_latency_batch("pp_serve_latency_batch_usec",
-                          "Submit-to-delivery latency, batch class (microseconds)"),
-      trace_ring_overwrites("pp_trace_ring_overwrites_total",
-                            "Trace records lost to per-thread ring wraparound (a nonzero "
-                            "value means a timeline dump is missing its oldest spans)"),
-      pool_leases("pp_pool_leases_total", "Work-stealing pool lease acquisitions"),
-      mq_popped("pp_mq_popped_total", "Elements claimed from relaxed k-MultiQueues"),
-      mq_wasted("pp_mq_wasted_total",
-                "MultiQueue pops that were stale or already decided (relaxation cost)"),
-      mq_retries("pp_mq_retries_total",
-                 "MultiQueue empty best-of-two draws and not-yet-ready re-inserts") {
-  counters_ = {&serve_submitted,  &serve_completed,    &serve_failed,
-               &serve_expired,    &serve_cancelled,    &serve_cache_hits,
-               &serve_cache_misses, &serve_deduped,    &trace_ring_overwrites,
-               &pool_leases,      &mq_popped,          &mq_wasted,
-               &mq_retries};
-  gauges_ = {&serve_queue_depth, &serve_inflight};
-  histograms_ = {&serve_batch_size, &serve_latency_interactive, &serve_latency_batch};
+catalog::catalog() {
+#define PP_ADD_SERVE_COUNTER(type, name, ...) add(serve_##name);
+#define PP_ADD_METRIC(kind, name, ...) add(name);
+  PP_METRICS(PP_ADD_SERVE_COUNTER, PP_ADD_METRIC)
+#undef PP_ADD_SERVE_COUNTER
+#undef PP_ADD_METRIC
 }
 
 catalog& catalog::get() {

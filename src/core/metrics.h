@@ -7,12 +7,13 @@
 // one fetch_add, there are no locks and no per-call allocation, so the
 // serving hot path can bump them unconditionally.
 //
-// The full catalog is registered eagerly in one place (catalog's
-// constructor, src/core/metrics.cpp — the only file where metric name
-// literals live, which is what lets tools/pplint.py's metrics-coverage
-// rule cross-check the README catalog and the test golden against the
-// code). render_prometheus() therefore always emits every metric, zeroed
-// or not, so scrapers see a stable schema from the first scrape.
+// The full catalog is one list, PP_METRICS below: each metric's member,
+// Prometheus name and help, written once (this file is the only place
+// metric name literals live, which is what lets tools/pplint.py's
+// metrics-coverage rule cross-check the README catalog and the test golden
+// against the code). The list declares the catalog's members and registers
+// them eagerly, so render_prometheus() always emits every metric, zeroed or
+// not, and scrapers see a stable schema from the first scrape.
 //
 // Exposed by ppserve as `{"metrics": true}` request lines (text carried
 // in the JSON response) and as a loopback HTTP `GET /metrics` responder
@@ -24,6 +25,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "core/fields.h"
 
 namespace pp::metrics {
 
@@ -103,32 +106,71 @@ class histogram {
   std::atomic<uint64_t> sum_{0};
 };
 
+// The serving engine's request counters, in engine_stats order. Each is an
+// engine_stats field and a per-engine atomic (src/serve/engine.h); a
+// CATALOGUED one is also the process-wide counter serve_<name> below, and
+// one engine::count() call bumps both.
+//   CATALOGUED(uint64_t, name, "prometheus name", "help")
+//   ENGINE_ONLY(uint64_t, name)
+#define PP_SERVE_COUNTERS(CATALOGUED, ENGINE_ONLY)                                          \
+  CATALOGUED(uint64_t, submitted, "pp_serve_submitted_total",                               \
+             "Requests admitted to the engine queue as entries")                            \
+  CATALOGUED(uint64_t, completed, "pp_serve_completed_total",                               \
+             "Responses delivered ok (cache hits and fanned-out waiters included)")         \
+  CATALOGUED(uint64_t, failed, "pp_serve_failed_total",                                     \
+             "Responses delivered with a non-QoS error")                                    \
+  CATALOGUED(uint64_t, expired, "pp_serve_expired_total",                                   \
+             "Requests dropped because their deadline passed while queued")                 \
+  CATALOGUED(uint64_t, cancelled, "pp_serve_cancelled_total",                               \
+             "Requests whose solve was cancelled mid-run by a blown deadline")              \
+  ENGINE_ONLY(uint64_t, batches) /* run_batch flushes (== pool leases taken) */             \
+  ENGINE_ONLY(uint64_t, batched) /* requests that shared a flush with >= 1 other */         \
+  CATALOGUED(uint64_t, cache_hits, "pp_serve_cache_hits_total",                             \
+             "Requests answered from the result cache at admission")                        \
+  CATALOGUED(uint64_t, cache_misses, "pp_serve_cache_misses_total",                         \
+             "Cache lookups that held no entry for the key")                                \
+  CATALOGUED(uint64_t, deduped, "pp_serve_deduped_total",                                   \
+             "Requests collapsed onto an identical in-flight execution")
+
+// Every process-wide metric: METRIC(kind, member, "prometheus name", "help"),
+// and the catalogued serve counters as members serve_<name>. Within each
+// kind, list order is registration and render order.
+#define PP_METRICS(SERVE_COUNTER, METRIC)                                                   \
+  PP_SERVE_COUNTERS(SERVE_COUNTER, PP_FIELD_NONE)                                            \
+  METRIC(gauge, serve_queue_depth, "pp_serve_queue_depth",                                  \
+         "Requests waiting in the admission queue")                                         \
+  METRIC(gauge, serve_inflight, "pp_serve_inflight_runs",                                   \
+         "run_batch flushes executing right now")                                           \
+  METRIC(histogram, serve_batch_size, "pp_serve_batch_size",                                \
+         "Coalesced requests per run_batch flush")                                          \
+  METRIC(histogram, serve_latency_interactive, "pp_serve_latency_interactive_usec",         \
+         "Submit-to-delivery latency, interactive class (microseconds)")                    \
+  METRIC(histogram, serve_latency_batch, "pp_serve_latency_batch_usec",                     \
+         "Submit-to-delivery latency, batch class (microseconds)")                          \
+  /* tracer ring buffers (core/trace.h) */                                                  \
+  METRIC(counter, trace_ring_overwrites, "pp_trace_ring_overwrites_total",                  \
+         "Trace records lost to per-thread ring wraparound (a nonzero "                     \
+         "value means a timeline dump is missing its oldest spans)")                        \
+  /* scheduler (src/parallel/scheduler.cpp) */                                              \
+  METRIC(counter, pool_leases, "pp_pool_leases_total",                                      \
+         "Work-stealing pool lease acquisitions")                                           \
+  /* relaxed k-MultiQueue (src/parallel/multiqueue.h) */                                    \
+  METRIC(counter, mq_popped, "pp_mq_popped_total",                                          \
+         "Elements claimed from relaxed k-MultiQueues")                                     \
+  METRIC(counter, mq_wasted, "pp_mq_wasted_total",                                          \
+         "MultiQueue pops that were stale or already decided (relaxation cost)")            \
+  METRIC(counter, mq_retries, "pp_mq_retries_total",                                        \
+         "MultiQueue empty best-of-two draws and not-yet-ready re-inserts")
+
 // The process catalog. Leaky singleton (same lifetime rule as the solver
 // registry): emission points from any thread, at any point of shutdown,
 // may still touch it.
 struct catalog {
-  // -- serving engine (src/serve/engine.cpp) --------------------------------
-  counter serve_submitted;
-  counter serve_completed;
-  counter serve_failed;
-  counter serve_expired;
-  counter serve_cancelled;
-  counter serve_cache_hits;
-  counter serve_cache_misses;
-  counter serve_deduped;
-  gauge serve_queue_depth;
-  gauge serve_inflight;
-  histogram serve_batch_size;
-  histogram serve_latency_interactive;
-  histogram serve_latency_batch;
-  // -- tracer ring buffers (core/trace.h) -----------------------------------
-  counter trace_ring_overwrites;
-  // -- scheduler (src/parallel/scheduler.cpp) -------------------------------
-  counter pool_leases;
-  // -- relaxed k-MultiQueue (src/parallel/multiqueue.h) ---------------------
-  counter mq_popped;
-  counter mq_wasted;
-  counter mq_retries;
+#define PP_SERVE_COUNTER_MEMBER(type, name, prom, help) counter serve_##name{prom, help};
+#define PP_METRIC_MEMBER(kind, name, prom, help) kind name{prom, help};
+  PP_METRICS(PP_SERVE_COUNTER_MEMBER, PP_METRIC_MEMBER)
+#undef PP_SERVE_COUNTER_MEMBER
+#undef PP_METRIC_MEMBER
 
   static catalog& get();
 
@@ -139,6 +181,9 @@ struct catalog {
 
  private:
   catalog();
+  void add(counter& m) { counters_.push_back(&m); }
+  void add(gauge& m) { gauges_.push_back(&m); }
+  void add(histogram& m) { histograms_.push_back(&m); }
   std::vector<counter*> counters_;
   std::vector<gauge*> gauges_;
   std::vector<histogram*> histograms_;

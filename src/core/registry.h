@@ -18,8 +18,10 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -44,13 +46,15 @@ namespace pp {
 
 // ---- Per-problem input descriptors ------------------------------------------
 //
-// Every descriptor has a canonicalizer (declared beside it, implemented in
-// registry.cpp) that emits its canonical word stream into a
-// fingerprint_stream — see the stability contract in core/fingerprint.h.
-// tools/pplint.py's fingerprint-coverage rule enforces that every
-// problem_input alternative keeps one.
+// Every descriptor names its problem (`problem`: the string its solvers
+// and its input factory register under) and has a canonicalizer (declared
+// beside it, implemented in registry.cpp) that emits its canonical word
+// stream into a fingerprint_stream — see the stability contract in
+// core/fingerprint.h. tools/pplint.py's fingerprint-coverage rule enforces
+// that every problem_input alternative keeps one.
 
-struct sequence_input {  // problem "lis": LIS / weighted LIS
+struct sequence_input {  // LIS / weighted LIS
+  static constexpr std::string_view problem = "lis";
   std::vector<int64_t> a;
   std::vector<int32_t> weights;  // empty = unit weights
 };
@@ -59,12 +63,14 @@ struct sequence_input {  // problem "lis": LIS / weighted LIS
 // canonicalizes to the empty spelling and the two fingerprint identically.
 void canonicalize(const sequence_input& in, fingerprint_stream& s);
 
-struct activity_input {  // problem "activity": weighted + unweighted selection
+struct activity_input {  // weighted + unweighted selection
+  static constexpr std::string_view problem = "activity";
   std::vector<activity> acts;  // sorted by sort_activities()
 };
 void canonicalize(const activity_input& in, fingerprint_stream& s);
 
-struct graph_input {  // problem "graph": MIS, coloring, matching
+struct graph_input {  // MIS, coloring, matching
+  static constexpr std::string_view problem = "graph";
   graph g;
   std::vector<uint32_t> vertex_priority;  // permutation of 0..n-1
   std::vector<uint32_t> edge_priority;    // permutation of 0..m-1 (canonical edge order)
@@ -73,25 +79,29 @@ struct graph_input {  // problem "graph": MIS, coloring, matching
 // from any edge-list ordering serialize — and fingerprint — identically.
 void canonicalize(const graph_input& in, fingerprint_stream& s);
 
-struct sssp_input {  // problem "sssp"
+struct sssp_input {
+  static constexpr std::string_view problem = "sssp";
   wgraph g;
   vertex_t source = 0;
   uint32_t delta = 0;  // 0 = let delta-stepping pick min edge weight
 };
 void canonicalize(const sssp_input& in, fingerprint_stream& s);
 
-struct huffman_input {  // problem "huffman"
+struct huffman_input {
+  static constexpr std::string_view problem = "huffman";
   std::vector<uint64_t> freqs;  // sorted ascending, all >= 1
 };
 void canonicalize(const huffman_input& in, fingerprint_stream& s);
 
-struct knapsack_input {  // problem "knapsack"
+struct knapsack_input {
+  static constexpr std::string_view problem = "knapsack";
   int64_t capacity = 0;
   std::vector<knapsack_item> items;
 };
 void canonicalize(const knapsack_input& in, fingerprint_stream& s);
 
-struct list_input {  // problem "list": list ranking (weighted when weights set)
+struct list_input {  // list ranking (weighted when weights set)
+  static constexpr std::string_view problem = "list";
   std::vector<uint32_t> next;
   std::vector<int64_t> weights;  // empty = unweighted ranking
 };
@@ -101,13 +111,15 @@ struct list_input {  // problem "list": list ranking (weighted when weights set)
 // weight vector is a logically different input and keeps its own bytes.
 void canonicalize(const list_input& in, fingerprint_stream& s);
 
-struct shuffle_input {  // problem "shuffle": parallel Knuth shuffle
+struct shuffle_input {  // parallel Knuth shuffle
+  static constexpr std::string_view problem = "shuffle";
   size_t n = 0;
   std::vector<uint32_t> targets;  // H[i] in [0, i]
 };
 void canonicalize(const shuffle_input& in, fingerprint_stream& s);
 
-struct whac_input {  // problem "whac": Whac-A-Mole dominance DP
+struct whac_input {  // Whac-A-Mole dominance DP
+  static constexpr std::string_view problem = "whac";
   std::vector<mole> moles;
 };
 void canonicalize(const whac_input& in, fingerprint_stream& s);
@@ -146,9 +158,10 @@ void canonicalize(const snapshot_input& in, fingerprint_stream& s);
 // through this so a snapshot behaves exactly like the value it pins.
 const problem_input& unwrap_snapshot(const problem_input& in);
 
-// Which problem the held alternative belongs to ("lis", "graph", ...) —
-// the same string solver_info::problem uses, so callers can check an
-// input/solver pairing without attempting a dispatch.
+// Which problem the held alternative belongs to (its descriptor's
+// `problem`: "lis", "graph", ...) — the same string solver_info::problem
+// uses, so callers can check an input/solver pairing without attempting a
+// dispatch.
 std::string_view problem_name_of(const problem_input& in);
 
 // The 128-bit content address of an input: variant tag + the held
@@ -177,10 +190,13 @@ int64_t score_of(const solver_value& v);
 // One-line human-readable summary of the payload.
 std::string summary_of(const solver_value& v);
 
-// Machine-readable envelopes (core/json.h writer; no external deps). The
-// batch form nests every per-item envelope under "items" plus the
-// aggregate seconds/rounds/scores, so CI can track the perf trajectory of
-// a whole batch from one document.
+// Machine-readable envelopes (core/json.h writer; no external deps),
+// generated from PP_RUN_RESULT_FIELDS / PP_BATCH_RESULT_FIELDS. The batch
+// form nests every per-item envelope under "items" plus the aggregate
+// seconds/rounds/scores, so CI can track the perf trajectory of a whole
+// batch from one document.
+void write_fields(json::writer& w, const run_result<solver_value>& r);
+void write_fields(json::writer& w, const batch_result<solver_value>& r);
 std::string to_json(const run_result<solver_value>& r);
 std::string to_json(const batch_result<solver_value>& b);
 
@@ -251,8 +267,17 @@ class registry {
   // The process-wide registry, with all built-in solvers registered.
   static registry& instance();
 
-  void add_solver(solver_info info, solver_fn fn);
-  void add_problem(std::string name, std::string description, input_fn make);
+  // Register `fn`, a lambda `(const In&, const context&)` over one input
+  // descriptor In that returns a solver_value alternative (it may also take
+  // the dispatched problem_input, snapshot wrapper included, as a third
+  // argument). The solver's problem is In::problem; dispatching any other
+  // alternative throws std::invalid_argument.
+  template <typename F>
+  void add_solver(std::string name, std::string description, F fn);
+  // Register `make(n, seed)`, which returns a descriptor In, as the default
+  // random instance of problem In::problem.
+  template <typename F>
+  void add_problem(std::string description, F make);
 
   bool contains(std::string_view name) const;
   std::vector<solver_info> solvers() const;    // sorted by name
@@ -319,5 +344,45 @@ class registry {
   std::map<std::string, solver_entry, std::less<>> solvers_;
   std::map<std::string, problem_entry, std::less<>> problems_;
 };
+
+namespace detail {
+// The input descriptor a solver callable takes: its first parameter.
+template <typename M>
+struct solver_input;
+template <typename F, typename R, typename In, typename... Rest>
+struct solver_input<R (F::*)(const In&, Rest...) const> {
+  using type = In;
+};
+}  // namespace detail
+
+template <typename F>
+void registry::add_solver(std::string name, std::string description, F fn) {
+  using In = typename detail::solver_input<decltype(&F::operator())>::type;
+  auto run = [fn, who = name](const problem_input& in, const context& ctx) -> solver_value {
+    // Snapshots dispatch as the input they pin, so every solver accepts
+    // session traffic without knowing sessions exist.
+    const In* x = std::get_if<In>(&unwrap_snapshot(in));
+    if (!x) {
+      throw std::invalid_argument("pp::registry: solver '" + who + "' expects a '" +
+                                  std::string(In::problem) +
+                                  "' input (wrong problem_input alternative)");
+    }
+    if constexpr (std::is_invocable_v<const F&, const In&, const context&, const problem_input&>) {
+      return fn(*x, ctx, in);
+    } else {
+      return fn(*x, ctx);
+    }
+  };
+  solvers_.insert_or_assign(
+      name, solver_entry{{name, std::string(In::problem), std::move(description)}, std::move(run)});
+}
+
+template <typename F>
+void registry::add_problem(std::string description, F make) {
+  using In = std::invoke_result_t<F, size_t, uint64_t>;
+  std::string name(In::problem);
+  problems_.insert_or_assign(
+      name, problem_entry{problem_info{name, std::move(description)}, std::move(make)});
+}
 
 }  // namespace pp

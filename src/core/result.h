@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/context.h"
+#include "core/fields.h"
 #include "core/fingerprint.h"
 #include "core/stats.h"
 #include "core/trace.h"
@@ -40,21 +41,33 @@ inline const char* run_status_name(run_status s) {
   return s == run_status::ok ? "ok" : "cancelled";
 }
 
+// The envelope's fields in JSON order (core/fields.h). `score` and
+// `summary` are defined for the registry's solver_value payload
+// (core/registry.h), the only run_result that is written as JSON.
+//   stats:    copied out of value.stats when present
+//   input_fp: canonical fingerprint of the input the run consumed
+//             (core/fingerprint.h). Filled by the registry dispatchers,
+//             which hold the problem_input; all-zero when the envelope was
+//             built around a raw closure (run_timed) that never saw one.
+#define PP_RUN_RESULT_FIELDS(F, P, D)                                         \
+  F(std::string, solver)     /* registry name, e.g. "lis/parallel" */         \
+  P(backend_kind, backend)   /* backend the run used */                       \
+  D("backend", backend_name(r.backend))                                       \
+  F(unsigned, workers)       /* actual worker count the run executed on */    \
+  F(uint64_t, seed)          /* seed the run used */                          \
+  P(run_status, status)      /* ok, or cancelled mid-run */                   \
+  D("status", run_status_name(r.status))                                      \
+  P(fingerprint, input_fp)                                                    \
+  D("input_fingerprint", r.input_fp.hex())                                    \
+  F(double, seconds)         /* wall-clock time of the solver call */         \
+  P(T, value)                /* the solver's own result struct */             \
+  D("score", score_of(r.value))                                               \
+  D("summary", summary_of(r.value))                                           \
+  F(phase_stats, stats)
+
 template <typename T>
 struct run_result {
-  T value{};             // the solver's own result struct
-  phase_stats stats{};   // copied out of value.stats when present
-  double seconds = 0.0;  // wall-clock time of the solver call
-  backend_kind backend = backend_kind::native;  // backend the run used
-  uint64_t seed = 0;                            // seed the run used
-  unsigned workers = 0;  // actual worker count the run executed on
-  run_status status = run_status::ok;           // ok, or cancelled mid-run
-  std::string solver;                           // registry name, e.g. "lis/parallel"
-  // Canonical fingerprint of the input the run consumed (core/fingerprint.h).
-  // Filled by the registry dispatchers, which hold the problem_input;
-  // all-zero when the envelope was built around a raw closure (run_timed)
-  // that never saw a registry input.
-  fingerprint input_fp{};
+  PP_DECLARE_FIELDS(PP_RUN_RESULT_FIELDS)
 
   bool cancelled() const { return status == run_status::cancelled; }
 };
@@ -92,31 +105,38 @@ inline const char* item_order_name(batch_options::item_order o) {
   return o == batch_options::item_order::as_given ? "as_given" : "shuffled";
 }
 
+// The batch envelope's fields in JSON order (core/fields.h).
+//   items:  index-aligned with the input span
+//   scores: canonical per-item score (score_of)
+//   *_seconds, total_rounds: aggregates over items[*].seconds / .stats
+//     (recompute_aggregates()). Percentiles are nearest-rank, so each one is
+//     an actual observed item time and the ordering min <= p50 <= p95 <=
+//     p99 <= max always holds (as does min <= mean <= max). Only items that
+//     completed (run_status::ok) contribute: a cancelled item's partial (or
+//     zero, when skipped) solve time is not a completed-solve observation
+//     and would deflate min/mean/percentiles. All items cancelled = all
+//     aggregates zero.
+#define PP_BATCH_RESULT_FIELDS(F, P, D)                                          \
+  F(std::string, solver)     /* registry name, e.g. "lis/parallel" */            \
+  P(backend_kind, backend)   /* backend the batch used */                        \
+  D("backend", backend_name(r.backend))                                          \
+  F(unsigned, workers)       /* width of the one scheduler binding */            \
+  F(uint64_t, seed)          /* base seed (items derive from it by index) */     \
+  D("count", r.count())                                                          \
+  F(double, total_seconds)   /* sum of per-item solve times */                   \
+  F(double, min_seconds)                                                         \
+  F(double, mean_seconds)                                                        \
+  F(double, p50_seconds)     /* nearest-rank median */                           \
+  F(double, p95_seconds)     /* nearest-rank 95th percentile */                  \
+  F(double, p99_seconds)     /* nearest-rank 99th percentile */                  \
+  F(double, max_seconds)                                                         \
+  F(size_t, total_rounds)    /* summed phase rounds across items */              \
+  F(std::vector<int64_t>, scores)                                                \
+  F(std::vector<run_result<T>>, items)
+
 template <typename T>
 struct batch_result {
-  std::vector<run_result<T>> items;  // index-aligned with the input span
-  std::vector<int64_t> scores;       // canonical per-item score (score_of)
-
-  // Aggregates over items[*].seconds / .stats (recompute_aggregates()).
-  // Percentiles are nearest-rank, so each one is an actual observed item
-  // time and the ordering min <= p50 <= p95 <= p99 <= max always holds
-  // (as does min <= mean <= max). Only items that completed (run_status::
-  // ok) contribute: a cancelled item's partial (or zero, when skipped)
-  // solve time is not a completed-solve observation and would deflate
-  // min/mean/percentiles. All items cancelled = all aggregates zero.
-  double total_seconds = 0.0;  // sum of per-item solve times
-  double min_seconds = 0.0;
-  double mean_seconds = 0.0;
-  double p50_seconds = 0.0;  // nearest-rank median
-  double p95_seconds = 0.0;  // nearest-rank 95th percentile
-  double p99_seconds = 0.0;  // nearest-rank 99th percentile
-  double max_seconds = 0.0;
-  size_t total_rounds = 0;   // summed phase rounds across items
-
-  backend_kind backend = backend_kind::native;  // backend the batch used
-  uint64_t seed = 0;      // base seed (items derive from it by index)
-  unsigned workers = 0;   // width of the one scheduler binding
-  std::string solver;     // registry name, e.g. "lis/parallel"
+  PP_DECLARE_FIELDS(PP_BATCH_RESULT_FIELDS)
 
   size_t count() const { return items.size(); }
 

@@ -5,22 +5,27 @@
 
 #include <cstddef>
 
+#include "core/fields.h"
 #include "core/trace.h"
 
 namespace pp {
 
-struct phase_stats {
-  size_t rounds = 0;             // parallel rounds executed (== rank(S) for exact ranks)
-  size_t processed = 0;          // objects processed in total
-  size_t wakeup_attempts = 0;    // Type-2: readiness checks performed
-  size_t max_frontier = 0;       // largest single-round frontier
-  size_t substeps = 0;           // inner iterations (e.g. Delta-stepping Bellman-Ford substeps)
-  size_t relaxations = 0;        // SSSP edge relaxations
+// The counters in JSON order (core/fields.h). Relaxed k-MultiQueue runs
+// (parallel/multiqueue.h) fill popped/wasted/retries; phase runs leave them 0.
+#define PP_PHASE_STATS_FIELDS(F, P, D)                                                  \
+  F(size_t, rounds)          /* parallel rounds executed (== rank(S) for exact ranks) */ \
+  F(size_t, processed)       /* objects processed in total */                            \
+  F(size_t, wakeup_attempts) /* Type-2: readiness checks performed */                    \
+  F(size_t, max_frontier)    /* largest single-round frontier */                         \
+  F(size_t, substeps)        /* inner iterations (e.g. Delta-stepping substeps) */       \
+  F(size_t, relaxations)     /* SSSP edge relaxations */                                 \
+  F(size_t, popped)          /* elements claimed from the MultiQueue */                  \
+  F(size_t, wasted)          /* pops that were stale/already decided */                  \
+  F(size_t, retries)         /* empty best-of-two draws + not-yet-ready re-inserts */    \
+  D("avg_wakeups", r.avg_wakeups()) /* the paper's wake-ups per object, Table 2 */
 
-  // Relaxed k-MultiQueue mode (parallel/multiqueue.h; zero for phase runs).
-  size_t popped = 0;   // elements claimed from the MultiQueue
-  size_t wasted = 0;   // pops that were stale/already decided (relaxation cost)
-  size_t retries = 0;  // empty best-of-two draws + not-yet-ready re-inserts
+struct phase_stats {
+  PP_DECLARE_FIELDS(PP_PHASE_STATS_FIELDS)
 
   void record_frontier(size_t size) {
     // Per-round trace event (round index + frontier size); one relaxed
@@ -35,5 +40,7 @@ struct phase_stats {
     return processed == 0 ? 0.0 : static_cast<double>(wakeup_attempts) / static_cast<double>(processed);
   }
 };
+
+void write_fields(json::writer& w, const phase_stats& r);
 
 }  // namespace pp

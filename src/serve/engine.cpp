@@ -38,11 +38,9 @@ unsigned resolve_workers_per_run(unsigned requested, unsigned max_inflight) {
   return share == 0 ? 1 : share;
 }
 
-std::future<response> ready_error(std::string err, std::atomic<uint64_t>& failed,
-                                  const std::function<void(response)>& cb) {
+std::future<response> ready_error(std::string err, const std::function<void(response)>& cb) {
   response r;
   r.error = std::move(err);
-  failed.fetch_add(1, std::memory_order_relaxed);
   if (cb) {
     detail::guarded_invoke(cb, std::move(r));
     return {};
@@ -82,21 +80,21 @@ std::future<response> engine::enqueue(request&& req, std::function<void(response
   // batchmates.
   const solver_info* si = registry::instance().info(req.solver);
   if (si == nullptr) {
-    metrics::catalog::get().serve_failed.inc();
-    return ready_error("unknown solver '" + req.solver + "'", failed_, cb);
+    count(ctr::failed);
+    return ready_error("unknown solver '" + req.solver + "'", cb);
   }
   if (si->problem != problem_name_of(req.input)) {
-    metrics::catalog::get().serve_failed.inc();
+    count(ctr::failed);
     return ready_error("solver '" + req.solver + "' expects a '" + si->problem +
                            "' input, got '" + std::string(problem_name_of(req.input)) + "'",
-                       failed_, cb);
+                       cb);
   }
   // A deadline already in the past never enters the queue: reject it here
   // (an `expired` response) instead of letting it occupy bounded capacity
   // just to be dropped at pop time.
   if (req.deadline && *req.deadline <= std::chrono::steady_clock::now()) {
-    metrics::catalog::get().serve_expired.inc();
-    return ready_error("expired: deadline passed before admission", expired_, cb);
+    count(ctr::expired);
+    return ready_error("expired: deadline passed before admission", cb);
   }
 
   pending p;
@@ -129,8 +127,7 @@ std::future<response> engine::enqueue(request&& req, std::function<void(response
       lk.unlock();
       response r;
       r.error = "engine stopped";
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      metrics::catalog::get().serve_failed.inc();
+      count(ctr::failed);
       deliver(p, std::move(r));
       return fut;
     }
@@ -138,15 +135,11 @@ std::future<response> engine::enqueue(request&& req, std::function<void(response
     if (cache_lookup_locked(key_of(p), hit)) {
       from_cache = true;  // delivered below, outside the lock
     } else {
-      if (opts_.cache_entries > 0) {
-        cache_misses_.fetch_add(1, std::memory_order_relaxed);
-        metrics::catalog::get().serve_cache_misses.inc();
-      }
+      if (opts_.cache_entries > 0) count(ctr::cache_misses);
       if (attach_dup_locked(p)) {
         // Collapsed onto an identical execution: no queue entry, no
         // notify (nothing new became runnable).
-        deduped_.fetch_add(1, std::memory_order_relaxed);
-        metrics::catalog::get().serve_deduped.inc();
+        count(ctr::deduped);
         return fut;
       }
       if (!p.session.empty()) {
@@ -158,18 +151,15 @@ std::future<response> engine::enqueue(request&& req, std::function<void(response
         ss.queued.push_back(p.session_seq);
       }
       queues_[queue_index(p.prio)].push_back(std::move(p));
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      metrics::catalog::get().serve_submitted.inc();
+      count(ctr::submitted);
       metrics::catalog::get().serve_queue_depth.set(
           static_cast<int64_t>(queued_locked()));
     }
   }
   if (from_cache) {
     trace::instant("serve/cache_hit");
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    metrics::catalog::get().serve_cache_hits.inc();
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    metrics::catalog::get().serve_completed.inc();
+    count(ctr::cache_hits);
+    count(ctr::completed);
     deliver(p, std::move(hit));
     return fut;
   }
@@ -566,8 +556,8 @@ void engine::execute(std::vector<pending> batch) {
                                   std::chrono::steady_clock::now() - t0)
                                   .count()),
         std::memory_order_relaxed);
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    if (batch.size() > 1) batched_.fetch_add(batch.size(), std::memory_order_relaxed);
+    count(ctr::batches);
+    if (batch.size() > 1) count(ctr::batched, batch.size());
     for (; delivered < batch.size(); ++delivered) {
       pending& p = batch[delivered];
       response r;
@@ -590,22 +580,10 @@ void engine::execute(std::vector<pending> batch) {
       // finished envelopes.
       for (auto& w : waiters) {
         response copy = r;
-        if (ok_item) {
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          metrics::catalog::get().serve_completed.inc();
-        } else {
-          cancelled_.fetch_add(1, std::memory_order_relaxed);
-          metrics::catalog::get().serve_cancelled.inc();
-        }
+        count(ok_item ? ctr::completed : ctr::cancelled);
         deliver(w, std::move(copy));
       }
-      if (ok_item) {
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        metrics::catalog::get().serve_completed.inc();
-      } else {
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
-        metrics::catalog::get().serve_cancelled.inc();
-      }
+      count(ok_item ? ctr::completed : ctr::cancelled);
       deliver(p, std::move(r));
     }
   } catch (const std::exception& e) {
@@ -635,8 +613,7 @@ void engine::fail_from(std::vector<pending>& batch, size_t first, const char* wh
       finish_running_locked(batch[i], nullptr, waiters);
       session_release_flushed_locked(batch[i]);
     }
-    failed_.fetch_add(1 + waiters.size(), std::memory_order_relaxed);
-    metrics::catalog::get().serve_failed.inc(1 + waiters.size());
+    count(ctr::failed, 1 + waiters.size());
     for (auto& w : waiters) {
       response r;
       r.error = what;
@@ -675,8 +652,7 @@ void engine::deliver_expired(pending& p) {
                      0, std::chrono::duration_cast<std::chrono::microseconds>(
                             std::chrono::steady_clock::now() - p.submit_time)
                             .count())));
-  expired_.fetch_add(1, std::memory_order_relaxed);
-  metrics::catalog::get().serve_expired.inc();
+  count(ctr::expired);
   response r;
   r.error = "expired: deadline passed while queued";
   deliver(p, std::move(r));
@@ -704,14 +680,12 @@ void engine::stop(bool drain) {
     for (auto& f : p.followers) {
       response r;
       r.error = "engine stopped";
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      metrics::catalog::get().serve_failed.inc();
+      count(ctr::failed);
       deliver(f, std::move(r));
     }
     response r;
     r.error = "engine stopped";
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    metrics::catalog::get().serve_failed.inc();
+    count(ctr::failed);
     deliver(p, std::move(r));
   }
   std::call_once(join_once_, [&] {
@@ -719,18 +693,24 @@ void engine::stop(bool drain) {
   });
 }
 
+void engine::count(ctr c, uint64_t n) {
+  counts_[static_cast<size_t>(c)].fetch_add(n, std::memory_order_relaxed);
+  // The catalogued twin of each counter, or null for an engine-only one.
+#define PP_PROCESS_COUNTER(type, name, ...) &metrics::catalog::get().serve_##name,
+#define PP_NO_PROCESS_COUNTER(type, name) nullptr,
+  static metrics::counter* const process[] = {
+      PP_SERVE_COUNTERS(PP_PROCESS_COUNTER, PP_NO_PROCESS_COUNTER)};
+#undef PP_PROCESS_COUNTER
+#undef PP_NO_PROCESS_COUNTER
+  if (metrics::counter* m = process[static_cast<size_t>(c)]) m->inc(n);
+}
+
 engine_stats engine::stats() const {
   engine_stats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.expired = expired_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batched = batched_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  s.deduped = deduped_.load(std::memory_order_relaxed);
+#define PP_LOAD_COUNTER(type, name, ...) \
+  s.name = counts_[static_cast<size_t>(ctr::name)].load(std::memory_order_relaxed);
+  PP_SERVE_COUNTERS(PP_LOAD_COUNTER, PP_LOAD_COUNTER)
+#undef PP_LOAD_COUNTER
   s.peak_inflight = peak_inflight_.load(std::memory_order_relaxed);
   s.exec_seconds = static_cast<double>(exec_nanos_.load(std::memory_order_relaxed)) * 1e-9;
   sync::lock_guard<sync::mutex> lk(m_);
@@ -738,24 +718,10 @@ engine_stats engine::stats() const {
   return s;
 }
 
-std::string to_json(const engine_stats& s) {
-  json::writer w;
-  w.begin_object();
-  w.member("submitted", s.submitted);
-  w.member("completed", s.completed);
-  w.member("failed", s.failed);
-  w.member("expired", s.expired);
-  w.member("cancelled", s.cancelled);
-  w.member("batches", s.batches);
-  w.member("batched", s.batched);
-  w.member("cache_hits", s.cache_hits);
-  w.member("cache_misses", s.cache_misses);
-  w.member("deduped", s.deduped);
-  w.member("peak_inflight", static_cast<uint64_t>(s.peak_inflight));
-  w.member("queue_depth", static_cast<uint64_t>(s.queue_depth));
-  w.member("exec_seconds", s.exec_seconds);
-  w.end_object();
-  return w.str();
+void write_fields(json::writer& w, const engine_stats& r) {
+  PP_WRITE_FIELDS(PP_ENGINE_STATS_FIELDS)
 }
+
+std::string to_json(const engine_stats& s) { return json::writer().value(s).str(); }
 
 }  // namespace pp::serve

@@ -85,7 +85,9 @@
 
 #include "core/annotations.h"
 #include "core/context.h"
+#include "core/fields.h"
 #include "core/fingerprint.h"
+#include "core/metrics.h"
 #include "core/registry.h"
 #include "core/result.h"
 
@@ -178,40 +180,44 @@ struct engine_options {
   context ctx = default_context();
 };
 
+// The engine's counters in JSON order (core/fields.h): the request
+// counters of PP_SERVE_COUNTERS (core/metrics.h), then three gauges.
+//   submitted:  requests admitted to the queue as entries (cache hits and
+//               deduped waiters resolve without consuming a queue slot)
+//   completed:  responses delivered with ok(), including cache hits and
+//               fanned-out waiters — may exceed submitted under repeat traffic
+//   failed:     responses delivered with an error (not QoS)
+//   expired:    deadline passed while queued: dropped at pop (or rejected at
+//               submit), zero pool leases
+//   cancelled:  deadline fired after the flush started: the solve unwound at
+//               a phase boundary (or the item was skipped inside its leased
+//               batch)
+//   cache_hits: answered from the LRU at submit: zero queue slots, zero pool
+//               leases (response::cached)
+//   cache_misses: cache enabled but held no entry for the key
+//   deduped:    collapsed onto an identical queued/running execution as a
+//               waiter (zero extra leases)
+//   exec_seconds: summed wall-clock of the run_batch flushes themselves
+//               (batch window waits excluded). exec_seconds minus the
+//               per-item solve seconds is the engine's total dispatch
+//               overhead — lease cycles, scope setup, demux — and stays
+//               meaningful under concurrent executors, where comparing
+//               against end-to-end wall clock would not (concurrency makes
+//               summed solve time exceed wall time).
+#define PP_ENGINE_STATS_FIELDS(F, P, D)                                     \
+  PP_SERVE_COUNTERS(F, F)                                                   \
+  F(unsigned, peak_inflight) /* high-water mark of concurrent run_scopes */ \
+  F(size_t, queue_depth)     /* requests waiting right now */               \
+  F(double, exec_seconds)
+
 struct engine_stats {
-  uint64_t submitted = 0;     // requests admitted to the queue as entries
-                              // (cache hits and deduped waiters resolve
-                              // without consuming a queue slot)
-  uint64_t completed = 0;     // responses delivered with ok(), including
-                              // cache hits and fanned-out waiters — may
-                              // exceed submitted under repeat traffic
-  uint64_t failed = 0;        // responses delivered with an error (not QoS)
-  uint64_t expired = 0;       // deadline passed while queued: dropped at pop
-                              // (or rejected at submit), zero pool leases
-  uint64_t cancelled = 0;     // deadline fired after the flush started: the
-                              // solve unwound at a phase boundary (or the
-                              // item was skipped inside its leased batch)
-  uint64_t batches = 0;       // run_batch flushes (== pool leases taken)
-  uint64_t batched = 0;       // requests that shared a flush with >= 1 other
-  uint64_t cache_hits = 0;    // answered from the LRU at submit: zero queue
-                              // slots, zero pool leases (response::cached)
-  uint64_t cache_misses = 0;  // cache enabled but held no entry for the key
-  uint64_t deduped = 0;       // collapsed onto an identical queued/running
-                              // execution as a waiter (zero extra leases)
-  unsigned peak_inflight = 0; // high-water mark of concurrent run_scopes
-  size_t queue_depth = 0;     // requests waiting right now
-  // Summed wall-clock of the run_batch flushes themselves (batch window
-  // waits excluded). exec_seconds minus the per-item solve seconds is the
-  // engine's total dispatch overhead — lease cycles, scope setup, demux —
-  // and stays meaningful under concurrent executors, where comparing
-  // against end-to-end wall clock would not (concurrency makes summed
-  // solve time exceed wall time).
-  double exec_seconds = 0.0;
+  PP_DECLARE_FIELDS(PP_ENGINE_STATS_FIELDS)
 };
 
-// Machine-readable stats (core/json.h writer): every counter above as one
+// Machine-readable stats (core/json.h writer): every field above as one
 // flat object. The ppserve daemon serves this for {"stats": true} request
 // lines; benches snapshot it for perf tracking.
+void write_fields(json::writer& w, const engine_stats& r);
 std::string to_json(const engine_stats& s);
 
 class engine {
@@ -434,19 +440,21 @@ class engine {
   std::vector<std::thread> executors_;
   std::once_flag join_once_;
 
+  // Per-engine request counters, indexed by PP_SERVE_COUNTERS order.
+  enum class ctr : size_t {
+#define PP_CTR_ID(type, name, ...) name,
+    PP_SERVE_COUNTERS(PP_CTR_ID, PP_CTR_ID)
+#undef PP_CTR_ID
+    n_counters
+  };
+  // Add n to counter c of this engine and, when c is catalogued, to the
+  // process-wide serve_<c> metric.
+  void count(ctr c, uint64_t n = 1);
+
   std::atomic<uint64_t> anon_seq_{0};  // anonymous-seed counter (engine-wide)
   std::atomic<unsigned> inflight_{0};
   std::atomic<unsigned> peak_inflight_{0};
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> expired_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batched_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
-  std::atomic<uint64_t> deduped_{0};
+  std::atomic<uint64_t> counts_[static_cast<size_t>(ctr::n_counters)]{};
   std::atomic<uint64_t> exec_nanos_{0};
 };
 

@@ -195,18 +195,11 @@ fingerprint edges_acc(const std::vector<wgraph::wedge>& edges) {
 
 }  // namespace
 
-std::string to_json(const session_desc& d) {
-  json::writer w;
-  w.begin_object();
-  w.member("name", d.name);
-  w.member("problem", d.problem);
-  w.member("version", d.version);
-  w.member("fingerprint", d.fp.hex());
-  w.member("elems", static_cast<uint64_t>(d.elems));
-  w.member("hints", d.hints);
-  w.end_object();
-  return w.str();
+void write_fields(json::writer& w, const session_desc& r) {
+  PP_WRITE_FIELDS(PP_SESSION_DESC_FIELDS)
 }
+
+std::string to_json(const session_desc& d) { return json::writer().value(d).str(); }
 
 // ---- session_table ----------------------------------------------------------
 

@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "core/annotations.h"
+#include "core/fields.h"
 #include "core/fingerprint.h"
 #include "core/registry.h"
 #include "graph/csr.h"
@@ -100,18 +101,24 @@ struct session_delta {
   }
 };
 
-// What a session verb reports back (the wire-level response payload).
+// What a session verb reports back (the wire-level response payload), in
+// JSON order (core/fields.h).
+#define PP_SESSION_DESC_FIELDS(F, P, D)                                        \
+  F(std::string, name)                                                         \
+  F(std::string, problem) /* "sssp" or "lis" */                                \
+  F(uint64_t, version)                                                         \
+  P(fingerprint, fp)      /* this version's content address */                 \
+  D("fingerprint", r.fp.hex())                                                 \
+  F(size_t, elems)        /* directed edges / sequence length */               \
+  F(bool, hints)          /* incremental labels available for the NEXT solve */
+
 struct session_desc {
-  std::string name;
-  std::string problem;  // "sssp" or "lis"
-  uint64_t version = 0;
-  fingerprint fp{};    // this version's content address
-  size_t elems = 0;    // directed edges / sequence length
-  bool hints = false;  // incremental labels available for the NEXT solve
+  PP_DECLARE_FIELDS(PP_SESSION_DESC_FIELDS)
 };
 
 // Machine-readable descriptor (core/json.h writer): the "session" member
 // every ppserve session verb's response line carries.
+void write_fields(json::writer& w, const session_desc& r);
 std::string to_json(const session_desc& d);
 
 namespace detail {

@@ -164,11 +164,15 @@ check(lines[0]["ok"] and lines[0]["result"]["status"] == "ok", "deadline'd reque
 check(lines[1]["ok"], "batch-priority request succeeded")
 check(not lines[2]["ok"] and "priority" in lines[2]["error"], "bad priority rejected")
 check(not lines[3]["ok"] and "deadline_ms" in lines[3]["error"], "bad deadline_ms rejected")
+# Exact ordered keys of the engine_stats and session_desc objects: clients
+# and benches read these names.
+STATS_KEYS = ["submitted", "completed", "failed", "expired", "cancelled", "batches", "batched",
+              "cache_hits", "cache_misses", "deduped", "peak_inflight", "queue_depth",
+              "exec_seconds"]
+SESSION_KEYS = ["name", "problem", "version", "fingerprint", "elems", "hints"]
 stats = lines[4]
-check(stats["ok"] and all(k in stats["stats"] for k in
-                          ("submitted", "completed", "failed", "expired", "cancelled",
-                           "batches")),
-      f"stats request reports QoS counters ({stats})")
+check(stats["ok"] and list(stats["stats"]) == STATS_KEYS,
+      f"stats request reports the QoS counters, keys in order ({stats})")
 # The snapshot is taken at parse time, after both well-formed requests were
 # admitted (the reader feeds lines in order) but possibly before they ran.
 check(stats["stats"]["submitted"] == 2, f"two admitted before the stats snapshot ({stats})")
@@ -202,8 +206,7 @@ r1, r2, st = interactive_session(
 check(r1["ok"] and r1["cached"] is False, f"first request executed ({r1.get('cached')})")
 check(r2["ok"] and r2["cached"] is True, f"repeat request answered from cache ({r2.get('cached')})")
 check(r1["result"] == r2["result"], "cached result envelope identical to the executed one")
-check(all(k in st["stats"] for k in ("cache_hits", "cache_misses", "deduped")),
-      f"stats expose the cache counters ({st})")
+check(list(st["stats"]) == STATS_KEYS, f"stats expose the cache counters ({st})")
 check(st["stats"]["cache_hits"] == 1 and st["stats"]["cache_misses"] == 1,
       f"one miss then one hit ({st})")
 
@@ -325,6 +328,7 @@ cr, s0, d1, s1, s2, d2, dr, e_gone, e_width, e_verb, dr2 = resp
 check(cr["ok"] and cr["session"]["version"] == 0 and cr["session"]["problem"] == "sssp"
       and cr["session"]["hints"] is False and cr["session"]["elems"] > 0,
       f"create answers the version-0 descriptor ({cr})")
+check(list(cr["session"]) == SESSION_KEYS, f"session descriptor keys in order ({cr})")
 fp0 = cr["session"]["fingerprint"]
 check(isinstance(fp0, str) and len(fp0) > 0, f"create reports a fingerprint ({fp0!r})")
 check(s0["ok"] and s0["cached"] is False and s0["result"]["status"] == "ok"

@@ -127,8 +127,8 @@ TEST(Fingerprint, RunEnvelopeCarriesInputFingerprint) {
   auto res = registry::run("lis/sequential", input, seq_ctx(11));
   EXPECT_EQ(res.input_fp, fingerprint_of(input));
   EXPECT_NE(res.input_fp, fingerprint{});  // all-zero = "no registry input"
-  // The JSON envelope exposes it (the key pplint's json-fields rule and
-  // the ppserve/ppdriver consumers share).
+  // The JSON envelope exposes it (the key the ppserve/ppdriver consumers
+  // share).
   EXPECT_NE(pp::to_json(res).find("\"input_fingerprint\": \"" + res.input_fp.hex() + "\""),
             std::string::npos);
 }

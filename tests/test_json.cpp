@@ -2,7 +2,8 @@
 // string-escaping edge cases (quotes, backslashes, control characters,
 // UTF-8 passthrough), non-finite doubles, reader edge cases (\uXXXX
 // escapes incl. surrogate pairs, int64 exactness, malformed documents),
-// and writer -> reader round trips, including a full run_result envelope.
+// writer -> reader round trips, including a full run_result envelope, and
+// the exact bytes of every record the serving surfaces write.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,8 @@
 
 #include "core/json.h"
 #include "core/registry.h"
+#include "serve/engine.h"
+#include "serve/session.h"
 
 namespace {
 
@@ -248,6 +251,107 @@ TEST(JsonRoundTrip, RunResultEnvelopeParses) {
   EXPECT_GT(v.find("score")->as_int64(), 0);
   ASSERT_NE(v.find("stats"), nullptr);
   EXPECT_GT(v.find("stats")->find("rounds")->as_int64(), 0);
+}
+
+// ---- exact envelope bytes ---------------------------------------------------
+// Every record that crosses the wire, built from fixed values and compared
+// byte for byte: key names, key order, number spelling and nesting are what
+// ppbench, the CLI tests and ppserve clients read. Doubles are exactly
+// representable, so %.17g prints them short.
+
+pp::run_result<pp::solver_value> fixed_run(int64_t score, pp::run_status status) {
+  pp::lis_result lis;
+  lis.length = score;
+  lis.stats.rounds = 3;
+  lis.stats.processed = 4;
+  lis.stats.wakeup_attempts = 2;
+  lis.stats.max_frontier = 2;
+  lis.stats.substeps = 1;
+  lis.stats.relaxations = 5;
+  lis.stats.popped = 6;
+  lis.stats.wasted = 7;
+  lis.stats.retries = 8;
+  pp::run_result<pp::solver_value> r;
+  r.value = lis;
+  r.stats = lis.stats;
+  r.seconds = 0.5;
+  r.backend = pp::backend_kind::sequential;
+  r.seed = 42;
+  r.workers = 2;
+  r.status = status;
+  r.solver = "lis/parallel";
+  r.input_fp = pp::fingerprint{0x0123456789abcdefull, 0xfedcba9876543210ull};
+  return r;
+}
+
+constexpr const char* kRunJson =
+    "{\"solver\": \"lis/parallel\", \"backend\": \"sequential\", \"workers\": 2, \"seed\": 42, "
+    "\"status\": \"ok\", \"input_fingerprint\": \"0123456789abcdeffedcba9876543210\", "
+    "\"seconds\": 0.5, \"score\": 7, \"summary\": \"lis(length)=7 rounds=3 processed=4 "
+    "max_frontier=2\", \"stats\": {\"rounds\": 3, \"processed\": 4, \"wakeup_attempts\": 2, "
+    "\"max_frontier\": 2, \"substeps\": 1, \"relaxations\": 5, \"popped\": 6, \"wasted\": 7, "
+    "\"retries\": 8, \"avg_wakeups\": 0.5}}";
+
+TEST(JsonEnvelope, RunResultExactBytes) {
+  EXPECT_EQ(pp::to_json(fixed_run(7, pp::run_status::ok)), kRunJson);
+}
+
+TEST(JsonEnvelope, BatchResultExactBytes) {
+  pp::batch_result<pp::solver_value> b;
+  b.items = {fixed_run(7, pp::run_status::ok), fixed_run(9, pp::run_status::cancelled)};
+  b.scores = {7, 0};
+  b.backend = pp::backend_kind::sequential;
+  b.seed = 42;
+  b.workers = 2;
+  b.solver = "lis/parallel";
+  b.recompute_aggregates();  // only the ok item counts: every time is 0.5
+  std::string cancelled = kRunJson;
+  cancelled.replace(cancelled.find("\"ok\""), 4, "\"cancelled\"");
+  cancelled.replace(cancelled.find("\"score\": 7"), 10, "\"score\": 9");
+  cancelled.replace(cancelled.find("=7 "), 3, "=9 ");
+  EXPECT_EQ(pp::to_json(b),
+            std::string("{\"solver\": \"lis/parallel\", \"backend\": \"sequential\", "
+                        "\"workers\": 2, \"seed\": 42, \"count\": 2, \"total_seconds\": 0.5, "
+                        "\"min_seconds\": 0.5, \"mean_seconds\": 0.5, \"p50_seconds\": 0.5, "
+                        "\"p95_seconds\": 0.5, \"p99_seconds\": 0.5, \"max_seconds\": 0.5, "
+                        "\"total_rounds\": 3, \"scores\": [7, 0], \"items\": [") +
+                kRunJson + ", " + cancelled + "]}");
+}
+
+TEST(JsonEnvelope, EngineStatsExactBytes) {
+  pp::serve::engine_stats s;
+  s.submitted = 1;
+  s.completed = 2;
+  s.failed = 3;
+  s.expired = 4;
+  s.cancelled = 5;
+  s.batches = 6;
+  s.batched = 7;
+  s.cache_hits = 8;
+  s.cache_misses = 9;
+  s.deduped = 10;
+  s.peak_inflight = 11;
+  s.queue_depth = 12;
+  s.exec_seconds = 0.75;
+  EXPECT_EQ(pp::serve::to_json(s),
+            "{\"submitted\": 1, \"completed\": 2, \"failed\": 3, \"expired\": 4, "
+            "\"cancelled\": 5, \"batches\": 6, \"batched\": 7, \"cache_hits\": 8, "
+            "\"cache_misses\": 9, \"deduped\": 10, \"peak_inflight\": 11, \"queue_depth\": 12, "
+            "\"exec_seconds\": 0.75}");
+}
+
+TEST(JsonEnvelope, SessionDescExactBytes) {
+  pp::serve::session_desc d;
+  d.name = "road";
+  d.problem = "sssp";
+  d.version = 3;
+  d.fp = pp::fingerprint{1, 2};
+  d.elems = 64;
+  d.hints = true;
+  EXPECT_EQ(pp::serve::to_json(d),
+            "{\"name\": \"road\", \"problem\": \"sssp\", \"version\": 3, "
+            "\"fingerprint\": \"00000000000000010000000000000002\", \"elems\": 64, "
+            "\"hints\": true}");
 }
 
 }  // namespace

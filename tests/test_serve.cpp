@@ -697,8 +697,8 @@ TEST(Serve, CacheHitTakesNoLeaseAndIsBitIdentical) {
   EXPECT_EQ(st.submitted, 1u) << "a cache hit never enters the queue";
   EXPECT_EQ(st.completed, 2u) << "completed counts delivered responses";
 
-  // The stats envelope exposes the new counters (pplint's json-fields rule
-  // keys on the same emission).
+  // The stats envelope exposes the new counters (engine_stats' field list
+  // generates both the members and their JSON keys).
   std::string js = pp::serve::to_json(st);
   for (const char* key : {"\"cache_hits\"", "\"cache_misses\"", "\"deduped\""})
     EXPECT_NE(js.find(key), std::string::npos) << key;
