@@ -112,7 +112,7 @@ activity_result activity_select_type1(std::span<const activity> acts, const cont
   }, detail::grain_for_cost(kBlock));
   for (size_t j = n; j-- > 0;) sufmin[j] = std::min(sufmin[j + 1], acts[sidx[j]].end);
 
-  atomic_fenwick_max<int64_t> fw(n, 0);
+  atomic_fenwick_max<int64_t> fw(n);
   size_t p = 0;
   while (p < n) {
     cancel_point();  // between frontier rounds: quiescent, cancellable
@@ -174,7 +174,7 @@ activity_result activity_select_type2(std::span<const activity> acts, const cont
     if (pivot[i] != kNoPivot) tpivot.insert(pivot[i], static_cast<uint32_t>(i));
   });
 
-  atomic_fenwick_max<int64_t> fw(n, 0);
+  atomic_fenwick_max<int64_t> fw(n);
   auto frontier32 = tabulate<uint32_t>(n, [](size_t i) { return static_cast<uint32_t>(i); });
   frontier32 = pack(std::span<const uint32_t>(frontier32),
                     [&](size_t i) { return pivot[i] == kNoPivot; });

@@ -73,7 +73,6 @@ matching_result matching_rounds(const graph& g, std::span<const uint32_t> edge_p
   parallel_for(0, n, [&](size_t v) { head[v] = voff[v]; });
   // 0 undecided, 1 matched, 2 dropped
   std::vector<std::atomic<uint8_t>> estate(m);
-  parallel_for(0, m, [&](size_t e) { estate[e].store(0, std::memory_order_relaxed); });
 
   auto advance_head = [&](vertex_t v) {
     while (head[v] < voff[v + 1] &&

@@ -35,7 +35,6 @@ mis_result mis_rounds(const graph& g, std::span<const uint32_t> priority, const 
   res.in_mis.assign(n, 0);
   // 0 = undecided, 1 = selected, 2 = removed
   std::vector<std::atomic<uint8_t>> status(n);
-  parallel_for(0, n, [&](size_t v) { status[v].store(0, std::memory_order_relaxed); });
   auto undecided = tabulate<vertex_t>(n, [](size_t i) { return static_cast<vertex_t>(i); });
   while (!undecided.empty()) {
     cancel_point();  // between selection rounds: quiescent, cancellable
@@ -79,11 +78,7 @@ struct tas_mis_state {
   std::atomic<size_t> max_depth{0};  // recursion depth proxy for the span claim
 
   tas_mis_state(const graph& g, std::span<const uint32_t> priority, const context& ctx)
-      : nbrs(g, priority, ctx), status(g.num_vertices()), forest(nbrs.num_earlier(), ctx) {
-    parallel_for(ctx, 0, g.num_vertices(), [&](size_t v) {
-      status[v].store(0, std::memory_order_relaxed);
-    });
-  }
+      : nbrs(g, priority, ctx), status(g.num_vertices()), forest(nbrs.num_earlier(), ctx) {}
 
   void wake_up(vertex_t v, size_t depth);
   void remove_vertex(vertex_t u, size_t depth);

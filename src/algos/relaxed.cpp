@@ -36,7 +36,6 @@ mis_result mis_relaxed(const graph& g, std::span<const uint32_t> priority, const
 
   // 0 undecided, 1 selected, 2 removed; written once, on decision.
   std::vector<std::atomic<uint8_t>> status(n);
-  parallel_for(ctx, 0, n, [&](size_t v) { status[v].store(0, std::memory_order_relaxed); });
 
   multiqueue q(ctx.relax_k);
   {
@@ -163,7 +162,6 @@ matching_result matching_relaxed(const graph& g, std::span<const uint32_t> edge_
 
   // 0 undecided, 1 matched, 2 dropped; written once by the edge's own claim.
   std::vector<std::atomic<uint8_t>> estate(m);
-  parallel_for(ctx, 0, m, [&](size_t e) { estate[e].store(0, std::memory_order_relaxed); });
   std::vector<std::atomic<uint32_t>> partner(n);
   parallel_for(ctx, 0, n,
                [&](size_t v) { partner[v].store(kUnmatched, std::memory_order_relaxed); });

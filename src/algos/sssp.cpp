@@ -11,14 +11,17 @@
 
 namespace pp {
 
-sssp_result sssp_dijkstra(const wgraph& g, vertex_t source, const context& ctx) {
-  run_scope scope(ctx);
-  sssp_result res;
-  res.dist.assign(g.num_vertices(), kInfDist);
-  using qe = std::pair<int64_t, vertex_t>;
-  std::priority_queue<qe, std::vector<qe>, std::greater<qe>> pq;
-  res.dist[source] = 0;
-  pq.push({0, source});
+namespace {
+
+using dist_queue = std::priority_queue<std::pair<int64_t, vertex_t>,
+                                       std::vector<std::pair<int64_t, vertex_t>>, std::greater<>>;
+
+// Dijkstra's settle loop over a binary heap with lazy deletion: pop the
+// nearest label, skip it if stale, relax its out-edges. sssp_dijkstra
+// seeds `pq` with the source, sssp_incremental with the endpoints the
+// inserted edges improve, so the oracle and the incremental solver run
+// one loop.
+void settle(const wgraph& g, dist_queue& pq, sssp_result& res) {
   while (!pq.empty()) {
     auto [d, v] = pq.top();
     pq.pop();
@@ -35,6 +38,18 @@ sssp_result sssp_dijkstra(const wgraph& g, vertex_t source, const context& ctx) 
       }
     }
   }
+}
+
+}  // namespace
+
+sssp_result sssp_dijkstra(const wgraph& g, vertex_t source, const context& ctx) {
+  run_scope scope(ctx);
+  sssp_result res;
+  res.dist.assign(g.num_vertices(), kInfDist);
+  dist_queue pq;
+  res.dist[source] = 0;
+  pq.push({0, source});
+  settle(g, pq, res);
   return res;
 }
 
@@ -107,7 +122,6 @@ sssp_result delta_stepping_impl(const wgraph& g, vertex_t source, uint32_t delta
   parallel_for(0, n, [&](size_t v) { dist[v].store(kInfDist, std::memory_order_relaxed); });
   dist[source].store(0, std::memory_order_relaxed);
   auto claimed = std::vector<std::atomic<uint8_t>>(n);
-  parallel_for(0, n, [&](size_t v) { claimed[v].store(0, std::memory_order_relaxed); });
 
   auto bucket_of = [&](int64_t d) { return static_cast<size_t>(d / delta); };
   std::vector<std::vector<vertex_t>> buckets(1);
@@ -240,7 +254,6 @@ sssp_result sssp_crauser(const wgraph& g, vertex_t source, bool use_in_criterion
   parallel_for(0, n, [&](size_t v) { dist[v].store(kInfDist, std::memory_order_relaxed); });
   dist[source].store(0, std::memory_order_relaxed);
   auto claimed = std::vector<std::atomic<uint8_t>>(n);
-  parallel_for(0, n, [&](size_t v) { claimed[v].store(0, std::memory_order_relaxed); });
 
   // min outgoing weight per vertex, and min incoming weight (equal to
   // outgoing for the symmetric graphs we build, but computed separately so
@@ -315,8 +328,7 @@ sssp_result sssp_incremental(const wgraph& g, vertex_t source, std::span<const i
   std::copy(prior.begin(), prior.begin() + std::min<size_t>(prior.size(), res.dist.size()),
             res.dist.begin());
   res.dist[source] = 0;
-  using qe = std::pair<int64_t, vertex_t>;
-  std::priority_queue<qe, std::vector<qe>, std::greater<qe>> pq;
+  dist_queue pq;
   // Only endpoints an inserted edge actually improves enter the queue; an
   // insertion that doesn't beat the prior label changes no distance.
   for (const auto& e : inserted) {
@@ -328,22 +340,7 @@ sssp_result sssp_incremental(const wgraph& g, vertex_t source, std::span<const i
       pq.push({nd, e.v});
     }
   }
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d != res.dist[v]) continue;  // stale entry
-    res.stats.processed++;
-    auto nbrs = g.out_neighbors(v);
-    auto wts = g.out_weights(v);
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      res.stats.relaxations++;
-      int64_t nd = d + wts[i];
-      if (nd < res.dist[nbrs[i]]) {
-        res.dist[nbrs[i]] = nd;
-        pq.push({nd, nbrs[i]});
-      }
-    }
-  }
+  settle(g, pq, res);
   return res;
 }
 

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "parallel/api.h"
 #include "parallel/primitives.h"
 
 namespace pp {
@@ -48,16 +47,14 @@ class fenwick_max {
   std::vector<T> t_;
 };
 
+// Every position starts at T{} (zero): the atomics are value-initialised.
 template <typename T>
 class atomic_fenwick_max {
  public:
-  explicit atomic_fenwick_max(size_t n, T identity) : n_(n), id_(identity) {
-    t_ = std::vector<std::atomic<T>>(n + 1);
-    parallel_for(0, n + 1, [&](size_t i) { t_[i].store(identity, std::memory_order_relaxed); });
-  }
+  explicit atomic_fenwick_max(size_t n) : n_(n), t_(n + 1) {}
 
   T prefix_max(size_t k) const {
-    T acc = id_;
+    T acc{};
     for (size_t i = k; i > 0; i -= i & (~i + 1)) {
       T v = t_[i].load(std::memory_order_relaxed);
       if (v > acc) acc = v;
@@ -74,7 +71,6 @@ class atomic_fenwick_max {
 
  private:
   size_t n_;
-  T id_;
   std::vector<std::atomic<T>> t_;
 };
 

@@ -117,11 +117,11 @@ std::string_view problem_name_of(const problem_input& in) {
 }
 
 // ---- Canonicalizers ---------------------------------------------------------
-// One per problem_input alternative (pplint: fingerprint-coverage). Each
-// emits a self-delimiting word stream: lengths before elements, every
-// field in declaration order, no representational freedom left (see the
-// per-struct notes in registry.h). Changing any encoding here is a
-// fingerprint break: bump kFingerprintVersion and regenerate
+// One per problem_input alternative (fingerprint_of does not compile
+// without it). Each emits a self-delimiting word stream: lengths before
+// elements, every field in declaration order, no representational freedom
+// left (see the per-struct notes in registry.h). Changing any encoding here
+// is a fingerprint break: bump kFingerprintVersion and regenerate
 // tests/golden_results.inc (`ppdriver golden`).
 
 void canonicalize(const sequence_input& in, fingerprint_stream& s) {
@@ -210,6 +210,45 @@ fingerprint fingerprint_of(const problem_input& in) {
   s.tag(in.index());  // domain separation between alternatives
   std::visit([&s](const auto& alt) { canonicalize(alt, s); }, in);
   return s.digest();
+}
+
+void check_solver_roles(std::span<const solver_info> solvers) {
+  std::map<std::string_view, const solver_info*> by_name;
+  for (const solver_info& s : solvers) by_name.emplace(s.name, &s);
+  auto find = [&](const std::string& name) -> const solver_info* {
+    auto it = by_name.find(name);
+    return it == by_name.end() ? nullptr : it->second;
+  };
+  std::string broken;
+  auto fail = [&](const solver_info& s, const std::string& why) {
+    broken += "\n  " + s.name + ": " + why;
+  };
+  for (const solver_info& s : solvers) {
+    if (s.reference.empty()) {
+      if (s.paradigm != solver_paradigm::sequential)
+        fail(s, std::string("a ") + paradigm_name(s.paradigm) + " solver must name a reference");
+    } else if (const solver_info* ref = find(s.reference); !ref) {
+      fail(s, "reference '" + s.reference + "' is not registered");
+    } else if (!ref->reference.empty()) {
+      fail(s, "reference '" + s.reference + "' is not a reference solver (it names '" +
+                  ref->reference + "')");
+    } else if (ref->problem != s.problem) {
+      fail(s, "reference '" + s.reference + "' solves '" + ref->problem + "', not '" +
+                  s.problem + "'");
+    }
+    const bool relaxed = s.paradigm == solver_paradigm::relaxed;
+    if (relaxed && s.phase_ref.empty()) {
+      fail(s, "a relaxed solver must name its phase_ref");
+    } else if (!relaxed && !s.phase_ref.empty()) {
+      fail(s, "only relaxed solvers name a phase_ref");
+    } else if (relaxed) {
+      const solver_info* twin = find(s.phase_ref);
+      if (!twin || twin->paradigm != solver_paradigm::phase || twin->problem != s.problem)
+        fail(s, "phase_ref '" + s.phase_ref + "' is not a registered phase solver of '" +
+                    s.problem + "'");
+    }
+  }
+  if (!broken.empty()) throw std::logic_error("pp::registry: solver roles broken:" + broken);
 }
 
 std::vector<solver_info> registry::solvers() const {
@@ -433,116 +472,146 @@ void register_builtins(registry& r) {
   // Each solver takes its input descriptor; the registry derives the
   // problem from it and rejects any other problem_input alternative.
   // Solvers whose branches return different payloads say -> solver_value.
-  r.add_solver("lis/sequential", "classic O(n log n) Fenwick DP",
+  // Each names its paradigm and, unless it is a reference solver, the
+  // reference it must reproduce (checked by check_solver_roles).
+  using enum solver_paradigm;
+  r.add_solver({.name = "lis/sequential", .description = "classic O(n log n) Fenwick DP",
+                .paradigm = sequential},
                [](const sequence_input& s, const context& ctx) {
                  return s.weights.empty() ? lis_sequential(s.a, ctx)
                                           : lis_sequential_weighted(s.a, s.weights, ctx);
                });
-  r.add_solver("lis/parallel", "phase-parallel LIS (Algorithm 3, 2D range tree)",
+  r.add_solver({.name = "lis/parallel",
+                .description = "phase-parallel LIS (Algorithm 3, 2D range tree)", .paradigm = phase,
+                .reference = "lis/sequential"},
                [](const sequence_input& s, const context& ctx) {
                  return s.weights.empty() ? lis_parallel(s.a, ctx)
                                           : lis_parallel_weighted(s.a, s.weights, ctx);
                });
 
-  r.add_solver("activity/sequential", "classic O(n log n) DP (Eq. 1)",
+  r.add_solver({.name = "activity/sequential", .description = "classic O(n log n) DP (Eq. 1)",
+                .paradigm = sequential},
                [](const activity_input& a, const context& ctx) {
                  return activity_select_seq(a.acts, ctx);
                });
-  r.add_solver("activity/type1", "Algorithm 2: range-query frontiers on flat arrays",
+  r.add_solver({.name = "activity/type1",
+                .description = "Algorithm 2: range-query frontiers on flat arrays",
+                .paradigm = phase, .reference = "activity/sequential"},
                [](const activity_input& a, const context& ctx) {
                  return activity_select_type1(a.acts, ctx);
                });
-  r.add_solver("activity/type2", "Sec. 5.1 pivot wake-ups",
+  r.add_solver({.name = "activity/type2", .description = "Sec. 5.1 pivot wake-ups",
+                .paradigm = phase, .reference = "activity/sequential"},
                [](const activity_input& a, const context& ctx) {
                  return activity_select_type2(a.acts, ctx);
                });
-  r.add_solver("activity_unweighted/sequential", "earliest-end greedy chain",
+  r.add_solver({.name = "activity_unweighted/sequential",
+                .description = "earliest-end greedy chain", .paradigm = sequential},
                [](const activity_input& a, const context& ctx) {
                  return activity_unweighted_greedy_seq(a.acts, ctx);
                });
-  r.add_solver("activity_unweighted/parallel", "pivot forest + pointer jumping",
+  r.add_solver({.name = "activity_unweighted/parallel",
+                .description = "pivot forest + pointer jumping", .paradigm = phase,
+                .reference = "activity_unweighted/sequential"},
                [](const activity_input& a, const context& ctx) {
                  return activity_unweighted_parallel(a.acts, ctx);
                });
-  r.add_solver("activity_unweighted/euler",
-               "pivot forest + Euler-tour depths (Theorem 5.3 route)",
+  r.add_solver({.name = "activity_unweighted/euler",
+                .description = "pivot forest + Euler-tour depths (Theorem 5.3 route)",
+                .paradigm = phase, .reference = "activity_unweighted/sequential"},
                [](const activity_input& a, const context& ctx) {
                  return activity_unweighted_euler(a.acts, ctx);
                });
 
-  r.add_solver("mis/sequential", "greedy MIS by priority order",
+  r.add_solver({.name = "mis/sequential", .description = "greedy MIS by priority order",
+                .paradigm = sequential},
                [](const graph_input& g, const context& ctx) {
                  return mis_sequential(g.g, g.vertex_priority, ctx);
                });
-  r.add_solver("mis/rounds", "deterministic-reservation rounds [BFGS12]",
+  r.add_solver({.name = "mis/rounds", .description = "deterministic-reservation rounds [BFGS12]",
+                .paradigm = phase, .reference = "mis/sequential"},
                [](const graph_input& g, const context& ctx) {
                  return mis_rounds(g.g, g.vertex_priority, ctx);
                });
-  r.add_solver("mis/tas", "Algorithm 4: asynchronous TAS-tree wake-ups",
+  r.add_solver({.name = "mis/tas", .description = "Algorithm 4: asynchronous TAS-tree wake-ups",
+                .paradigm = phase, .reference = "mis/sequential"},
                [](const graph_input& g, const context& ctx) {
                  return mis_tas(g.g, g.vertex_priority, ctx);
                });
-  r.add_solver("coloring/sequential", "greedy coloring, Jones-Plassmann order",
+  r.add_solver({.name = "coloring/sequential",
+                .description = "greedy coloring, Jones-Plassmann order", .paradigm = sequential},
                [](const graph_input& g, const context& ctx) {
                  return coloring_sequential(g.g, g.vertex_priority, ctx);
                });
-  r.add_solver("coloring/tas", "TAS-tree wake-up greedy coloring",
+  r.add_solver({.name = "coloring/tas", .description = "TAS-tree wake-up greedy coloring",
+                .paradigm = phase, .reference = "coloring/sequential"},
                [](const graph_input& g, const context& ctx) {
                  return coloring_tas(g.g, g.vertex_priority, ctx);
                });
-  r.add_solver("matching/sequential", "greedy matching by edge priority",
+  r.add_solver({.name = "matching/sequential", .description = "greedy matching by edge priority",
+                .paradigm = sequential},
                [](const graph_input& g, const context& ctx) {
                  return matching_sequential(g.g, g.edge_priority, ctx);
                });
-  r.add_solver("matching/rounds", "round-synchronized greedy matching",
+  r.add_solver({.name = "matching/rounds", .description = "round-synchronized greedy matching",
+                .paradigm = phase, .reference = "matching/sequential"},
                [](const graph_input& g, const context& ctx) {
                  return matching_rounds(g.g, g.edge_priority, ctx);
                });
 
-  // Relaxed k-MultiQueue paradigm (parallel/multiqueue.h). Each description
-  // names its phase-mode determinism reference ("phase ref: X") — the
-  // pplint relaxed-coverage rule checks the marker, and the referenced
-  // solver is what tests/checkers.h validates these against structurally.
-  r.add_solver("mis/relaxed", "k-MultiQueue asynchronous greedy MIS (phase ref: mis/rounds)",
+  // Relaxed k-MultiQueue paradigm (parallel/multiqueue.h): validated
+  // structurally against `reference` (tests/checkers.h); `phase_ref` is the
+  // phase solver of the same greedy order.
+  r.add_solver({.name = "mis/relaxed", .description = "k-MultiQueue asynchronous greedy MIS",
+                .paradigm = relaxed, .reference = "mis/sequential", .phase_ref = "mis/rounds"},
                [](const graph_input& g, const context& ctx) {
                  return mis_relaxed(g.g, g.vertex_priority, ctx);
                });
-  r.add_solver("coloring/relaxed",
-               "k-MultiQueue asynchronous greedy coloring (phase ref: coloring/tas)",
+  r.add_solver({.name = "coloring/relaxed",
+                .description = "k-MultiQueue asynchronous greedy coloring", .paradigm = relaxed,
+                .reference = "coloring/sequential", .phase_ref = "coloring/tas"},
                [](const graph_input& g, const context& ctx) {
                  return coloring_relaxed(g.g, g.vertex_priority, ctx);
                });
-  r.add_solver("matching/relaxed",
-               "k-MultiQueue asynchronous greedy matching (phase ref: matching/rounds)",
+  r.add_solver({.name = "matching/relaxed",
+                .description = "k-MultiQueue asynchronous greedy matching", .paradigm = relaxed,
+                .reference = "matching/sequential", .phase_ref = "matching/rounds"},
                [](const graph_input& g, const context& ctx) {
                  return matching_relaxed(g.g, g.edge_priority, ctx);
                });
 
-  r.add_solver("sssp/dijkstra", "sequential binary-heap Dijkstra",
+  r.add_solver({.name = "sssp/dijkstra", .description = "sequential binary-heap Dijkstra",
+                .paradigm = sequential},
                [](const sssp_input& s, const context& ctx) {
                  return sssp_dijkstra(s.g, s.source, ctx);
                });
-  r.add_solver("sssp/bellman_ford", "frontier-based parallel Bellman-Ford",
+  r.add_solver({.name = "sssp/bellman_ford", .description = "frontier-based parallel Bellman-Ford",
+                .paradigm = phase, .reference = "sssp/dijkstra"},
                [](const sssp_input& s, const context& ctx) {
                  return sssp_bellman_ford(s.g, s.source, ctx);
                });
-  r.add_solver("sssp/delta_stepping", "Meyer-Sanders buckets (delta from input)",
+  r.add_solver({.name = "sssp/delta_stepping",
+                .description = "Meyer-Sanders buckets (delta from input)", .paradigm = phase,
+                .reference = "sssp/dijkstra"},
                [](const sssp_input& s, const context& ctx) {
                  uint32_t delta = s.delta != 0 ? s.delta : s.g.min_weight();
                  return sssp_delta_stepping(s.g, s.source, delta, ctx);
                });
-  r.add_solver("sssp/phase_parallel", "Delta-stepping with Delta = w* (Theorem 4.5)",
+  r.add_solver({.name = "sssp/phase_parallel",
+                .description = "Delta-stepping with Delta = w* (Theorem 4.5)", .paradigm = phase,
+                .reference = "sssp/dijkstra"},
                [](const sssp_input& s, const context& ctx) {
                  return sssp_phase_parallel(s.g, s.source, ctx);
                });
-  r.add_solver("sssp/crauser", "Crauser IN/OUT-criterion rounds (Sec. 4.3)",
+  r.add_solver({.name = "sssp/crauser", .description = "Crauser IN/OUT-criterion rounds (Sec. 4.3)",
+                .paradigm = phase, .reference = "sssp/dijkstra"},
                [](const sssp_input& s, const context& ctx) {
                  return sssp_crauser(s.g, s.source, /*use_in_criterion=*/true, ctx);
                });
-  r.add_solver("sssp/incremental",
-               "delta re-solve over session snapshots: seeds Dijkstra from the prior "
-               "version's distances + inserted edges, exact (from-scratch ref: "
-               "sssp/dijkstra)",
+  r.add_solver({.name = "sssp/incremental",
+                .description = "delta re-solve over session snapshots: seeds Dijkstra from the "
+                                "prior version's distances + inserted edges, exact",
+                .paradigm = sequential, .reference = "sssp/dijkstra"},
                [](const sssp_input& s, const context& ctx, const problem_input& in) {
                  // Only a snapshot carries reusable labels; a plain input —
                  // or a snapshot whose hints a removal invalidated — gets
@@ -557,56 +626,69 @@ void register_builtins(registry& r) {
                  }
                  return sssp_dijkstra(s.g, s.source, ctx);
                });
-  r.add_solver("sssp/relaxed",
-               "k-MultiQueue relaxed Dijkstra, exact distances (phase ref: "
-               "sssp/phase_parallel)",
+  r.add_solver({.name = "sssp/relaxed",
+                .description = "k-MultiQueue relaxed Dijkstra, exact distances",
+                .paradigm = relaxed, .reference = "sssp/dijkstra",
+                .phase_ref = "sssp/phase_parallel"},
                [](const sssp_input& s, const context& ctx) {
                  return sssp_relaxed(s.g, s.source, ctx);
                });
 
-  r.add_solver("huffman/sequential", "two-queue O(n) merge",
+  r.add_solver({.name = "huffman/sequential", .description = "two-queue O(n) merge",
+                .paradigm = sequential},
                [](const huffman_input& h, const context& ctx) {
                  return huffman_seq(h.freqs, ctx);
                });
-  r.add_solver("huffman/parallel", "relaxed-rank rounds (Theorem 4.7)",
+  r.add_solver({.name = "huffman/parallel", .description = "relaxed-rank rounds (Theorem 4.7)",
+                .paradigm = phase, .reference = "huffman/sequential"},
                [](const huffman_input& h, const context& ctx) {
                  return huffman_parallel(h.freqs, ctx);
                });
 
-  r.add_solver("knapsack/sequential", "classic O(nW) DP (Eq. 2)",
+  r.add_solver({.name = "knapsack/sequential", .description = "classic O(nW) DP (Eq. 2)",
+                .paradigm = sequential},
                [](const knapsack_input& k, const context& ctx) {
                  return knapsack_seq(k.capacity, k.items, ctx);
                });
-  r.add_solver("knapsack/parallel", "w*-window rounds (Theorem 4.3)",
+  r.add_solver({.name = "knapsack/parallel", .description = "w*-window rounds (Theorem 4.3)",
+                .paradigm = phase, .reference = "knapsack/sequential"},
                [](const knapsack_input& k, const context& ctx) {
                  return knapsack_parallel(k.capacity, k.items, ctx);
                });
 
-  r.add_solver("list_ranking/sequential", "O(n) pointer chase",
+  r.add_solver({.name = "list_ranking/sequential", .description = "O(n) pointer chase",
+                .paradigm = sequential},
                [](const list_input& l, const context& ctx) -> solver_value {
                  if (l.weights.empty()) return list_ranking_seq(l.next, ctx);
                  return list_ranking_weighted_seq(l.next, l.weights, ctx);
                });
-  r.add_solver("list_ranking/parallel", "phase-parallel contraction/expansion",
+  r.add_solver({.name = "list_ranking/parallel",
+                .description = "phase-parallel contraction/expansion", .paradigm = phase,
+                .reference = "list_ranking/sequential"},
                [](const list_input& l, const context& ctx) -> solver_value {
                  if (l.weights.empty()) return list_ranking_parallel(l.next, ctx);
                  return list_ranking_weighted_parallel(l.next, l.weights, ctx);
                });
 
-  r.add_solver("shuffle/sequential", "sequential Knuth shuffle",
+  r.add_solver({.name = "shuffle/sequential", .description = "sequential Knuth shuffle",
+                .paradigm = sequential},
                [](const shuffle_input& s, const context& ctx) {
                  return knuth_shuffle_seq(s.n, s.targets, ctx);
                });
-  r.add_solver("shuffle/parallel", "deterministic-reservation rounds",
+  r.add_solver({.name = "shuffle/parallel", .description = "deterministic-reservation rounds",
+                .paradigm = phase, .reference = "shuffle/sequential"},
                [](const shuffle_input& s, const context& ctx) {
                  return knuth_shuffle_parallel(s.n, s.targets, ctx);
                });
 
-  r.add_solver("whac/sequential", "O(n log n) Fenwick DP in rotated coordinates",
+  r.add_solver({.name = "whac/sequential",
+                .description = "O(n log n) Fenwick DP in rotated coordinates",
+                .paradigm = sequential},
                [](const whac_input& w, const context& ctx) {
                  return whac_sequential(w.moles, ctx);
                });
-  r.add_solver("whac/parallel", "dominance-engine wake-ups (Appendix B)",
+  r.add_solver({.name = "whac/parallel", .description = "dominance-engine wake-ups (Appendix B)",
+                .paradigm = phase, .reference = "whac/sequential"},
                [](const whac_input& w, const context& ctx) {
                  return whac_parallel(w.moles, ctx);
                });
@@ -618,6 +700,7 @@ registry& registry::instance() {
   static registry* r = [] {
     auto* reg = new registry();
     register_builtins(*reg);
+    check_solver_roles(reg->solvers());
     return reg;
   }();
   return *r;

@@ -50,8 +50,8 @@ namespace pp {
 // and its input factory register under) and has a canonicalizer (declared
 // beside it, implemented in registry.cpp) that emits its canonical word
 // stream into a fingerprint_stream — see the stability contract in
-// core/fingerprint.h. tools/pplint.py's fingerprint-coverage rule enforces
-// that every problem_input alternative keeps one.
+// core/fingerprint.h. fingerprint_of visits every problem_input
+// alternative, so one without a canonicalizer does not compile.
 
 struct sequence_input {  // LIS / weighted LIS
   static constexpr std::string_view problem = "lis";
@@ -202,13 +202,7 @@ std::string to_json(const batch_result<solver_value>& b);
 
 // ---- The registry -----------------------------------------------------------
 
-struct solver_info {
-  std::string name;         // "lis/parallel"
-  std::string problem;      // "lis" — which problem_input alternative it consumes
-  std::string description;  // one line
-};
-
-// ---- Execution paradigms ----------------------------------------------------
+// ---- Execution paradigms and oracles ----------------------------------------
 //
 // Three ways a registered solver executes:
 //   sequential — one thread, the work-efficient baseline/reference;
@@ -216,28 +210,10 @@ struct solver_info {
 //                deterministic in (input, seed), covered by the golden
 //                bit-stability table (tests/golden_results.inc);
 //   relaxed    — asynchronous over the k-MultiQueue scheduler
-//                (parallel/multiqueue.h); honors context::relax_k, its
-//                outputs are validated structurally against the phase
-//                reference, and it is EXEMPT from the golden table (the
-//                structural contract, not bit-stability, is what it
-//                promises).
-// The paradigm is derived from the registered name — "<family>/relaxed"
-// and "<family>/sequential" are naming contracts (pplint enforces the
-// relaxed side) — so the 30+ existing registrations need no extra field.
+//                (parallel/multiqueue.h); honors context::relax_k, and it
+//                is EXEMPT from the golden table (the structural contract,
+//                not bit-stability, is what it promises).
 enum class solver_paradigm { sequential, phase, relaxed };
-
-inline solver_paradigm paradigm_of(const solver_info& info) {
-  std::string_view name = info.name;
-  size_t slash = name.rfind('/');
-  std::string_view variant = slash == std::string_view::npos ? name : name.substr(slash + 1);
-  if (variant == "relaxed") return solver_paradigm::relaxed;
-  // sssp/dijkstra is the sequential reference of its family despite the
-  // historical name (the same exception tools/pplint.py's solver-coverage
-  // rule carries); sssp/incremental is a seeded sequential Dijkstra.
-  if (variant == "sequential" || name == "sssp/dijkstra" || name == "sssp/incremental")
-    return solver_paradigm::sequential;
-  return solver_paradigm::phase;
-}
 
 inline const char* paradigm_name(solver_paradigm p) {
   switch (p) {
@@ -248,11 +224,29 @@ inline const char* paradigm_name(solver_paradigm p) {
   return "phase";
 }
 
-// Whether the solver consults context::relax_k (today: exactly the
-// relaxed paradigm).
-inline bool accepts_relax_knob(const solver_info& info) {
-  return paradigm_of(info) == solver_paradigm::relaxed;
-}
+// What a solver is and which oracle checks it, declared once at its
+// add_solver call.
+struct solver_info {
+  std::string name;           // "lis/parallel"
+  std::string problem{};      // "lis" — set by add_solver from the input descriptor
+  std::string description{};  // one line
+  solver_paradigm paradigm = solver_paradigm::phase;
+  // The sequential solver whose answer this one must reproduce: phase and
+  // incremental solvers match its score, relaxed solvers give a
+  // structurally valid answer against it (tests/checkers.h). Empty for a
+  // reference solver.
+  std::string reference{};
+  // Relaxed solvers only: the phase solver of the same greedy order, the
+  // twin the relaxed-vs-phase ablation compares against.
+  std::string phase_ref{};
+};
+
+// Throws std::logic_error naming every solver that breaks a role rule:
+// a reference must be a registered reference solver of the same problem;
+// only sequential solvers may omit one; every relaxed solver, and no
+// other, names a phase_ref, which must be a phase solver of its problem.
+// registry::instance() runs it over the built-in solvers.
+void check_solver_roles(std::span<const solver_info> solvers);
 
 class registry {
  public:
@@ -267,13 +261,13 @@ class registry {
   // The process-wide registry, with all built-in solvers registered.
   static registry& instance();
 
-  // Register `fn`, a lambda `(const In&, const context&)` over one input
-  // descriptor In that returns a solver_value alternative (it may also take
-  // the dispatched problem_input, snapshot wrapper included, as a third
-  // argument). The solver's problem is In::problem; dispatching any other
-  // alternative throws std::invalid_argument.
+  // Register `fn` under `info`, a lambda `(const In&, const context&)` over
+  // one input descriptor In that returns a solver_value alternative (it may
+  // also take the dispatched problem_input, snapshot wrapper included, as a
+  // third argument). The solver's problem is In::problem; dispatching any
+  // other alternative throws std::invalid_argument.
   template <typename F>
-  void add_solver(std::string name, std::string description, F fn);
+  void add_solver(solver_info info, F fn);
   // Register `make(n, seed)`, which returns a descriptor In, as the default
   // random instance of problem In::problem.
   template <typename F>
@@ -356,9 +350,10 @@ struct solver_input<R (F::*)(const In&, Rest...) const> {
 }  // namespace detail
 
 template <typename F>
-void registry::add_solver(std::string name, std::string description, F fn) {
+void registry::add_solver(solver_info info, F fn) {
   using In = typename detail::solver_input<decltype(&F::operator())>::type;
-  auto run = [fn, who = name](const problem_input& in, const context& ctx) -> solver_value {
+  info.problem = In::problem;
+  auto run = [fn, who = info.name](const problem_input& in, const context& ctx) -> solver_value {
     // Snapshots dispatch as the input they pin, so every solver accepts
     // session traffic without knowing sessions exist.
     const In* x = std::get_if<In>(&unwrap_snapshot(in));
@@ -373,8 +368,8 @@ void registry::add_solver(std::string name, std::string description, F fn) {
       return fn(*x, ctx);
     }
   };
-  solvers_.insert_or_assign(
-      name, solver_entry{{name, std::string(In::problem), std::move(description)}, std::move(run)});
+  std::string name = info.name;
+  solvers_.insert_or_assign(std::move(name), solver_entry{std::move(info), std::move(run)});
 }
 
 template <typename F>

@@ -6,6 +6,7 @@
 // same output regardless of backend or worker count.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <functional>
@@ -221,6 +222,11 @@ size_t max_index(std::span<const T> xs, Less less = Less{}) {
 // ---------------------------------------------------------------------------
 // write_min / write_max (atomic priority update, used by SSSP etc.)
 // ---------------------------------------------------------------------------
+
+// C++20 value-initialises std::atomic<T>, so a freshly built
+// std::vector<std::atomic<T>>(n) already holds T{} in every slot; the
+// solvers rely on that and store only non-zero initial values.
+static_assert(__cpp_lib_atomic_value_initialization >= 201911L);
 
 template <typename T>
 bool write_min(std::atomic<T>* target, T value) {

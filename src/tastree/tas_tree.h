@@ -52,9 +52,6 @@ class tas_forest {
     leaves_.assign(n, 0);
     parallel_for(ctx, 0, n, [&](size_t v) { leaves_[v] = leaf_counts[v]; });
     flags_ = std::vector<std::atomic<uint8_t>>(offsets_.back());
-    parallel_for(ctx, 0, flags_.size(), [&](size_t i) {
-      flags_[i].store(0, std::memory_order_relaxed);
-    });
   }
 
   size_t num_trees() const { return leaves_.size(); }

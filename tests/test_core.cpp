@@ -49,7 +49,7 @@ TEST(FenwickMax, EmptyAndBounds) {
 
 TEST(AtomicFenwickMax, ConcurrentRaisesConverge) {
   constexpr size_t n = 10000;
-  pp::atomic_fenwick_max<int64_t> fw(n, 0);
+  pp::atomic_fenwick_max<int64_t> fw(n);
   // all raises in parallel, then verify against brute force
   std::vector<int64_t> vals(n);
   for (size_t i = 0; i < n; ++i) vals[i] = static_cast<int64_t>(pp::hash64(i) % 1000000);
@@ -64,7 +64,7 @@ TEST(AtomicFenwickMax, ConcurrentRaisesConverge) {
 }
 
 TEST(AtomicFenwickMax, RepeatedConcurrentRaisesSamePosition) {
-  pp::atomic_fenwick_max<int64_t> fw(64, 0);
+  pp::atomic_fenwick_max<int64_t> fw(64);
   pp::parallel_for(0, 10000, [&](size_t i) { fw.raise(i % 64, static_cast<int64_t>(i)); }, 8);
   EXPECT_EQ(fw.prefix_max(64), 9999);
 }

@@ -163,7 +163,7 @@ TEST(Fingerprint, GoldenTableCoversEverySolver) {
     // bit-stability — they are exempt from the golden table by contract
     // (ppdriver golden skips them too), and tests/test_relaxed.cpp is
     // their coverage.
-    if (pp::paradigm_of(s) == pp::solver_paradigm::relaxed) {
+    if (s.paradigm == pp::solver_paradigm::relaxed) {
       EXPECT_FALSE(tabled.count(s.name))
           << s.name << " is relaxed-paradigm and must NOT be golden-tabled";
       continue;

@@ -60,6 +60,48 @@ TEST(Registry, AllBuiltinSolversRegistered) {
     EXPECT_TRUE(names.count(want)) << "missing solver: " << want;
 }
 
+// check_solver_roles accepts the live roster and rejects each broken
+// role, naming the offending solver.
+TEST(Registry, SolverRolesAreChecked) {
+  EXPECT_NO_THROW(pp::check_solver_roles(registry::instance().solvers()));
+
+  using enum pp::solver_paradigm;
+  const pp::solver_info seq{.name = "a/sequential", .problem = "a", .paradigm = sequential};
+  const pp::solver_info rounds{
+      .name = "a/rounds", .problem = "a", .paradigm = phase, .reference = "a/sequential"};
+  EXPECT_NO_THROW(pp::check_solver_roles(std::vector{seq, rounds}));
+
+  auto rejects = [](std::vector<pp::solver_info> roster, const std::string& offender) {
+    try {
+      pp::check_solver_roles(roster);
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(offender + ":"), std::string::npos) << e.what();
+      return;
+    }
+    ADD_FAILURE() << "roster with a broken " << offender << " was accepted";
+  };
+  pp::solver_info dangling{
+      .name = "a/dangling", .problem = "a", .paradigm = phase, .reference = "a/missing"};
+  rejects({seq, dangling}, "a/dangling");
+  pp::solver_info chained{
+      .name = "a/chained", .problem = "a", .paradigm = phase, .reference = "a/rounds"};
+  rejects({seq, rounds, chained}, "a/chained");
+  pp::solver_info other_problem{
+      .name = "b/parallel", .problem = "b", .paradigm = phase, .reference = "a/sequential"};
+  rejects({seq, other_problem}, "b/parallel");
+  pp::solver_info no_twin{
+      .name = "a/relaxed", .problem = "a", .paradigm = relaxed, .reference = "a/sequential"};
+  rejects({seq, rounds, no_twin}, "a/relaxed");
+  pp::solver_info phase_with_twin = rounds;
+  phase_with_twin.phase_ref = "a/rounds";
+  rejects({seq, phase_with_twin}, "a/rounds");
+  pp::solver_info sequential_twin = no_twin;
+  sequential_twin.phase_ref = "a/sequential";
+  rejects({seq, rounds, sequential_twin}, "a/relaxed");
+  pp::solver_info unchecked{.name = "a/unchecked", .problem = "a", .paradigm = phase};
+  rejects({seq, unchecked}, "a/unchecked");
+}
+
 TEST(Registry, ProblemsRegistered) {
   std::set<std::string> names;
   for (const auto& p : registry::instance().problems()) names.insert(p.name);
@@ -123,53 +165,27 @@ TEST(Registry, ParallelLisMatchesSequentialPayload) {
   EXPECT_EQ(s.length, p.length);
 }
 
-// Every solver of one problem computes the same canonical score on the
-// same input — the cross-implementation contract the paper's Sec. 5/6
-// claims, enforced through the registry.
+// Every phase and incremental solver computes its reference's canonical
+// score on the same input — the cross-implementation contract the paper's
+// Sec. 5/6 claims, enforced through the registry.
 TEST(Registry, AllSolversOfAProblemAgree) {
   const std::map<std::string, size_t> problem_sizes = {
       {"lis", 2'000},   {"activity", 2'000}, {"graph", 1'500},   {"sssp", 1'500},
       {"huffman", 2'000}, {"knapsack", 2'000}, {"list", 2'000},    {"shuffle", 2'000},
       {"whac", 1'500},
   };
-  const std::vector<std::vector<std::string>> groups = {
-      {"lis/sequential", "lis/parallel"},
-      {"activity/sequential", "activity/type1", "activity/type2"},
-      {"activity_unweighted/sequential", "activity_unweighted/parallel",
-       "activity_unweighted/euler"},
-      {"mis/sequential", "mis/rounds", "mis/tas"},
-      {"coloring/sequential", "coloring/tas"},
-      {"matching/sequential", "matching/rounds"},
-      {"sssp/dijkstra", "sssp/bellman_ford", "sssp/delta_stepping", "sssp/phase_parallel",
-       "sssp/crauser"},
-      {"huffman/sequential", "huffman/parallel"},
-      {"knapsack/sequential", "knapsack/parallel"},
-      {"list_ranking/sequential", "list_ranking/parallel"},
-      {"shuffle/sequential", "shuffle/parallel"},
-      {"whac/sequential", "whac/parallel"},
-  };
-
   auto& reg = registry::instance();
   std::map<std::string, pp::problem_input> inputs;
   for (const auto& [problem, n] : problem_sizes)
     inputs.emplace(problem, reg.make_input(problem, n, 3));
 
-  std::map<std::string, std::string> problem_of;
-  for (const auto& s : reg.solvers()) problem_of[s.name] = s.problem;
-
-  for (const auto& group : groups) {
-    ASSERT_FALSE(group.empty());
-    const auto& input = inputs.at(problem_of.at(group[0]));
-    int64_t reference = 0;
-    for (size_t i = 0; i < group.size(); ++i) {
-      auto res = registry::run(group[i], input);
-      int64_t score = pp::score_of(res.value);
-      if (i == 0) {
-        reference = score;
-      } else {
-        EXPECT_EQ(score, reference) << group[i] << " disagrees with " << group[0];
-      }
-    }
+  for (const auto& s : reg.solvers()) {
+    // Relaxed solvers answer structurally (test_relaxed), not by score.
+    if (s.reference.empty() || s.paradigm == pp::solver_paradigm::relaxed) continue;
+    const auto& input = inputs.at(s.problem);
+    EXPECT_EQ(pp::score_of(registry::run(s.name, input).value),
+              pp::score_of(registry::run(s.reference, input).value))
+        << s.name << " disagrees with " << s.reference;
   }
 }
 

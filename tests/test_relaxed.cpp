@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,14 +25,14 @@ pp::context native2() {
   return pp::context{}.with_backend(pp::backend_kind::native).with_workers(2);
 }
 
-// The four relaxed solvers and the reference each is validated against
-// (the family's sequential solver — exactly what test_soak uses).
-const std::vector<std::pair<std::string, std::string>> kRelaxed = {
-    {"mis/relaxed", "mis/sequential"},
-    {"coloring/relaxed", "coloring/sequential"},
-    {"matching/relaxed", "matching/sequential"},
-    {"sssp/relaxed", "sssp/dijkstra"},
-};
+// Every registered relaxed solver, so a new one is covered with no edit
+// here.
+std::vector<pp::solver_info> relaxed_solvers() {
+  std::vector<pp::solver_info> out;
+  for (const auto& s : registry::instance().solvers())
+    if (s.paradigm == pp::solver_paradigm::relaxed) out.push_back(s);
+  return out;
+}
 
 TEST(Relaxed, StructurallyValidAcrossBackendsAndK) {
   auto& reg = registry::instance();
@@ -41,21 +40,21 @@ TEST(Relaxed, StructurallyValidAcrossBackendsAndK) {
   const unsigned ks[] = {1, 4, 16, 64};
   const size_t n = 700;
 
+  const auto solvers = relaxed_solvers();
+  ASSERT_FALSE(solvers.empty());
   for (uint64_t seed : seeds) {
-    for (const auto& [name, ref_name] : kRelaxed) {
-      const auto* info = reg.info(name);
-      ASSERT_NE(info, nullptr) << name;
-      auto input = reg.make_input(info->problem, n, seed);
+    for (const auto& s : solvers) {
+      auto input = reg.make_input(s.problem, n, seed);
       auto ref = registry::run(
-          ref_name, input,
+          s.reference, input,
           pp::context{}.with_backend(pp::backend_kind::sequential).with_seed(seed));
       for (auto b : pp_test::kBackends) {
         for (unsigned k : ks) {
-          auto res = registry::run(name, input,
+          auto res = registry::run(s.name, input,
                                    pp::context{}.with_backend(b).with_seed(seed).with_relax_k(k));
-          ASSERT_EQ(res.status, pp::run_status::ok) << name;
+          ASSERT_EQ(res.status, pp::run_status::ok) << s.name;
           std::string why;
-          EXPECT_TRUE(pp_check::structurally_valid(name, input, res.value, ref.value, &why))
+          EXPECT_TRUE(pp_check::structurally_valid(s.name, input, res.value, ref.value, &why))
               << why << " (backend=" << pp::backend_name(b) << " seed=" << seed << " k=" << k
               << ")";
         }
@@ -97,7 +96,7 @@ TEST(Relaxed, ParadigmClassification) {
   auto paradigm = [&](const char* name) {
     const auto* info = reg.info(name);
     EXPECT_NE(info, nullptr) << name;
-    return pp::paradigm_of(*info);
+    return info ? info->paradigm : pp::solver_paradigm::phase;
   };
   EXPECT_EQ(paradigm("mis/relaxed"), pp::solver_paradigm::relaxed);
   EXPECT_EQ(paradigm("sssp/relaxed"), pp::solver_paradigm::relaxed);
@@ -106,28 +105,25 @@ TEST(Relaxed, ParadigmClassification) {
   EXPECT_EQ(paradigm("sssp/dijkstra"), pp::solver_paradigm::sequential);
   EXPECT_EQ(paradigm("sssp/incremental"), pp::solver_paradigm::sequential);
   EXPECT_EQ(paradigm("sssp/phase_parallel"), pp::solver_paradigm::phase);
-  EXPECT_TRUE(pp::accepts_relax_knob(*reg.info("matching/relaxed")));
-  EXPECT_FALSE(pp::accepts_relax_knob(*reg.info("matching/rounds")));
-  // Every registered */relaxed solver is classified relaxed (and nothing
-  // else is), so the golden-table exemption and the list column stay honest.
+  // A name ends in /relaxed exactly when the solver is registered relaxed,
+  // so the golden-table exemption and the list column stay honest.
   for (const auto& s : reg.solvers()) {
     bool name_says_relaxed = s.name.size() > 8 && s.name.rfind("/relaxed") == s.name.size() - 8;
-    EXPECT_EQ(pp::paradigm_of(s) == pp::solver_paradigm::relaxed, name_says_relaxed) << s.name;
+    EXPECT_EQ(s.paradigm == pp::solver_paradigm::relaxed, name_says_relaxed) << s.name;
   }
 }
 
 TEST(Relaxed, PreCancelledTokenUnwindsEveryRelaxedSolver) {
   auto& reg = registry::instance();
-  for (const auto& [name, ref_name] : kRelaxed) {
-    (void)ref_name;
-    const auto* info = reg.info(name);
-    ASSERT_NE(info, nullptr) << name;
-    auto in = reg.make_input(info->problem, 2'000, 7);
+  const auto solvers = relaxed_solvers();
+  ASSERT_FALSE(solvers.empty());
+  for (const auto& s : solvers) {
+    auto in = reg.make_input(s.problem, 2'000, 7);
     pp::cancel_token tok = pp::cancel_token::manual();
     tok.cancel();
-    auto res = registry::run(name, in, native2().with_seed(3).with_cancel(tok));
-    EXPECT_EQ(res.status, pp::run_status::cancelled) << name;
-    EXPECT_TRUE(res.cancelled()) << name;
+    auto res = registry::run(s.name, in, native2().with_seed(3).with_cancel(tok));
+    EXPECT_EQ(res.status, pp::run_status::cancelled) << s.name;
+    EXPECT_TRUE(res.cancelled()) << s.name;
   }
 }
 

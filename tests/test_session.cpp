@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -194,10 +195,24 @@ TEST(Session, SnapshotIsolationAcrossDeltas) {
   EXPECT_TRUE(pp_check::sssp_distances_equal(dijkstra_dist(v0), before));
 }
 
+// The incremental solvers this file runs on session snapshots.
+const std::set<std::string> kIncremental = {"sssp/incremental"};
+
+TEST(Session, EveryIncrementalSolverIsExercised) {
+  // A sequential solver that names a reference re-solves from session
+  // hints; each must be exact against that reference here.
+  for (const auto& s : registry::instance().solvers()) {
+    if (s.paradigm == pp::solver_paradigm::sequential && !s.reference.empty()) {
+      EXPECT_TRUE(kIncremental.count(s.name)) << s.name << " is not exercised by test_session";
+    }
+  }
+}
+
 TEST(Session, IncrementalSolveIsExact) {
   // sssp/incremental on a snapshot carrying (prior distances, inserted
-  // edges) must be BIT-IDENTICAL to the from-scratch reference — the
+  // edges) must be BIT-IDENTICAL to its registered reference — the
   // acceptance criterion the serving_sessions bench also enforces.
+  const std::string& reference = registry::instance().info("sssp/incremental")->reference;
   session_table tab(0);
   tab.create("g", registry::instance().make_input("sssp", 4000, 11));
   snapshot_input v0 = tab.snapshot("g");
@@ -218,7 +233,7 @@ TEST(Session, IncrementalSolveIsExact) {
   EXPECT_FALSE(v1.inserted_edges->empty());
 
   auto inc = registry::run("sssp/incremental", v1);
-  auto ref = registry::run("sssp/dijkstra", v1);
+  auto ref = registry::run(reference, v1);
   const auto& inc_d = std::get<pp::sssp_result>(inc.value).dist;
   const auto& ref_d = std::get<pp::sssp_result>(ref.value).dist;
   EXPECT_TRUE(pp_check::sssp_distances_equal(inc_d, ref_d));
@@ -239,7 +254,7 @@ TEST(Session, IncrementalSolveIsExact) {
   snapshot_input v2 = tab.snapshot("g");
   EXPECT_EQ(v2.prior_dist, nullptr);
   auto inc2 = registry::run("sssp/incremental", v2);
-  auto ref2 = registry::run("sssp/dijkstra", v2);
+  auto ref2 = registry::run(reference, v2);
   EXPECT_TRUE(pp_check::sssp_distances_equal(std::get<pp::sssp_result>(inc2.value).dist,
                                              std::get<pp::sssp_result>(ref2.value).dist));
 }

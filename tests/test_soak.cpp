@@ -1,6 +1,6 @@
 // Registry-driven soak smoke test (ROADMAP: fuzzing/soak harness): every
-// registered solver x every backend x 3 seeds, cross-checking score_of
-// agreement between the family's sequential reference and each variant.
+// registered solver that names a reference x every backend x 3 seeds,
+// cross-checking score_of agreement with its solver_info::reference.
 // The registry + input factories make this the ~50-line loop the ROADMAP
 // describes; any mismatch prints the failing (solver, backend, seed, n)
 // triple so a nightly run minimizes itself.
@@ -18,22 +18,15 @@ namespace {
 
 using pp::registry;
 
-// Sequential reference of a solver family ("lis/parallel" -> family "lis").
-// Every family names its reference "<family>/sequential" except sssp,
-// whose sequential baseline is Dijkstra.
-std::string reference_of(const std::string& solver_name) {
-  std::string family = solver_name.substr(0, solver_name.find('/'));
-  std::string ref = family + "/sequential";
-  if (!registry::instance().contains(ref) && family == "sssp") ref = "sssp/dijkstra";
-  return ref;
-}
-
 TEST(Soak, EverySolverEveryBackendThreeSeeds) {
   auto& reg = registry::instance();
   const uint64_t seeds[] = {101, 202, 303};
   const size_t n = 600;
+  size_t non_reference = 0;
+  for (const auto& s : reg.solvers()) non_reference += !s.reference.empty();
 
   for (uint64_t seed : seeds) {
+    size_t checked = 0;
     // One input per problem per seed, shared by the whole family sweep.
     std::map<std::string, pp::problem_input> inputs;
     // Reference scores, computed once per (reference solver, seed).
@@ -42,11 +35,11 @@ TEST(Soak, EverySolverEveryBackendThreeSeeds) {
     std::map<std::string, pp::solver_value> ref_values;
 
     for (const auto& s : reg.solvers()) {
+      if (s.reference.empty()) continue;  // a reference solver: nothing to check it against
       if (!inputs.count(s.problem)) inputs.emplace(s.problem, reg.make_input(s.problem, n, seed));
       const auto& input = inputs.at(s.problem);
 
-      std::string ref = reference_of(s.name);
-      ASSERT_TRUE(reg.contains(ref)) << "no sequential reference for " << s.name;
+      const std::string& ref = s.reference;
       if (!ref_scores.count(ref)) {
         auto res = registry::run(
             ref, input, pp::context{}.with_backend(pp::backend_kind::sequential).with_seed(seed));
@@ -54,7 +47,7 @@ TEST(Soak, EverySolverEveryBackendThreeSeeds) {
         ref_values.emplace(ref, std::move(res.value));
       }
 
-      const bool relaxed = pp::paradigm_of(s) == pp::solver_paradigm::relaxed;
+      const bool relaxed = s.paradigm == pp::solver_paradigm::relaxed;
       for (auto b : pp_test::kBackends) {
         auto res = registry::run(s.name, input, pp::context{}.with_backend(b).with_seed(seed));
         if (relaxed) {
@@ -71,7 +64,10 @@ TEST(Soak, EverySolverEveryBackendThreeSeeds) {
             << "soak mismatch: solver=" << s.name << " backend=" << pp::backend_name(b)
             << " seed=" << seed << " n=" << n << " (reference " << ref << ")";
       }
+      ++checked;
     }
+    // No solver that names a reference slips through unchecked.
+    EXPECT_EQ(checked, non_reference) << "seed=" << seed;
   }
 }
 

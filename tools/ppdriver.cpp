@@ -38,7 +38,6 @@
 //   ppdriver run lis/parallel --n 1000000 --backend native --workers 8
 //   ppdriver batch lis/parallel --count 8 --n 20000 --json
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,22 +69,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// Relaxed solvers name their determinism reference inside the description
-// ("phase ref: <solver>" — the same convention tools/pplint.py's
-// relaxed-coverage rule enforces). Empty for phase/sequential solvers.
-std::string phase_ref_of(const pp::solver_info& s) {
-  static constexpr std::string_view kTag = "phase ref: ";
-  size_t at = s.description.find(kTag);
-  if (at == std::string::npos) return {};
-  size_t begin = at + kTag.size();
-  size_t end = begin;
-  while (end < s.description.size() &&
-         (std::isalnum(static_cast<unsigned char>(s.description[end])) ||
-          s.description[end] == '/' || s.description[end] == '_'))
-    ++end;
-  return s.description.substr(begin, end - begin);
-}
-
 int cmd_list(bool json) {
   auto& reg = pp::registry::instance();
   if (json) {
@@ -95,9 +78,9 @@ int cmd_list(bool json) {
       w.begin_object();
       w.member("name", s.name);
       w.member("problem", s.problem);
-      w.member("paradigm", pp::paradigm_name(pp::paradigm_of(s)));
-      w.member("relax_knob", pp::accepts_relax_knob(s));
-      w.member("phase_ref", phase_ref_of(s));
+      w.member("paradigm", pp::paradigm_name(s.paradigm));
+      w.member("relax_knob", s.paradigm == pp::solver_paradigm::relaxed);
+      w.member("phase_ref", s.phase_ref);
       w.member("description", s.description);
       w.end_object();
     }
@@ -111,7 +94,8 @@ int cmd_list(bool json) {
               "description");
   for (const auto& s : reg.solvers())
     std::printf("%-32s %-10s %-10s %-7s %s\n", s.name.c_str(), s.problem.c_str(),
-                pp::paradigm_name(pp::paradigm_of(s)), pp::accepts_relax_knob(s) ? "yes" : "-",
+                pp::paradigm_name(s.paradigm),
+                s.paradigm == pp::solver_paradigm::relaxed ? "yes" : "-",
                 s.description.c_str());
   return 0;
 }
@@ -389,7 +373,7 @@ int cmd_golden(int argc, char** argv) {
   for (const auto& s : reg.solvers()) {
     // Relaxed-paradigm solvers promise structural validity, not
     // bit-stability — tests/test_fingerprint.cpp asserts they are absent.
-    if (pp::paradigm_of(s) == pp::solver_paradigm::relaxed) continue;
+    if (s.paradigm == pp::solver_paradigm::relaxed) continue;
     auto input = reg.make_input(s.problem, n, seed);
     auto fp = pp::fingerprint_of(input);
     auto res = pp::registry::run(

@@ -4,9 +4,9 @@
 // Until --duration expires, repeatedly: pick a random registered solver, a
 // random backend, a random seed, and a random size n (log-uniform in
 // [50, --max-n]); build the problem's default input; run the solver and
-// its family's sequential reference on the same input; compare canonical
-// scores (pp::score_of). Relaxed-paradigm solvers (*/relaxed) are instead
-// validated structurally (tests/checkers.h) — their schedules are
+// its registered reference (solver_info::reference) on the same input;
+// compare canonical scores (pp::score_of). Relaxed-paradigm solvers are
+// instead validated structurally (tests/checkers.h) — their schedules are
 // nondeterministic, so score equality would be the wrong oracle.
 // On a mismatch the failure is *minimized* — n is
 // halved while the mismatch reproduces — and printed as a ready-to-run
@@ -44,16 +44,6 @@ namespace {
 
 using pp::registry;
 
-// Sequential reference of a solver family ("lis/parallel" -> family "lis").
-// Every family names its reference "<family>/sequential" except sssp,
-// whose sequential baseline is Dijkstra.
-std::string reference_of(const std::string& solver_name) {
-  std::string family = solver_name.substr(0, solver_name.find('/'));
-  std::string ref = family + "/sequential";
-  if (!registry::instance().contains(ref) && family == "sssp") ref = "sssp/dijkstra";
-  return ref;
-}
-
 struct trial {
   std::string solver;
   std::string reference;
@@ -82,7 +72,7 @@ bool agree(const trial& t, int64_t& ref_score, int64_t& got_score, std::string& 
         registry::run(t.solver, input, pp::context{}.with_backend(t.backend).with_seed(t.seed));
     ref_score = pp::score_of(ref.value);
     got_score = pp::score_of(got.value);
-    if (pp::paradigm_of(*si) == pp::solver_paradigm::relaxed) {
+    if (si->paradigm == pp::solver_paradigm::relaxed) {
       std::string why;
       if (pp_check::structurally_valid(t.solver, input, got.value, ref.value, &why)) return true;
       error = why;
@@ -135,14 +125,10 @@ int main(int argc, char** argv) {
   }
   if (max_n < 50) max_n = 50;
 
-  // Candidate solvers: everything that is not its own reference.
+  // Candidate solvers: every solver that names a reference.
   std::vector<trial> candidates;
-  for (const auto& s : registry::instance().solvers()) {
-    std::string ref = reference_of(s.name);
-    if (ref == s.name) continue;
-    if (!registry::instance().contains(ref)) continue;
-    candidates.push_back({s.name, ref, pp::backend_kind::native, 0, 0});
-  }
+  for (const auto& s : registry::instance().solvers())
+    if (!s.reference.empty()) candidates.push_back({s.name, s.reference});
   const pp::backend_kind backends[] = {pp::backend_kind::sequential, pp::backend_kind::native};
 
   pp::random_stream rng(pp::hash64(base_seed ^ 0xf022a3ull) | 1);

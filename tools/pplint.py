@@ -18,29 +18,6 @@ codebase depends on for correctness and reproducibility:
   defaulted-seed       No function/constructor parameter named `seed` may
                        have a default argument. A silently-defaulted seed is
                        a hidden global that breaks reproducibility audits.
-  solver-coverage      Every registered solver family must also register its
-                       reference implementation (`<family>/sequential`, or
-                       `sssp/dijkstra` for sssp) so the cross-checking
-                       harnesses (test_soak, ppfuzz) can verify every
-                       solver; and those harnesses must enumerate the
-                       registry dynamically (`.solvers()`), never keep a
-                       hand-maintained list that can go stale.
-  fingerprint-coverage Every problem_input variant alternative must declare
-                       a canonicalizer (`void canonicalize(const X&,
-                       fingerprint_stream&)`), or its fingerprint would fall
-                       back to nothing and content addressing (result cache,
-                       dedup, golden table, ppfuzz corpus) silently breaks
-                       for that problem (see core/fingerprint.h).
-  relaxed-coverage     Every `*/relaxed` solver must (a) declare its
-                       phase-mode determinism reference in its registry
-                       description ("phase ref: <solver>", and that solver
-                       must itself be registered — it is the oracle the
-                       structural checkers and benches compare against),
-                       (b) run on an execution path that carries a
-                       cancel_point() call (the MultiQueue driver), and
-                       (c) be exercised by tests/test_relaxed.cpp. Relaxed
-                       solvers are exempt from the golden table, so this
-                       rule is what keeps their oracle and coverage honest.
   metrics-coverage     Every metric name literal in the catalog list of
                        src/core/metrics.h (the single place names may
                        live) must appear in tests/test_trace.cpp (the
@@ -49,19 +26,13 @@ codebase depends on for correctness and reproducibility:
                        untested is invisible twice over; this rule makes
                        adding a metric force both the golden and the
                        catalog forward in the same commit.
-  session-coverage     Every `*/incremental` solver must (a) declare its
-                       from-scratch exactness oracle in its registry
-                       description ("from-scratch ref: <solver>", itself
-                       registered — incremental results are bit-compared
-                       against it, never approximate), and (b) be
-                       exercised by tests/test_session.cpp. The serve
-                       protocol (src/serve/protocol.cpp, which must exist)
-                       must handle all four session verbs (create/delta/
-                       solve/drop).
 
-The JSON records (phase_stats, run_result, batch_result, engine_stats,
-session_desc) need no rule: each struct body and its writer expand one
-field list (src/core/fields.h), so a writer cannot skip a field.
+The JSON records need no rule: each struct body and its writer expand one
+field list (src/core/fields.h). Nor does the solver roster: each solver
+declares its paradigm and reference at registration, check_solver_roles
+(src/core/registry.h) rejects a broken role when the registry is built,
+and the tests enumerate the registry. A problem_input alternative without
+a canonicalizer does not compile.
 
 Usage:
   tools/pplint.py [--root DIR]     lint the tree (exit 1 on violations)
@@ -226,193 +197,6 @@ def check_defaulted_seed(path, text):
 
 
 # --------------------------------------------------------------------------
-# Rule: solver-coverage
-
-# Families whose reference solver is not `<family>/sequential`.
-REFERENCE_EXCEPTIONS = {"sssp": "sssp/dijkstra"}
-
-
-# One registration: add_solver("name", "description" ...). A description
-# may be split across adjacent string literals.
-REGISTRATION = r'add_solver\s*\(\s*"([^"]+)"\s*,\s*((?:"[^"]*"\s*)+)'
-
-
-def registrations(registry_text):
-    """(name, description) of every add_solver call."""
-    return [
-        (n, "".join(re.findall(r'"([^"]*)"', d)))
-        for n, d in re.findall(REGISTRATION, registry_text)
-    ]
-
-
-def registration_line(raw, name_prefix):
-    m = re.search(r'add_solver\s*\(\s*"%s' % re.escape(name_prefix), raw)
-    return line_of(raw, m.start()) if m else 1
-
-
-def check_solver_coverage(root, registry_path, harness_paths):
-    out = []
-    with open(registry_path, encoding="utf-8") as f:
-        raw = f.read()
-    text = strip_comments_and_strings(raw)
-    # Registration names live in string literals, so extract them from the
-    # raw text but only at positions the stripped text still marks as code.
-    names = [n for n, _d in registrations(raw)]
-    if not names:
-        out.append(Violation(registry_path, 1, "solver-coverage", "no add_solver registrations found (parser broken?)"))
-        return out
-    families = {}
-    for n in names:
-        fam = n.split("/", 1)[0]
-        families.setdefault(fam, set()).add(n)
-    for fam in sorted(families):
-        ref = REFERENCE_EXCEPTIONS.get(fam, fam + "/sequential")
-        if ref not in names:
-            line = registration_line(raw, fam + "/")
-            out.append(
-                Violation(
-                    registry_path,
-                    line,
-                    "solver-coverage",
-                    "family '%s' registers %d solver(s) but no reference '%s'; "
-                    "test_soak and ppfuzz cannot cross-check it" % (fam, len(families[fam]), ref),
-                )
-            )
-    for hp in harness_paths:
-        with open(hp, encoding="utf-8") as f:
-            htext = strip_comments_and_strings(f.read())
-        if ".solvers()" not in htext.replace(" ", ""):
-            out.append(
-                Violation(
-                    hp,
-                    1,
-                    "solver-coverage",
-                    "harness does not enumerate registry::instance().solvers(); "
-                    "a hand-kept solver list silently goes stale",
-                )
-            )
-    return out
-
-
-# --------------------------------------------------------------------------
-# Rule: fingerprint-coverage
-
-
-def check_fingerprint_coverage(path, text):
-    """Every alternative of `using problem_input = std::variant<...>` must
-    have a canonicalizer declared (`canonicalize(const X&`). An alternative
-    without one has no canonical byte stream, so its fingerprint — and with
-    it the serve-layer cache/dedup keys, the golden-result table, and the
-    ppfuzz corpus — would silently stop addressing that problem's content."""
-    out = []
-    m = re.search(r"\busing\s+problem_input\s*=\s*std\s*::\s*variant\s*<([^>]*)>", text)
-    if not m:
-        out.append(
-            Violation(path, 1, "fingerprint-coverage", "problem_input variant not found (parser broken?)")
-        )
-        return out
-    alts = [a.strip() for a in m.group(1).split(",") if a.strip()]
-    if not alts:
-        out.append(
-            Violation(path, line_of(text, m.start()), "fingerprint-coverage", "problem_input variant has no alternatives (parser broken?)")
-        )
-        return out
-    for alt in alts:
-        if not re.search(r"\bcanonicalize\s*\(\s*const\s+%s\s*&" % re.escape(alt), text):
-            out.append(
-                Violation(
-                    path,
-                    line_of(text, m.start()),
-                    "fingerprint-coverage",
-                    "problem_input alternative '%s' has no canonicalizer "
-                    "(void canonicalize(const %s&, fingerprint_stream&)); its "
-                    "fingerprint cannot address the input's content" % (alt, alt),
-                )
-            )
-    return out
-
-
-# --------------------------------------------------------------------------
-# Rule: relaxed-coverage
-
-
-def check_relaxed_coverage(registry_path, impl_paths, test_path):
-    """Every registered `*/relaxed` solver must declare a registered phase
-    reference in its description, the relaxed execution path must contain a
-    cancel_point() call, and the solver must appear in test_relaxed.cpp."""
-    out = []
-    with open(registry_path, encoding="utf-8") as f:
-        raw = f.read()
-    regs = registrations(raw)
-    names = {n for n, _d in regs}
-    relaxed = [(n, d) for n, d in regs if n.endswith("/relaxed")]
-    for name, desc in relaxed:
-        line = registration_line(raw, name + '"')
-        rm = re.search(r"phase ref:\s*([\w/]+)", desc)
-        if not rm:
-            out.append(
-                Violation(
-                    registry_path,
-                    line,
-                    "relaxed-coverage",
-                    "relaxed solver '%s' does not declare its determinism "
-                    "reference ('phase ref: <solver>' in the description)" % name,
-                )
-            )
-        elif rm.group(1) not in names:
-            out.append(
-                Violation(
-                    registry_path,
-                    line,
-                    "relaxed-coverage",
-                    "relaxed solver '%s' declares 'phase ref: %s' but no such "
-                    "solver is registered" % (name, rm.group(1)),
-                )
-            )
-    if not relaxed:
-        return out
-    impl_text = ""
-    for p in impl_paths:
-        with open(p, encoding="utf-8") as f:
-            impl_text += strip_comments_and_strings(f.read())
-    if not re.search(r"\bcancel_point\s*\(", impl_text):
-        out.append(
-            Violation(
-                impl_paths[0] if impl_paths else registry_path,
-                1,
-                "relaxed-coverage",
-                "relaxed execution path has no cancel_point() call; relaxed "
-                "runs could never unwind on cancellation",
-            )
-        )
-    if test_path is None or not os.path.exists(test_path):
-        out.append(
-            Violation(
-                registry_path,
-                1,
-                "relaxed-coverage",
-                "relaxed solvers are registered but tests/test_relaxed.cpp "
-                "does not exist",
-            )
-        )
-    else:
-        with open(test_path, encoding="utf-8") as f:
-            test_raw = f.read()
-        for name, _d in relaxed:
-            if name not in test_raw:
-                out.append(
-                    Violation(
-                        test_path,
-                        1,
-                        "relaxed-coverage",
-                        "relaxed solver '%s' is not exercised by %s"
-                        % (name, os.path.basename(test_path)),
-                    )
-                )
-    return out
-
-
-# --------------------------------------------------------------------------
 # Rule: metrics-coverage
 
 
@@ -465,97 +249,6 @@ def check_metrics_coverage(metrics_path, consumer_paths):
 
 
 # --------------------------------------------------------------------------
-# Rule: session-coverage
-
-SESSION_VERBS = ("create", "delta", "solve", "drop")
-
-
-def check_session_coverage(registry_path, test_path, serve_path):
-    """Every registered `*/incremental` solver must declare a registered
-    from-scratch reference in its description and appear in
-    tests/test_session.cpp; src/serve/protocol.cpp must exist and dispatch
-    every session verb."""
-    out = []
-    with open(registry_path, encoding="utf-8") as f:
-        raw = f.read()
-    regs = registrations(raw)
-    names = {n for n, _d in regs}
-    incremental = [(n, d) for n, d in regs if n.endswith("/incremental")]
-    for name, desc in incremental:
-        line = registration_line(raw, name + '"')
-        rm = re.search(r"from-scratch ref:\s*([\w/]+)", desc)
-        if not rm:
-            out.append(
-                Violation(
-                    registry_path,
-                    line,
-                    "session-coverage",
-                    "incremental solver '%s' does not declare its exactness "
-                    "oracle ('from-scratch ref: <solver>' in the description)" % name,
-                )
-            )
-        elif rm.group(1) not in names:
-            out.append(
-                Violation(
-                    registry_path,
-                    line,
-                    "session-coverage",
-                    "incremental solver '%s' declares 'from-scratch ref: %s' "
-                    "but no such solver is registered" % (name, rm.group(1)),
-                )
-            )
-    if incremental:
-        if test_path is None or not os.path.exists(test_path):
-            out.append(
-                Violation(
-                    registry_path,
-                    1,
-                    "session-coverage",
-                    "incremental solvers are registered but "
-                    "tests/test_session.cpp does not exist",
-                )
-            )
-        else:
-            with open(test_path, encoding="utf-8") as f:
-                test_raw = f.read()
-            for name, _d in incremental:
-                if name not in test_raw:
-                    out.append(
-                        Violation(
-                            test_path,
-                            1,
-                            "session-coverage",
-                            "incremental solver '%s' is not exercised by %s"
-                            % (name, os.path.basename(test_path)),
-                        )
-                    )
-    if not os.path.exists(serve_path):
-        out.append(
-            Violation(
-                serve_path,
-                1,
-                "session-coverage",
-                "the session-verb dispatcher %s does not exist" % os.path.basename(serve_path),
-            )
-        )
-    else:
-        with open(serve_path, encoding="utf-8") as f:
-            serve_raw = f.read()
-        for verb in SESSION_VERBS:
-            if not re.search(r'verb\s*==\s*"%s"' % verb, serve_raw):
-                out.append(
-                    Violation(
-                        serve_path,
-                        1,
-                        "session-coverage",
-                        "the serve protocol does not dispatch the session verb '%s' "
-                        "(want all of create/delta/solve/drop)" % verb,
-                    )
-                )
-    return out
-
-
-# --------------------------------------------------------------------------
 # Driver
 
 def lint_tree(root):
@@ -570,39 +263,12 @@ def lint_tree(root):
             os.path.join(root, "bench")
         ):
             violations += check_banned_clock_rand(path, text)
-    registry = os.path.join(root, "src", "core", "registry.cpp")
-    harnesses = [
-        os.path.join(root, "tests", "test_soak.cpp"),
-        os.path.join(root, "tools", "ppfuzz.cpp"),
-    ]
-    if os.path.exists(registry):
-        violations += check_solver_coverage(root, registry, [h for h in harnesses if os.path.exists(h)])
-        relaxed_impls = [
-            p
-            for p in (
-                os.path.join(root, "src", "algos", "relaxed.cpp"),
-                os.path.join(root, "src", "parallel", "multiqueue.h"),
-            )
-            if os.path.exists(p)
-        ]
-        violations += check_relaxed_coverage(
-            registry, relaxed_impls, os.path.join(root, "tests", "test_relaxed.cpp")
-        )
-        violations += check_session_coverage(
-            registry,
-            os.path.join(root, "tests", "test_session.cpp"),
-            os.path.join(root, "src", "serve", "protocol.cpp"),
-        )
     metrics_h = os.path.join(root, "src", "core", "metrics.h")
     if os.path.exists(metrics_h):
         violations += check_metrics_coverage(
             metrics_h,
             [os.path.join(root, "tests", "test_trace.cpp"), os.path.join(root, "README.md")],
         )
-    registry_h = os.path.join(root, "src", "core", "registry.h")
-    if os.path.exists(registry_h):
-        with open(registry_h, encoding="utf-8") as f:
-            violations += check_fingerprint_coverage(registry_h, strip_comments_and_strings(f.read()))
     return violations
 
 
@@ -664,109 +330,6 @@ void use() {
 }
 """
 
-FIXTURE_REGISTRY_BAD = """
-void register_all(registry& r) {
-  r.add_solver("foo/parallel", "has no reference twin", fn);
-  r.add_solver("bar/sequential", "fine", fn);
-}
-"""
-
-FIXTURE_HARNESS_BAD = """
-int main() {
-  const char* names[] = {"foo/parallel", "bar/sequential"};  // stale list
-  for (auto n : names) run(n);
-}
-"""
-
-
-FIXTURE_RELAXED_REGISTRY_BAD = """
-void register_all(registry& r) {
-  r.add_solver("foo/relaxed", "async greedy, reference unstated", fn);
-  r.add_solver("bar/relaxed", "async greedy (phase ref: bar/rounds)", fn);
-  r.add_solver("foo/sequential", "fine", fn);
-}
-"""
-
-FIXTURE_RELAXED_REGISTRY_GOOD = """
-void register_all(registry& r) {
-  r.add_solver("baz/relaxed", "async greedy (phase ref: baz/rounds)", fn);
-  r.add_solver("baz/rounds", "phase-parallel twin", fn);
-}
-"""
-
-FIXTURE_RELAXED_IMPL_BAD = """
-mq_counters mq_run(const context& ctx, multiqueue& q) {
-  // no cancel_point anywhere: a cancelled relaxed run could never unwind
-  return {};
-}
-"""
-
-FIXTURE_RELAXED_IMPL_GOOD = """
-mq_counters mq_run(const context& ctx, multiqueue& q) {
-  cancel_point();
-  return {};
-}
-"""
-
-FIXTURE_RELAXED_TEST_GOOD = """
-TEST(Relaxed, Valid) { run("baz/relaxed"); }
-"""
-
-FIXTURE_FP_BAD = """
-struct alpha_input { int n; };
-void canonicalize(const alpha_input& in, fingerprint_stream& s);
-struct beta_input { int n; };  // no canonicalizer: content-address hole
-using problem_input = std::variant<alpha_input, beta_input>;
-"""
-
-FIXTURE_FP_GOOD = """
-struct alpha_input { int n; };
-void canonicalize(const alpha_input& in, fingerprint_stream& s);
-struct beta_input { int n; };
-void canonicalize(const beta_input& in, fingerprint_stream& s);
-using problem_input =
-    std::variant<alpha_input, beta_input>;
-"""
-
-
-FIXTURE_SESSION_REGISTRY_BAD = """
-void register_all(registry& r) {
-  r.add_solver("foo/incremental", "delta re-solve, oracle unstated", fn);
-  r.add_solver("bar/incremental", "delta re-solve (from-scratch ref: bar/exact)", fn);
-  r.add_solver("foo/sequential", "fine", fn);
-}
-"""
-
-FIXTURE_SESSION_REGISTRY_GOOD = """
-void register_all(registry& r) {
-  r.add_solver("baz/incremental", "delta re-solve (from-scratch ref: baz/sequential)", fn);
-  r.add_solver("baz/sequential", "the exactness oracle", fn);
-}
-"""
-
-FIXTURE_SESSION_TEST_GOOD = """
-TEST(Session, IncrementalIsExact) { run("baz/incremental"); }
-"""
-
-FIXTURE_SESSION_SERVE_BAD = """
-void feed(const std::string& verb) {
-  if (verb == "create") { }
-  if (verb == "delta") { }
-  if (verb == "solve") { }
-  // "drop" forgotten: sessions could never be released over the wire
-}
-"""
-
-FIXTURE_SESSION_SERVE_GOOD = """
-void feed(const std::string& verb) {
-  if (verb == "create") { }
-  if (verb == "delta") { }
-  if (verb == "solve") { }
-  if (verb == "drop") { }
-}
-"""
-
-
 FIXTURE_METRICS_REG = """
 #define PP_METRICS(METRIC)                                                 \\
   METRIC(counter, serve_submitted, "pp_serve_submitted_total",             \\
@@ -820,87 +383,6 @@ def self_test():
     expect(len(v) == 0, "defaulted-seed quiet on member initializer and locals", failures)
 
     with tempfile.TemporaryDirectory() as td:
-        reg = os.path.join(td, "registry.cpp")
-        harness = os.path.join(td, "soak.cpp")
-        with open(reg, "w") as f:
-            f.write(FIXTURE_REGISTRY_BAD)
-        with open(harness, "w") as f:
-            f.write(FIXTURE_HARNESS_BAD)
-        v = check_solver_coverage(td, reg, [harness])
-        expect(
-            len(v) == 2 and any("foo" in x.msg for x in v) and any("solvers()" in x.msg for x in v),
-            "solver-coverage fires on missing reference and stale harness list",
-            failures,
-        )
-
-        rreg_bad = os.path.join(td, "relaxed_registry_bad.cpp")
-        rreg_good = os.path.join(td, "relaxed_registry_good.cpp")
-        rimpl_bad = os.path.join(td, "relaxed_impl_bad.h")
-        rimpl_good = os.path.join(td, "relaxed_impl_good.h")
-        rtest = os.path.join(td, "test_relaxed.cpp")
-        for p, content in (
-            (rreg_bad, FIXTURE_RELAXED_REGISTRY_BAD),
-            (rreg_good, FIXTURE_RELAXED_REGISTRY_GOOD),
-            (rimpl_bad, FIXTURE_RELAXED_IMPL_BAD),
-            (rimpl_good, FIXTURE_RELAXED_IMPL_GOOD),
-            (rtest, FIXTURE_RELAXED_TEST_GOOD),
-        ):
-            with open(p, "w") as f:
-                f.write(content)
-        v = check_relaxed_coverage(rreg_bad, [rimpl_bad], rtest)
-        expect(
-            any("does not declare its determinism reference" in x.msg for x in v)
-            and any("no such solver is registered" in x.msg for x in v)
-            and any("no cancel_point" in x.msg for x in v)
-            and any("not exercised by" in x.msg for x in v),
-            "relaxed-coverage fires on missing ref, bad ref, missing cancel_point, untested solver",
-            failures,
-        )
-        v = check_relaxed_coverage(rreg_good, [rimpl_good], rtest)
-        expect(
-            len(v) == 0,
-            "relaxed-coverage quiet on declared+registered ref, cancel_point, tested solver",
-            failures,
-        )
-
-        sreg_bad = os.path.join(td, "session_registry_bad.cpp")
-        sreg_good = os.path.join(td, "session_registry_good.cpp")
-        stest = os.path.join(td, "test_session.cpp")
-        sserve_bad = os.path.join(td, "ppserve_bad.cpp")
-        sserve_good = os.path.join(td, "ppserve_good.cpp")
-        for p, content in (
-            (sreg_bad, FIXTURE_SESSION_REGISTRY_BAD),
-            (sreg_good, FIXTURE_SESSION_REGISTRY_GOOD),
-            (stest, FIXTURE_SESSION_TEST_GOOD),
-            (sserve_bad, FIXTURE_SESSION_SERVE_BAD),
-            (sserve_good, FIXTURE_SESSION_SERVE_GOOD),
-        ):
-            with open(p, "w") as f:
-                f.write(content)
-        v = check_session_coverage(sreg_bad, stest, sserve_bad)
-        expect(
-            any("does not declare its exactness oracle" in x.msg for x in v)
-            and any("no such solver is registered" in x.msg for x in v)
-            and any("not exercised by" in x.msg for x in v)
-            and any("session verb 'drop'" in x.msg for x in v),
-            "session-coverage fires on missing ref, bad ref, untested solver, missing verb",
-            failures,
-        )
-        v = check_session_coverage(sreg_good, stest, sserve_good)
-        expect(
-            len(v) == 0,
-            "session-coverage quiet on declared+registered ref, tested solver, full verbs",
-            failures,
-        )
-        v = check_session_coverage(
-            sreg_good, stest, os.path.join(td, "protocol_missing.cpp")
-        )
-        expect(
-            any("dispatcher protocol_missing.cpp does not exist" in x.msg for x in v),
-            "session-coverage fires when the serve dispatcher file is missing",
-            failures,
-        )
-
         mreg = os.path.join(td, "metrics.cpp")
         mgood = os.path.join(td, "consumer_good.md")
         mbad = os.path.join(td, "consumer_bad.md")
@@ -928,15 +410,6 @@ def self_test():
             "metrics-coverage fires when the registration anchor vanishes",
             failures,
         )
-
-    v = check_fingerprint_coverage("bad.h", strip_comments_and_strings(FIXTURE_FP_BAD))
-    expect(
-        len(v) == 1 and v[0].rule == "fingerprint-coverage" and "beta_input" in v[0].msg,
-        "fingerprint-coverage fires on variant alternative without canonicalizer",
-        failures,
-    )
-    v = check_fingerprint_coverage("good.h", strip_comments_and_strings(FIXTURE_FP_GOOD))
-    expect(len(v) == 0, "fingerprint-coverage quiet when every alternative is covered", failures)
 
     if failures:
         print("self-test FAILED (%d)" % len(failures))
