@@ -24,14 +24,16 @@
 // deterministic_top / deterministic_row lists tell the generic checker
 // (tools/bench_baseline_check.py) which fields the committed baseline
 // BENCH_serving_sessions.json locks in CI (versions, fingerprints, edge
-// counts, distance checksums, pass — NOT wall-clock). Regenerate with
-// `bench/serving_sessions --json > BENCH_serving_sessions.json` after an
-// intentional change.
+// counts, distance checksums, pass — NOT wall-clock, and NOT peak_rss_mb,
+// the process's peak resident set, reported for information). Regenerate
+// with `bench/serving_sessions --json > BENCH_serving_sessions.json` after
+// an intentional change.
 //
 // Env: REPRO_SCALE scales the instance, PP_SEED the base seed.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -72,6 +74,15 @@ std::vector<pp::wgraph::wedge> make_delta(size_t count, size_t round, pp::vertex
     e.push_back({u, v, 1});
   }
   return e;
+}
+
+// This process's peak resident set (VmHWM in /proc/self/status) in MB;
+// -1 where the kernel does not report it.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmHWM:", 0) == 0) return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+  return -1.0;
 }
 
 }  // namespace
@@ -168,6 +179,7 @@ int main(int argc, char** argv) {
     w.member("pass", pass);
     w.member("create_seconds", create_s);
     w.member("scratch_v0_seconds", base_s);
+    w.member("peak_rss_mb", peak_rss_mb());
     w.key("rows").begin_array();
     for (const auto& r : rows) {
       w.begin_object();
@@ -184,7 +196,8 @@ int main(int argc, char** argv) {
     w.end_array().end_object();
     std::printf("%s\n", w.str().c_str());
   } else {
-    std::printf("\ninvariants (bit-identical distances, hints live, >=5x at K=64) -> %s\n",
+    std::printf("\npeak RSS %.1f MB\n", peak_rss_mb());
+    std::printf("invariants (bit-identical distances, hints live, >=5x at K=64) -> %s\n",
                 pass ? "PASS" : "FAIL");
   }
   return pass ? 0 : 1;

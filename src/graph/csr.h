@@ -113,33 +113,12 @@ class wgraph {
     return g;
   }
 
-  // Build from an edge list already sorted by (u, v) with no duplicates —
-  // the invariant the session store's persistent edge map maintains
-  // (src/serve/session.cpp). Skips from_edges' O(m log m) re-sort: one
-  // O(m) scatter, so materializing a delta'd version costs a linear merge
-  // plus this.
-  static wgraph from_sorted_edges(vertex_t n, std::span<const wedge> edges) {
-    wgraph g;
-    g.n_ = n;
-    g.offsets_.assign(n + 1, 0);
-    g.adj_.resize(edges.size());
-    g.wts_.resize(edges.size());
-    parallel_for(0, edges.size(), [&](size_t i) {
-      g.adj_[i] = edges[i].v;
-      g.wts_[i] = edges[i].w;
-    });
-    std::vector<size_t> deg(n, 0);
-    for (const auto& e : edges) deg[e.u]++;
-    for (vertex_t v = 0; v < n; ++v) g.offsets_[v + 1] = g.offsets_[v] + deg[v];
-    return g;
-  }
-
   // Adopt prebuilt CSR arrays: offsets.size() == n + 1, monotone, with
   // adj/wts of size offsets[n] holding per-vertex neighbor runs sorted by
-  // target and deduplicated. The zero-copy landing pad for the session
-  // store's single-pass delta merge (src/serve/session.cpp), which emits
-  // the child version's arrays directly instead of round-tripping through
-  // an edge list.
+  // target and deduplicated. The session store (src/serve/session.cpp)
+  // builds every version this way: version 0 in one pass over its input's
+  // CSR, and each later version in one merge of its parent's CSR with a
+  // resolved delta.
   static wgraph from_csr(vertex_t n, std::vector<size_t> offsets, std::vector<vertex_t> adj,
                          std::vector<uint32_t> wts) {
     wgraph g;

@@ -270,13 +270,10 @@ connection::body connection::session_verb(const std::string& id, const std::stri
     request req = run_fields(doc);
     req.session = name;
     // Pin the head: the solve reads THIS version even if deltas land
-    // while it is queued. The descriptor it answers with is the same
-    // pinned version (describe() after snapshot() could already be ahead).
-    snapshot_input snap = tab_.snapshot(name);
-    session_desc desc = tab_.describe(name);
-    desc.version = snap.version;
-    desc.fp = snap.fp;
-    desc.hints = snap.prior_dist != nullptr;
+    // while it is queued, and answers with that version's descriptor,
+    // read under the same lock as the pin.
+    session_desc desc;
+    snapshot_input snap = tab_.snapshot(name, &desc);
     pending p{{}, name, snap.version, to_json(desc)};
     req.input = std::move(snap);
     p.fut = eng_.submit(std::move(req));

@@ -1,127 +1,17 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "core/json.h"
-#include "parallel/random.h"
 
 namespace pp::serve {
 
-// ---- Persistent treap over the directed edge set ----------------------------
-//
-// Key = (u << 32) | v, value = weight, heap priority = hash64(key): a fixed
-// key set always shapes the same tree, so version fingerprints and
-// materialization order are deterministic. All update paths copy the
-// O(log m) spine and share every other node with the parent version —
-// that sharing is what lets a writer build version v+1 while solves hold
-// version v.
-namespace detail {
-struct pnode {
-  std::shared_ptr<const pnode> l, r;
-  uint64_t key = 0;
-  uint32_t val = 0;
-  uint64_t prio = 0;
-};
-}  // namespace detail
-
 namespace {
-
-using detail::pnode;
-using pptr = std::shared_ptr<const pnode>;
 
 uint64_t edge_key(vertex_t u, vertex_t v) {
   return (static_cast<uint64_t>(u) << 32) | static_cast<uint64_t>(v);
-}
-
-pptr make_node(uint64_t key, uint32_t val, pptr l, pptr r) {
-  auto n = std::make_shared<pnode>();
-  n->key = key;
-  n->val = val;
-  n->prio = hash64(key);
-  n->l = std::move(l);
-  n->r = std::move(r);
-  return n;
-}
-
-// Path-copy of `t` with new children (key/val/prio preserved).
-pptr clone_with(const pptr& t, pptr l, pptr r) {
-  auto n = std::make_shared<pnode>(*t);
-  n->l = std::move(l);
-  n->r = std::move(r);
-  return n;
-}
-
-// l gets keys < key, m the key's node (or null), r keys > key.
-void split3(const pptr& t, uint64_t key, pptr& l, pptr& m, pptr& r) {
-  if (!t) {
-    l = m = r = nullptr;
-    return;
-  }
-  if (key < t->key) {
-    pptr rl;
-    split3(t->l, key, l, m, rl);
-    r = clone_with(t, std::move(rl), t->r);
-  } else if (key > t->key) {
-    pptr lr;
-    split3(t->r, key, lr, m, r);
-    l = clone_with(t, t->l, std::move(lr));
-  } else {
-    l = t->l;
-    m = t;
-    r = t->r;
-  }
-}
-
-// Every key in a precedes every key in b.
-pptr merge(const pptr& a, const pptr& b) {
-  if (!a) return b;
-  if (!b) return a;
-  if (a->prio >= b->prio) return clone_with(a, a->l, merge(a->r, b));
-  return clone_with(b, merge(a, b->l), b->r);
-}
-
-const pnode* find(const pptr& t, uint64_t key) {
-  const pnode* cur = t.get();
-  while (cur) {
-    if (key < cur->key) cur = cur->l.get();
-    else if (key > cur->key) cur = cur->r.get();
-    else return cur;
-  }
-  return nullptr;
-}
-
-pptr insert_edge(const pptr& t, uint64_t key, uint32_t val) {
-  pptr l, m, r;
-  split3(t, key, l, m, r);
-  return merge(merge(std::move(l), make_node(key, val, nullptr, nullptr)), std::move(r));
-}
-
-pptr erase_edge(const pptr& t, uint64_t key) {
-  pptr l, m, r;
-  split3(t, key, l, m, r);
-  return merge(std::move(l), std::move(r));
-}
-
-// O(m) build from strictly increasing keys: classic right-spine cartesian
-// tree (nodes are mutated only during construction, before publication).
-pptr build_sorted(const std::vector<wgraph::wedge>& edges) {
-  std::vector<std::shared_ptr<pnode>> spine;
-  for (const auto& e : edges) {
-    auto n = std::make_shared<pnode>();
-    n->key = edge_key(e.u, e.v);
-    n->val = e.w;
-    n->prio = hash64(n->key);
-    std::shared_ptr<pnode> last;
-    while (!spine.empty() && spine.back()->prio < n->prio) {
-      last = spine.back();
-      spine.pop_back();
-    }
-    n->l = last;
-    if (!spine.empty()) spine.back()->r = n;
-    spine.push_back(std::move(n));
-  }
-  return spine.empty() ? nullptr : spine.front();
 }
 
 // ---- Incremental fingerprint pieces -----------------------------------------
@@ -166,31 +56,59 @@ fingerprint seq_header(size_t n) {
   return s.digest();
 }
 
-// Sorted-by-(u,v) directed edges out of a CSR. from_edges does not dedup,
-// so duplicate (u, v) pairs resolve min-weight-wins here — deterministic
-// under any input edge order, and distance-preserving for SSSP (relaxation
-// only ever uses the cheapest parallel edge).
-std::vector<wgraph::wedge> extract_sorted_edges(const wgraph& g) {
-  std::vector<wgraph::wedge> out;
-  out.reserve(g.num_edges());
-  for (vertex_t u = 0; u < g.num_vertices(); ++u) {
+// Version 0's CSR in one pass over the input's. from_edges sorts each
+// vertex's run by target but does not dedup, so duplicate (u, v) pairs
+// resolve min-weight-wins here — deterministic under any input edge order,
+// and distance-preserving for SSSP (relaxation only ever uses the cheapest
+// parallel edge).
+wgraph dedup_min_weight(const wgraph& g) {
+  const vertex_t n = g.num_vertices();
+  std::vector<size_t> offsets(static_cast<size_t>(n) + 1, 0);
+  std::vector<vertex_t> adj;
+  std::vector<uint32_t> wts;
+  adj.reserve(g.num_edges());
+  wts.reserve(g.num_edges());
+  for (vertex_t u = 0; u < n; ++u) {
+    offsets[u] = adj.size();
     auto nbrs = g.out_neighbors(u);
-    auto wts = g.out_weights(u);
+    auto ws = g.out_weights(u);
+    assert(std::is_sorted(nbrs.begin(), nbrs.end()));
     for (size_t i = 0; i < nbrs.size(); ++i) {
-      if (!out.empty() && out.back().u == u && out.back().v == nbrs[i]) {
-        out.back().w = std::min(out.back().w, wts[i]);
+      if (adj.size() > offsets[u] && adj.back() == nbrs[i]) {
+        wts.back() = std::min(wts.back(), ws[i]);
       } else {
-        out.push_back({u, nbrs[i], wts[i]});
+        adj.push_back(nbrs[i]);
+        wts.push_back(ws[i]);
       }
     }
   }
-  return out;
+  offsets[n] = adj.size();
+  return wgraph::from_csr(n, std::move(offsets), std::move(adj), std::move(wts));
 }
 
-fingerprint edges_acc(const std::vector<wgraph::wedge>& edges) {
+fingerprint edges_acc(const wgraph& g) {
   fingerprint acc{};
-  for (const auto& e : edges) acc = fp_xor(acc, hash_edge(edge_key(e.u, e.v), e.w));
+  for (vertex_t u = 0; u < g.num_vertices(); ++u) {
+    auto nbrs = g.out_neighbors(u);
+    auto ws = g.out_weights(u);
+    for (size_t i = 0; i < nbrs.size(); ++i)
+      acc = fp_xor(acc, hash_edge(edge_key(u, nbrs[i]), ws[i]));
+  }
   return acc;
+}
+
+// g's weight on (u, v), if the edge exists: a binary search in u's run,
+// which is sorted by target and deduplicated.
+std::optional<uint32_t> weight_of(const wgraph& g, vertex_t u, vertex_t v) {
+  auto nbrs = g.out_neighbors(u);
+  auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
+  if (it == nbrs.end() || *it != v) return std::nullopt;
+  return g.out_weights(u)[static_cast<size_t>(it - nbrs.begin())];
+}
+
+size_t elems_of(const problem_input& in) {
+  if (const auto* s = std::get_if<sssp_input>(&in)) return s->g.num_edges();
+  return std::get<sequence_input>(in).a.size();
 }
 
 }  // namespace
@@ -205,18 +123,20 @@ std::string to_json(const session_desc& d) { return json::writer().value(d).str(
 
 session_table::session_table(size_t max_sessions) : max_sessions_(max_sessions) {}
 
-session_table::~session_table() = default;
+session_desc session_table::entry::describe_head() const {
+  session_desc d;
+  d.name = name;
+  d.problem = problem;
+  d.version = head->version;
+  d.fp = head->fp;
+  d.elems = elems_of(*head->input);
+  d.hints = labels != nullptr;
+  return d;
+}
 
 session_desc session_table::describe_entry(const entry& e) {
-  session_desc d;
-  d.name = e.name;
-  d.problem = e.problem;
   sync::lock_guard<sync::mutex> lk(e.head_m);
-  d.version = e.head->version;
-  d.fp = e.head->fp;
-  d.elems = e.head->elems;
-  d.hints = e.labels != nullptr;
-  return d;
+  return e.describe_head();
 }
 
 std::shared_ptr<session_table::entry> session_table::find_and_touch(const std::string& name) {
@@ -242,31 +162,23 @@ session_desc session_table::create(const std::string& name, problem_input base) 
 
   if (auto* s = std::get_if<sssp_input>(&base)) {
     e->problem = "sssp";
-    std::vector<wgraph::wedge> edges = extract_sorted_edges(s->g);
-    v->is_graph = true;
-    v->n = s->g.num_vertices();
-    v->source = s->source;
-    v->delta_param = s->delta;
-    if (v->source >= v->n && v->n > 0) throw session_error("source out of range");
-    v->elems = edges.size();
-    v->elem_acc = edges_acc(edges);
-    v->fp = fp_xor(graph_header(v->n, v->source, v->delta_param), v->elem_acc);
-    v->edges = build_sorted(edges);
+    const vertex_t n = s->g.num_vertices();
+    if (s->source >= n && n > 0) throw session_error("source out of range");
     sssp_input in;
-    in.g = wgraph::from_sorted_edges(v->n, edges);
-    in.source = v->source;
-    in.delta = v->delta_param;
+    in.g = dedup_min_weight(s->g);
+    in.source = s->source;
+    in.delta = s->delta;
+    v->elem_acc = edges_acc(in.g);
+    v->fp = fp_xor(graph_header(n, in.source, in.delta), v->elem_acc);
     v->input = std::make_shared<const problem_input>(std::move(in));
   } else if (auto* q = std::get_if<sequence_input>(&base)) {
     e->problem = "lis";
     if (!q->weights.empty())
       throw session_error("sequence sessions support unit weights only");
-    v->is_graph = false;
-    v->elems = q->a.size();
     fingerprint acc{};
     for (size_t i = 0; i < q->a.size(); ++i) acc = fp_xor(acc, hash_elem(i, q->a[i]));
     v->elem_acc = acc;
-    v->fp = fp_xor(seq_header(v->elems), acc);
+    v->fp = fp_xor(seq_header(q->a.size()), acc);
     v->input = std::make_shared<const problem_input>(std::move(base));
   } else {
     throw session_error("unsupported session kind (want sssp_input or sequence_input)");
@@ -310,65 +222,58 @@ session_desc session_table::apply(const std::string& name, const session_delta& 
 
   auto v = std::make_shared<version_state>();
   v->version = prev->version + 1;
-  v->is_graph = prev->is_graph;
   bool invalidate = false;                       // labels stop being upper bounds
   std::vector<wgraph::wedge> fresh_inserts;      // seeds for sssp/incremental
 
-  if (prev->is_graph) {
+  if (const auto* prev_in = std::get_if<sssp_input>(prev->input.get())) {
     if (!d.append.empty() || !d.update.empty())
       throw session_error("sequence delta on a graph session");
-    v->n = prev->n;
-    v->delta_param = prev->delta_param;
-    v->source = prev->source;
+    const wgraph& pg = prev_in->g;
+    const vertex_t n = pg.num_vertices();
+    vertex_t source = prev_in->source;
     if (d.source) {
-      if (*d.source >= v->n) throw session_error("source out of range");
-      if (*d.source != v->source) invalidate = true;
-      v->source = *d.source;
+      if (*d.source >= n) throw session_error("source out of range");
+      if (*d.source != source) invalidate = true;
+      source = *d.source;
     }
 
     // Resolve the delta to one final state per touched key (in-delta order:
     // adds first, then removes; later ops on one key win).
     std::map<uint64_t, std::optional<uint32_t>> ops;
     for (const auto& ae : d.add_edges) {
-      if (ae.u >= v->n || ae.v >= v->n) throw session_error("edge endpoint out of range");
+      if (ae.u >= n || ae.v >= n) throw session_error("edge endpoint out of range");
       if (ae.w == 0) throw session_error("edge weights must be positive");
       ops[edge_key(ae.u, ae.v)] = ae.w;
     }
     for (const auto& re : d.remove_edges) {
-      if (re.u >= v->n || re.v >= v->n) throw session_error("edge endpoint out of range");
+      if (re.u >= n || re.v >= n) throw session_error("edge endpoint out of range");
       ops[edge_key(re.u, re.v)] = std::nullopt;
     }
 
-    // Treap + fingerprint updates: O(k log m) path copies, shared spine.
-    pptr t = prev->edges;
+    // Fingerprint updates: each op's old weight is a binary search in the
+    // parent's CSR, so resolving k ops costs O(k log m).
     fingerprint acc = prev->elem_acc;
-    size_t count = prev->elems;
     for (auto& [key, nw] : ops) {
-      const pnode* old = find(t, key);
+      const wgraph::wedge we{static_cast<vertex_t>(key >> 32), static_cast<vertex_t>(key),
+                             nw.value_or(0)};
+      std::optional<uint32_t> old = weight_of(pg, we.u, we.v);
       if (old) {
-        if (nw && *nw == old->val) continue;  // no-op add
-        acc = fp_xor(acc, hash_edge(key, old->val));
+        if (nw && *nw == *old) continue;  // no-op add
+        acc = fp_xor(acc, hash_edge(key, *old));
         if (nw) {
           acc = fp_xor(acc, hash_edge(key, *nw));
-          t = insert_edge(t, key, *nw);
-          if (*nw > old->val) {
+          if (*nw > *old) {
             invalidate = true;  // weight increase: old labels may undershoot
           } else {
-            fresh_inserts.push_back({static_cast<vertex_t>(key >> 32),
-                                     static_cast<vertex_t>(key), *nw});
+            fresh_inserts.push_back(we);
           }
         } else {
-          t = erase_edge(t, key);
-          --count;
           invalidate = true;  // removal: old labels may use the dead edge
         }
       } else {
         if (!nw) continue;  // no-op remove
         acc = fp_xor(acc, hash_edge(key, *nw));
-        t = insert_edge(t, key, *nw);
-        ++count;
-        fresh_inserts.push_back(
-            {static_cast<vertex_t>(key >> 32), static_cast<vertex_t>(key), *nw});
+        fresh_inserts.push_back(we);
       }
     }
 
@@ -377,14 +282,13 @@ session_desc session_table::apply(const std::string& name, const session_delta& 
     // are sorted and deduplicated by construction, so interleaving the
     // key-ordered ops preserves the invariant — no intermediate edge
     // list, no scatter pass, no re-sort. Paid once per delta.
-    const wgraph& pg = std::get<sssp_input>(*prev->input).g;
-    std::vector<size_t> offsets(static_cast<size_t>(v->n) + 1, 0);
+    std::vector<size_t> offsets(static_cast<size_t>(n) + 1, 0);
     std::vector<vertex_t> adj;
     std::vector<uint32_t> wts;
-    adj.reserve(count);
-    wts.reserve(count);
+    adj.reserve(pg.num_edges() + ops.size());
+    wts.reserve(pg.num_edges() + ops.size());
     auto oit = ops.begin();
-    for (vertex_t u = 0; u < v->n; ++u) {
+    for (vertex_t u = 0; u < n; ++u) {
       offsets[u] = adj.size();
       auto nbrs = pg.out_neighbors(u);
       auto ws = pg.out_weights(u);
@@ -408,16 +312,14 @@ session_desc session_table::apply(const std::string& name, const session_delta& 
         }
       }
     }
-    offsets[v->n] = adj.size();
+    offsets[n] = adj.size();
 
-    v->elems = adj.size();
-    v->elem_acc = acc;
-    v->fp = fp_xor(graph_header(v->n, v->source, v->delta_param), acc);
-    v->edges = std::move(t);
     sssp_input in;
-    in.g = wgraph::from_csr(v->n, std::move(offsets), std::move(adj), std::move(wts));
-    in.source = v->source;
-    in.delta = v->delta_param;
+    in.g = wgraph::from_csr(n, std::move(offsets), std::move(adj), std::move(wts));
+    in.source = source;
+    in.delta = prev_in->delta;
+    v->elem_acc = acc;
+    v->fp = fp_xor(graph_header(n, source, in.delta), acc);
     v->input = std::make_shared<const problem_input>(std::move(in));
   } else {
     if (!d.add_edges.empty() || !d.remove_edges.empty() || d.source)
@@ -437,42 +339,40 @@ session_desc session_table::apply(const std::string& name, const session_delta& 
       acc = fp_xor(acc, hash_elem(next.a.size(), x));
       next.a.push_back(x);
     }
-    v->elems = next.a.size();
     v->elem_acc = acc;
-    v->fp = fp_xor(seq_header(v->elems), acc);
+    v->fp = fp_xor(seq_header(next.a.size()), acc);
     v->input = std::make_shared<const problem_input>(problem_input(std::move(next)));
   }
 
   // Install v+1 and maintain the incremental-label state. Short section:
   // readers copying the old head concurrently are unaffected.
-  {
-    sync::lock_guard<sync::mutex> hlk(e->head_m);
-    e->head = std::move(v);
-    if (invalidate) {
-      e->labels = nullptr;
-      e->inserted_since = nullptr;
-    } else if (e->labels && !fresh_inserts.empty()) {
-      auto grown = e->inserted_since
-                       ? std::make_shared<std::vector<wgraph::wedge>>(*e->inserted_since)
-                       : std::make_shared<std::vector<wgraph::wedge>>();
-      grown->insert(grown->end(), fresh_inserts.begin(), fresh_inserts.end());
-      e->inserted_since = std::move(grown);
-    }
+  sync::lock_guard<sync::mutex> hlk(e->head_m);
+  e->head = std::move(v);
+  if (invalidate) {
+    e->labels = nullptr;
+    e->inserted_since = nullptr;
+  } else if (e->labels && !fresh_inserts.empty()) {
+    auto grown = e->inserted_since
+                     ? std::make_shared<std::vector<wgraph::wedge>>(*e->inserted_since)
+                     : std::make_shared<std::vector<wgraph::wedge>>();
+    grown->insert(grown->end(), fresh_inserts.begin(), fresh_inserts.end());
+    e->inserted_since = std::move(grown);
   }
-  return describe_entry(*e);
+  return e->describe_head();
 }
 
-snapshot_input session_table::snapshot(const std::string& name) {
+snapshot_input session_table::snapshot(const std::string& name, session_desc* pinned) {
   auto e = find_and_touch(name);
   snapshot_input s;
   sync::lock_guard<sync::mutex> lk(e->head_m);
   s.base = e->head->input;
   s.version = e->head->version;
   s.fp = e->head->fp;
-  if (e->head->is_graph && e->labels) {
+  if (e->labels) {  // only graph sessions take labels (note_solve)
     s.prior_dist = e->labels;
     s.inserted_edges = e->inserted_since;  // null when labels are current
   }
+  if (pinned != nullptr) *pinned = e->describe_head();
   return s;
 }
 
@@ -494,8 +394,8 @@ void session_table::note_solve(const std::string& name, uint64_t version,
     return;  // dropped/evicted while the solve ran — nothing to improve
   }
   sync::lock_guard<sync::mutex> lk(e->head_m);
-  if (!e->head->is_graph) return;
-  if (dist.size() != e->head->n) return;
+  const auto* head = std::get_if<sssp_input>(e->head->input.get());
+  if (head == nullptr || dist.size() != head->g.num_vertices()) return;
   if (e->labels && version <= e->labels_version) return;  // stale solve
   if (version == e->head->version) {
     // Labels are exact for the head: restart the insertion accumulator.

@@ -11,22 +11,20 @@
 //   snapshot_input s = tab.snapshot("road");  // immutable view of version v+1
 //   eng.submit({.solver="sssp/incremental", .input=s, .session="road"});
 //
-// Versioning model (the PAM shape: versions share structure by path
-// copying):
+// Versioning model (immutable CSR versions):
 //
 //  * Every version is an immutable `version_state` held by shared_ptr —
 //    the reader refcount. snapshot() pins the current head; a solve in
 //    flight keeps reading version v while the writer installs v+1, and the
 //    last reader dropping its pin frees the version.
-//  * The edge set lives in a path-copying persistent treap (deterministic
-//    hash priorities): applying a delta copies O(log m) nodes and shares
-//    the rest with the parent version, so membership/dedup is O(log m) per
-//    edge op and versions share structure. The solver-facing CSR is
-//    materialized per version by ONE linear merge pass: the parent's CSR
-//    (already sorted by (u, v), deduplicated) interleaved with the
-//    resolved delta, emitted straight into the child's offsets/adj/wts
-//    arrays (wgraph::from_csr) — no intermediate edge list, no re-sort,
-//    paid once per delta, never per solve.
+//  * A version's edge set is its solver-facing CSR and nothing else; each
+//    vertex's run is sorted by target and deduplicated. A delta resolves to
+//    one final state per touched edge, and each such edge's old weight is
+//    a binary search in the parent's CSR (O(log m) per edge op). The
+//    child's CSR is then built by ONE linear merge pass: the parent's runs
+//    interleaved with the resolved ops, emitted straight into the child's
+//    offsets/adj/wts arrays (wgraph::from_csr) — no intermediate edge
+//    list, no re-sort, paid once per delta, never per solve.
 //  * One writer per session (`writer_m`): deltas serialize against each
 //    other, but hold only the session's writer lock while they build the
 //    new version. Readers take `head_m` just long enough to copy shared
@@ -121,17 +119,12 @@ struct session_desc {
 void write_fields(json::writer& w, const session_desc& r);
 std::string to_json(const session_desc& d);
 
-namespace detail {
-struct pnode;  // persistent treap node (session.cpp)
-}
-
 class session_table {
  public:
   // max_sessions = 0 means unbounded; otherwise creating session N+1
   // evicts the least-recently-used instance (in-flight solves keep their
   // pinned snapshots alive; only the table's reference is dropped).
   explicit session_table(size_t max_sessions);
-  ~session_table();
 
   session_table(const session_table&) = delete;
   session_table& operator=(const session_table&) = delete;
@@ -147,8 +140,9 @@ class session_table {
 
   // Pin the current head as an immutable snapshot_input (O(1): shared
   // pointers only). Carries incremental hints when a prior solve's labels
-  // are still valid.
-  snapshot_input snapshot(const std::string& name);
+  // are still valid. When `pinned` is set it receives the pinned version's
+  // descriptor, read under the same lock as the pin.
+  snapshot_input snapshot(const std::string& name, session_desc* pinned = nullptr);
 
   // Current metadata without pinning.
   session_desc describe(const std::string& name) const;
@@ -169,20 +163,12 @@ class session_table {
 
  private:
   // One immutable version. Built by exactly one writer, then only read.
+  // Its size, source and delta parameter are read from `input`.
   struct version_state {
     uint64_t version = 0;
     fingerprint elem_acc{};  // XOR of per-element content hashes
     fingerprint fp{};        // header hash ⊕ elem_acc (the content address)
-    std::shared_ptr<const problem_input> input;  // materialized base
-    // Graph kind only: persistent edge map (path-copied across versions).
-    // The next delta's merge reads the parent edges straight out of
-    // input's CSR (sorted, deduplicated by construction).
-    std::shared_ptr<const detail::pnode> edges;
-    size_t elems = 0;
-    vertex_t n = 0;
-    vertex_t source = 0;
-    uint32_t delta_param = 0;
-    bool is_graph = false;
+    std::shared_ptr<const problem_input> input;  // sssp_input or sequence_input
   };
 
   struct entry {
@@ -208,6 +194,9 @@ class session_table {
         PP_GUARDED_BY(head_m);
 
     uint64_t last_touch = 0;  // guarded by session_table::m_
+
+    // The head version's descriptor.
+    session_desc describe_head() const PP_REQUIRES(head_m);
   };
 
   std::shared_ptr<entry> find_and_touch(const std::string& name);

@@ -1163,4 +1163,40 @@ TEST(Protocol, SessionRoundTripReportsPinnedVersion) {
   EXPECT_EQ(tab.size(), 0u);
 }
 
+TEST(Protocol, SessionSolveDescribesThePinnedVersionUnderDeltas) {
+  // A writer thread installs one-new-edge deltas in a loop while a
+  // connection solves the same session: every solve's descriptor must be
+  // the one version it pinned, so its edge count is elems0 + version.
+  engine eng(protocol_engine());
+  pp::serve::session_table tab(4);
+  constexpr pp::vertex_t n = 1000;
+  pp::sssp_input base;
+  base.g = pp::wgraph::from_edges(n, {});
+  const size_t elems0 = tab.create("g", base).elems;
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (uint64_t i = 0; i < uint64_t{n} * n && !stop.load(std::memory_order_relaxed); ++i) {
+      pp::serve::session_delta d;
+      d.add_edges = {{static_cast<pp::vertex_t>(i / n), static_cast<pp::vertex_t>(i % n), 1}};
+      tab.apply("g", d);
+    }
+  });
+  std::vector<std::string> lines(
+      300, R"({"session":"solve","name":"g","solver":"sssp/dijkstra","seed":1})");
+  auto replies = converse(eng, tab, lines);
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+
+  ASSERT_EQ(replies.size(), lines.size());
+  for (const auto& rep : replies) {
+    pp::json::value r = parsed(rep.line);
+    ASSERT_TRUE(r.find("ok")->as_bool()) << rep.line;
+    const pp::json::value* desc = r.find("session");
+    ASSERT_NE(desc, nullptr) << rep.line;
+    EXPECT_EQ(desc->find("elems")->as_uint64(), elems0 + desc->find("version")->as_uint64())
+        << rep.line;
+  }
+}
+
 }  // namespace

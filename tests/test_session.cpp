@@ -7,10 +7,14 @@
 // v+1 (ci runs this binary under -fsanitize=thread).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <mutex>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -109,6 +113,160 @@ TEST(Session, FingerprintAddressesContentNotHistory) {
   rm2.remove_edges = {{2, 9}, {5, 11}};
   tab.apply("b", back);
   EXPECT_EQ(tab.apply("b", rm2).fp, b0.fp);
+}
+
+// Edge map model of an sssp session: (u, v) -> weight.
+using edge_map = std::map<std::pair<vertex_t, vertex_t>, uint32_t>;
+
+problem_input from_model(vertex_t n, const edge_map& m, vertex_t source) {
+  std::vector<wgraph::wedge> edges;
+  for (const auto& [k, w] : m) edges.push_back({k.first, k.second, w});
+  sssp_input in;
+  in.g = wgraph::from_edges(n, std::move(edges));
+  in.source = source;
+  return in;
+}
+
+TEST(Session, DeltasMatchAnEdgeMapModel) {
+  // Random deltas against a std::map model: after each one the version's
+  // CSR, size and fingerprint are the model's, and the incremental hints
+  // follow the rule (removals, weight raises and source moves invalidate;
+  // inserts and weight cuts keep them, seeding exactly those edges).
+  constexpr vertex_t n = 24;
+  std::mt19937_64 gen(2024);
+  auto vtx = [&] { return static_cast<vertex_t>(gen() % n); };
+  auto weight = [&] { return static_cast<uint32_t>(1 + gen() % 20); };
+
+  // The base input carries duplicate (u, v) pairs; the least weight wins.
+  edge_map model;
+  std::vector<wgraph::wedge> base;
+  for (int i = 0; i < 80; ++i) {
+    wgraph::wedge e{vtx(), vtx(), weight()};
+    base.push_back({e.u, e.v, e.w + 1 + static_cast<uint32_t>(gen() % 5)});
+    base.push_back(e);
+    auto [it, fresh] = model.emplace(std::make_pair(e.u, e.v), e.w);
+    if (!fresh) it->second = std::min(it->second, e.w);
+  }
+  vertex_t source = 0;
+  sssp_input in;
+  in.g = wgraph::from_edges(n, std::move(base));
+  in.source = source;
+  session_table tab(0);
+  tab.create("m", in);
+
+  for (int round = 0; round < 60; ++round) {
+    // Labels current at the head, so the next snapshot's seeds are exactly
+    // this delta's inserts and cuts.
+    snapshot_input before = tab.snapshot("m");
+    tab.note_solve("m", before.version, dijkstra_dist(before));
+
+    auto present = [&] {
+      auto it = model.begin();
+      std::advance(it, static_cast<long>(gen() % model.size()));
+      return it->first;
+    };
+    auto absent = [&] {
+      std::pair<vertex_t, vertex_t> k{vtx(), vtx()};
+      while (model.count(k)) k = {vtx(), vtx()};
+      return k;
+    };
+    // Odd rounds draw only the ops that keep the hints.
+    constexpr int kKeeping[] = {0, 2, 3, 5};
+    session_delta d;
+    for (int op = 0; op < 6; ++op) {
+      int kind = round % 2 == 1 ? kKeeping[gen() % 4] : static_cast<int>(gen() % 8);
+      if (model.empty()) kind = 0;
+      switch (kind) {
+        case 0: {  // insert
+          auto [u, v] = absent();
+          d.add_edges.push_back({u, v, weight()});
+          break;
+        }
+        case 1: {  // weight raise
+          auto [u, v] = present();
+          d.add_edges.push_back({u, v, model[{u, v}] + 1 + static_cast<uint32_t>(gen() % 4)});
+          break;
+        }
+        case 2: {  // weight cut (a no-op add when the weight is 1)
+          auto [u, v] = present();
+          d.add_edges.push_back({u, v, std::max<uint32_t>(1, model[{u, v}] / 2)});
+          break;
+        }
+        case 3: {  // no-op add
+          auto [u, v] = present();
+          d.add_edges.push_back({u, v, model[{u, v}]});
+          break;
+        }
+        case 4: {  // removal
+          auto [u, v] = present();
+          d.remove_edges.push_back({u, v});
+          break;
+        }
+        case 5: {  // removal of an absent edge
+          auto [u, v] = absent();
+          d.remove_edges.push_back({u, v});
+          break;
+        }
+        case 6: {  // add and remove one key in one delta: the remove wins
+          wgraph::wedge e{vtx(), vtx(), weight()};
+          d.add_edges.push_back(e);
+          d.remove_edges.push_back({e.u, e.v});
+          break;
+        }
+        default:  // move the source (or keep it)
+          d.source = gen() % 2 == 0 ? source : vtx();
+          break;
+      }
+    }
+
+    // The model: adds in order, then removes; diff it against the parent.
+    edge_map next = model;
+    for (const auto& e : d.add_edges) next[{e.u, e.v}] = e.w;
+    for (const auto& e : d.remove_edges) next.erase({e.u, e.v});
+    bool invalidate = d.source && *d.source != source;
+    std::set<std::pair<vertex_t, vertex_t>> seeds;
+    for (const auto& [k, w] : model) {
+      auto it = next.find(k);
+      if (it == next.end() || it->second > w) invalidate = true;
+      else if (it->second < w) seeds.insert(k);
+    }
+    for (const auto& [k, w] : next)
+      if (!model.count(k)) seeds.insert(k);
+    model = std::move(next);
+    if (d.source) source = *d.source;
+
+    session_desc desc = tab.apply("m", d);
+    snapshot_input s = tab.snapshot("m");
+    const wgraph& g = base_of(s).g;
+    edge_map got;
+    std::vector<std::pair<vertex_t, vertex_t>> order;
+    for (vertex_t u = 0; u < n; ++u) {
+      auto nbrs = g.out_neighbors(u);
+      auto ws = g.out_weights(u);
+      for (size_t i = 0; i < nbrs.size(); ++i) {
+        got[{u, nbrs[i]}] = ws[i];
+        order.emplace_back(u, nbrs[i]);
+      }
+    }
+    ASSERT_EQ(got, model) << "round " << round;
+    ASSERT_EQ(order.size(), model.size()) << "round " << round << ": duplicate edges";
+    ASSERT_TRUE(std::is_sorted(order.begin(), order.end())) << "round " << round;
+    EXPECT_EQ(base_of(s).source, source);
+    EXPECT_EQ(desc.elems, model.size());
+    EXPECT_EQ(desc.version, static_cast<uint64_t>(round + 1));
+
+    session_table fresh(0);
+    EXPECT_EQ(desc.fp, fresh.create("f", from_model(n, model, source)).fp) << "round " << round;
+
+    EXPECT_EQ(desc.hints, !invalidate) << "round " << round;
+    EXPECT_EQ(s.prior_dist != nullptr, !invalidate) << "round " << round;
+    if (!invalidate) {
+      std::set<std::pair<vertex_t, vertex_t>> seeded;
+      if (s.inserted_edges)
+        for (const auto& e : *s.inserted_edges) seeded.insert({e.u, e.v});
+      EXPECT_EQ(seeded, seeds) << "round " << round;
+    }
+  }
 }
 
 TEST(Session, SequenceSessionsMatchDirectCreation) {
