@@ -115,10 +115,11 @@ class wgraph {
 
   // Adopt prebuilt CSR arrays: offsets.size() == n + 1, monotone, with
   // adj/wts of size offsets[n] holding per-vertex neighbor runs sorted by
-  // target and deduplicated. The session store (src/serve/session.cpp)
-  // builds every version this way: version 0 in one pass over its input's
-  // CSR, and each later version in one merge of its parent's CSR with a
-  // resolved delta.
+  // target and deduplicated. The arrays keep their capacity. The session
+  // store (src/serve/session.cpp) builds every version this way: version 0
+  // in one pass over its input's CSR, and each later version by merging its
+  // parent's CSR with a resolved delta into arrays that release() handed
+  // back from a retired version.
   static wgraph from_csr(vertex_t n, std::vector<size_t> offsets, std::vector<vertex_t> adj,
                          std::vector<uint32_t> wts) {
     wgraph g;
@@ -127,6 +128,15 @@ class wgraph {
     g.adj_ = std::move(adj);
     g.wts_ = std::move(wts);
     return g;
+  }
+
+  // Hand the CSR arrays (and their capacity) back, leaving an empty graph.
+  void release(std::vector<size_t>& offsets, std::vector<vertex_t>& adj,
+               std::vector<uint32_t>& wts) && {
+    offsets = std::move(offsets_);
+    adj = std::move(adj_);
+    wts = std::move(wts_);
+    *this = wgraph();
   }
 
   vertex_t num_vertices() const { return n_; }
@@ -139,6 +149,10 @@ class wgraph {
     return std::span<const uint32_t>(wts_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]);
   }
   size_t out_degree(vertex_t v) const { return offsets_[v + 1] - offsets_[v]; }
+  // The raw CSR: v's run is adj()/wts() slots [offsets()[v], offsets()[v + 1]).
+  std::span<const size_t> offsets() const { return offsets_; }
+  std::span<const vertex_t> adj() const { return adj_; }
+  std::span<const uint32_t> wts() const { return wts_; }
 
   uint32_t min_weight() const {
     uint32_t w = ~0u;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <utility>
+#include <variant>
 
 #include "core/json.h"
 
@@ -56,6 +57,34 @@ fingerprint seq_header(size_t n) {
   return s.digest();
 }
 
+// Every buffer a session allocates carries 1/32 spare capacity. A buffer
+// cycles through the versions of an instance that deltas may grow, so a
+// retired version's storage is a few edges short of the version built into
+// it; without slack every such delta would reallocate into fresh pages,
+// which is the cost recycling exists to avoid. 1/32 is about 100k edges
+// (a thousand-odd 64-edge deltas) on a 3.2M-edge instance, for 3% memory.
+size_t with_headroom(size_t n) { return n + n / 32; }
+
+// Size `v` to n elements in the storage it owns. Short storage is replaced,
+// not grown: the caller overwrites every element, so nothing in it is worth
+// copying, and the old block is freed before the new one is taken.
+template <typename T>
+void fit(std::vector<T>& v, size_t n) {
+  if (v.capacity() < n) {
+    v = std::vector<T>();
+    v.reserve(with_headroom(n));
+  }
+  v.resize(n);
+}
+
+// The input to build the next version into: the retired one the spare slot
+// handed back, else a fresh one. A session never changes kind.
+template <typename In>
+In& recycled(std::unique_ptr<problem_input>& node) {
+  if (node == nullptr) node = std::make_unique<problem_input>(In{});
+  return std::get<In>(*node);
+}
+
 // Version 0's CSR in one pass over the input's. from_edges sorts each
 // vertex's run by target but does not dedup, so duplicate (u, v) pairs
 // resolve min-weight-wins here — deterministic under any input edge order,
@@ -66,8 +95,8 @@ wgraph dedup_min_weight(const wgraph& g) {
   std::vector<size_t> offsets(static_cast<size_t>(n) + 1, 0);
   std::vector<vertex_t> adj;
   std::vector<uint32_t> wts;
-  adj.reserve(g.num_edges());
-  wts.reserve(g.num_edges());
+  adj.reserve(with_headroom(g.num_edges()));
+  wts.reserve(with_headroom(g.num_edges()));
   for (vertex_t u = 0; u < n; ++u) {
     offsets[u] = adj.size();
     auto nbrs = g.out_neighbors(u);
@@ -121,6 +150,26 @@ std::string to_json(const session_desc& d) { return json::writer().value(d).str(
 
 // ---- session_table ----------------------------------------------------------
 
+std::shared_ptr<const problem_input> session_table::spare_slot::adopt(
+    const std::shared_ptr<spare_slot>& slot, std::unique_ptr<problem_input> in) {
+  // Runs on whichever thread drops the last pin. The refcount orders every
+  // reader's last access before it, and the slot's mutex orders it before
+  // the writer's take().
+  auto give_back = [home = std::weak_ptr<spare_slot>(slot)](problem_input* p) {
+    std::unique_ptr<problem_input> back(p);
+    if (auto s = home.lock()) {
+      sync::lock_guard<sync::mutex> lk(s->m);
+      std::swap(back, s->input);  // an older spare is freed after unlocking
+    }
+  };
+  return std::shared_ptr<const problem_input>(in.release(), std::move(give_back));
+}
+
+std::unique_ptr<problem_input> session_table::spare_slot::take() {
+  sync::lock_guard<sync::mutex> lk(m);
+  return std::move(input);
+}
+
 session_table::session_table(size_t max_sessions) : max_sessions_(max_sessions) {}
 
 session_desc session_table::entry::describe_head() const {
@@ -170,7 +219,7 @@ session_desc session_table::create(const std::string& name, problem_input base) 
     in.delta = s->delta;
     v->elem_acc = edges_acc(in.g);
     v->fp = fp_xor(graph_header(n, in.source, in.delta), v->elem_acc);
-    v->input = std::make_shared<const problem_input>(std::move(in));
+    v->input = spare_slot::adopt(e->spare, std::make_unique<problem_input>(std::move(in)));
   } else if (auto* q = std::get_if<sequence_input>(&base)) {
     e->problem = "lis";
     if (!q->weights.empty())
@@ -179,7 +228,7 @@ session_desc session_table::create(const std::string& name, problem_input base) 
     for (size_t i = 0; i < q->a.size(); ++i) acc = fp_xor(acc, hash_elem(i, q->a[i]));
     v->elem_acc = acc;
     v->fp = fp_xor(seq_header(q->a.size()), acc);
-    v->input = std::make_shared<const problem_input>(std::move(base));
+    v->input = spare_slot::adopt(e->spare, std::make_unique<problem_input>(std::move(base)));
   } else {
     throw session_error("unsupported session kind (want sssp_input or sequence_input)");
   }
@@ -251,12 +300,16 @@ session_desc session_table::apply(const std::string& name, const session_delta& 
     }
 
     // Fingerprint updates: each op's old weight is a binary search in the
-    // parent's CSR, so resolving k ops costs O(k log m).
+    // parent's CSR, so resolving k ops costs O(k log m). `m` counts the
+    // child's edges.
     fingerprint acc = prev->elem_acc;
+    size_t m = pg.num_edges();
     for (auto& [key, nw] : ops) {
       const wgraph::wedge we{static_cast<vertex_t>(key >> 32), static_cast<vertex_t>(key),
                              nw.value_or(0)};
       std::optional<uint32_t> old = weight_of(pg, we.u, we.v);
+      if (nw && !old) ++m;
+      if (old && !nw) --m;
       if (old) {
         if (nw && *nw == *old) continue;  // no-op add
         acc = fp_xor(acc, hash_edge(key, *old));
@@ -277,71 +330,92 @@ session_desc session_table::apply(const std::string& name, const session_delta& 
       }
     }
 
-    // Materialize: ONE merge pass, parent CSR x resolved ops, emitted
-    // straight into the child's CSR arrays. The parent's per-vertex runs
-    // are sorted and deduplicated by construction, so interleaving the
-    // key-ordered ops preserves the invariant — no intermediate edge
-    // list, no scatter pass, no re-sort. Paid once per delta.
-    std::vector<size_t> offsets(static_cast<size_t>(n) + 1, 0);
+    // Materialize into a retired version's storage when one has come back.
+    // Runs of untouched vertices are copied in bulk, their offsets shifted
+    // by a constant; only a touched vertex's run is merged with its ops,
+    // element by element. The parent's runs are sorted and deduplicated by
+    // construction and the ops are key-ordered, so the child's runs are too.
+    std::unique_ptr<problem_input> node = e->spare->take();
+    sssp_input& in = recycled<sssp_input>(node);
+    std::vector<size_t> offsets;
     std::vector<vertex_t> adj;
     std::vector<uint32_t> wts;
-    adj.reserve(pg.num_edges() + ops.size());
-    wts.reserve(pg.num_edges() + ops.size());
-    auto oit = ops.begin();
-    for (vertex_t u = 0; u < n; ++u) {
-      offsets[u] = adj.size();
-      auto nbrs = pg.out_neighbors(u);
-      auto ws = pg.out_weights(u);
-      const uint64_t u_last = edge_key(u, ~vertex_t{0});  // largest key at u
-      size_t i = 0;
-      while (true) {
-        uint64_t pk = i < nbrs.size() ? edge_key(u, nbrs[i]) : ~uint64_t{0};
-        if (oit != ops.end() && oit->first <= u_last && oit->first <= pk) {
-          if (oit->second) {  // insert or reweight; removals emit nothing
-            adj.push_back(static_cast<vertex_t>(oit->first));
-            wts.push_back(*oit->second);
-          }
-          if (oit->first == pk) ++i;  // the op replaced this parent edge
-          ++oit;
-        } else if (i < nbrs.size()) {
-          adj.push_back(nbrs[i]);
-          wts.push_back(ws[i]);
-          ++i;
-        } else {
-          break;
+    std::move(in.g).release(offsets, adj, wts);
+    fit(offsets, static_cast<size_t>(n) + 1);
+    fit(adj, m);
+    fit(wts, m);
+    const auto po = pg.offsets();
+    const auto pa = pg.adj();
+    const auto pw = pg.wts();
+    size_t out = 0;  // the next child slot
+    auto emit = [&](size_t from, size_t to) {  // parent slots [from, to)
+      std::copy(pa.begin() + from, pa.begin() + to, adj.begin() + out);
+      std::copy(pw.begin() + from, pw.begin() + to, wts.begin() + out);
+      out += to - from;
+    };
+    auto copy_runs = [&](vertex_t lo, vertex_t hi) {  // untouched vertices [lo, hi)
+      for (vertex_t x = lo; x < hi; ++x) offsets[x] = po[x] - po[lo] + out;
+      emit(po[lo], po[hi]);
+    };
+    vertex_t next = 0;  // the first vertex whose run is not written yet
+    for (auto oit = ops.begin(); oit != ops.end();) {
+      const auto u = static_cast<vertex_t>(oit->first >> 32);
+      copy_runs(next, u);
+      offsets[u] = out;
+      size_t i = po[u];
+      for (; oit != ops.end() && (oit->first >> 32) == u; ++oit) {
+        const auto t = static_cast<vertex_t>(oit->first);
+        const size_t j = static_cast<size_t>(
+            std::lower_bound(pa.begin() + i, pa.begin() + po[u + 1], t) - pa.begin());
+        emit(i, j);
+        i = (j < po[u + 1] && pa[j] == t) ? j + 1 : j;  // the op replaces a parent edge
+        if (oit->second) {  // insert or reweight; removals emit nothing
+          adj[out] = t;
+          wts[out] = *oit->second;
+          ++out;
         }
       }
+      emit(i, po[u + 1]);
+      next = u + 1;
     }
-    offsets[n] = adj.size();
+    copy_runs(next, n);
+    offsets[n] = out;
+    assert(out == m);
 
-    sssp_input in;
     in.g = wgraph::from_csr(n, std::move(offsets), std::move(adj), std::move(wts));
     in.source = source;
     in.delta = prev_in->delta;
     v->elem_acc = acc;
     v->fp = fp_xor(graph_header(n, source, in.delta), acc);
-    v->input = std::make_shared<const problem_input>(std::move(in));
+    v->input = spare_slot::adopt(e->spare, std::move(node));
   } else {
     if (!d.add_edges.empty() || !d.remove_edges.empty() || d.source)
       throw session_error("graph delta on a sequence session");
     const auto& prev_seq = std::get<sequence_input>(*prev->input);
-    sequence_input next;
-    next.a = prev_seq.a;  // copy-on-write per version
+    const size_t len = prev_seq.a.size();
+    for (const auto& up : d.update)
+      if (up.index >= len) throw session_error("update index out of range");
+
+    // Copy-on-write per version, into a retired version's storage when one
+    // has come back.
+    std::unique_ptr<problem_input> node = e->spare->take();
+    sequence_input& next = recycled<sequence_input>(node);
+    fit(next.a, len + d.append.size());
+    std::copy(prev_seq.a.begin(), prev_seq.a.end(), next.a.begin());
     fingerprint acc = prev->elem_acc;
     for (const auto& up : d.update) {
-      if (up.index >= next.a.size()) throw session_error("update index out of range");
       if (next.a[up.index] == up.value) continue;
       acc = fp_xor(acc, hash_elem(up.index, next.a[up.index]));
       acc = fp_xor(acc, hash_elem(up.index, up.value));
       next.a[up.index] = up.value;
     }
-    for (int64_t x : d.append) {
-      acc = fp_xor(acc, hash_elem(next.a.size(), x));
-      next.a.push_back(x);
+    for (size_t j = 0; j < d.append.size(); ++j) {
+      acc = fp_xor(acc, hash_elem(len + j, d.append[j]));
+      next.a[len + j] = d.append[j];
     }
     v->elem_acc = acc;
     v->fp = fp_xor(seq_header(next.a.size()), acc);
-    v->input = std::make_shared<const problem_input>(problem_input(std::move(next)));
+    v->input = spare_slot::adopt(e->spare, std::move(node));
   }
 
   // Install v+1 and maintain the incremental-label state. Short section:
@@ -393,22 +467,28 @@ void session_table::note_solve(const std::string& name, uint64_t version,
   } catch (const session_error&) {
     return;  // dropped/evicted while the solve ran — nothing to improve
   }
+  // The copy is built before head_m is taken, and whatever labels it
+  // replaces are freed after head_m is released (both are declared before
+  // the lock, so they outlive it).
+  std::shared_ptr<const std::vector<int64_t>> labels =
+      std::make_shared<const std::vector<int64_t>>(dist);
+  std::shared_ptr<const std::vector<wgraph::wedge>> seeds;
   sync::lock_guard<sync::mutex> lk(e->head_m);
   const auto* head = std::get_if<sssp_input>(e->head->input.get());
   if (head == nullptr || dist.size() != head->g.num_vertices()) return;
   if (e->labels && version <= e->labels_version) return;  // stale solve
   if (version == e->head->version) {
     // Labels are exact for the head: restart the insertion accumulator.
-    e->labels = std::make_shared<const std::vector<int64_t>>(dist);
+    std::swap(e->labels, labels);
     e->labels_version = version;
-    e->inserted_since = nullptr;
+    std::swap(e->inserted_since, seeds);
   } else if (e->labels && e->labels_version <= version) {
     // Labels for an older pinned version. Accept only when the existing
     // accumulator already covers labels_version -> head: it is then a
     // superset of version -> head, and superset seeds are harmless
     // (re-relaxing an edge already in g is a no-op). No invalidating delta
     // intervened, else labels would be null or newer.
-    e->labels = std::make_shared<const std::vector<int64_t>>(dist);
+    std::swap(e->labels, labels);
     e->labels_version = version;
   }
 }

@@ -15,16 +15,24 @@
 //
 //  * Every version is an immutable `version_state` held by shared_ptr —
 //    the reader refcount. snapshot() pins the current head; a solve in
-//    flight keeps reading version v while the writer installs v+1, and the
-//    last reader dropping its pin frees the version.
+//    flight keeps reading version v while the writer installs v+1.
+//  * A version is live while it is the head or pinned. The last pin
+//    *returns* its input to the session's spare slot instead of freeing it
+//    (the deleter of the input's shared_ptr, which runs on whichever thread
+//    drops that pin and holds only a weak_ptr to the slot). The writer
+//    takes the spare under writer_m and builds the next version into its
+//    storage, so a delta writes into warm pages it already owns. A pinned
+//    version is never touched; at most one retired version is kept, and
+//    dropping the session frees it.
 //  * A version's edge set is its solver-facing CSR and nothing else; each
 //    vertex's run is sorted by target and deduplicated. A delta resolves to
 //    one final state per touched edge, and each such edge's old weight is
 //    a binary search in the parent's CSR (O(log m) per edge op). The
-//    child's CSR is then built by ONE linear merge pass: the parent's runs
-//    interleaved with the resolved ops, emitted straight into the child's
-//    offsets/adj/wts arrays (wgraph::from_csr) — no intermediate edge
-//    list, no re-sort, paid once per delta, never per solve.
+//    child's CSR is then built in one pass: the parent's runs between
+//    touched vertices are copied in bulk with their offsets shifted by a
+//    constant, and only the touched vertices' runs are merged element by
+//    element with the resolved ops — no intermediate edge list, no re-sort,
+//    paid once per delta, never per solve.
 //  * One writer per session (`writer_m`): deltas serialize against each
 //    other, but hold only the session's writer lock while they build the
 //    new version. Readers take `head_m` just long enough to copy shared
@@ -171,12 +179,27 @@ class session_table {
     std::shared_ptr<const problem_input> input;  // sssp_input or sequence_input
   };
 
+  // Where a retired version's input waits to be rebuilt into the next
+  // version (see the versioning model above).
+  struct spare_slot {
+    sync::mutex m;
+    std::unique_ptr<problem_input> input PP_GUARDED_BY(m);
+
+    // Own `in` as a version's input. When its last pin drops, it comes
+    // back to `slot`, or is freed if the session is gone.
+    static std::shared_ptr<const problem_input> adopt(const std::shared_ptr<spare_slot>& slot,
+                                                      std::unique_ptr<problem_input> in);
+    // The retired input, or nullptr when none has come back.
+    std::unique_ptr<problem_input> take();
+  };
+
   struct entry {
     std::string name;
     std::string problem;
 
     // Serializes writers (apply) on this session. Never taken by readers.
     sync::mutex writer_m;
+    const std::shared_ptr<spare_slot> spare = std::make_shared<spare_slot>();
 
     // Guards the head pointer and the incremental-label state; every
     // critical section under it is a handful of shared_ptr copies, so

@@ -127,6 +127,32 @@ problem_input from_model(vertex_t n, const edge_map& m, vertex_t source) {
   return in;
 }
 
+// g holds exactly the model's edges, each vertex's run sorted by target
+// and deduplicated.
+::testing::AssertionResult csr_matches(const wgraph& g, const edge_map& model) {
+  edge_map got;
+  std::vector<std::pair<vertex_t, vertex_t>> order;
+  for (vertex_t u = 0; u < g.num_vertices(); ++u) {
+    auto nbrs = g.out_neighbors(u);
+    auto ws = g.out_weights(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      got[{u, nbrs[i]}] = ws[i];
+      order.emplace_back(u, nbrs[i]);
+    }
+  }
+  if (got != model) return ::testing::AssertionFailure() << "edge set differs from the model";
+  if (order.size() != model.size()) return ::testing::AssertionFailure() << "duplicate edges";
+  if (!std::is_sorted(order.begin(), order.end()))
+    return ::testing::AssertionFailure() << "runs not sorted by target";
+  return ::testing::AssertionSuccess();
+}
+
+// The fingerprint a fresh session gives `in`: a pure function of content.
+pp::fingerprint fresh_fp(const problem_input& in) {
+  session_table fresh(0);
+  return fresh.create("f", in).fp;
+}
+
 TEST(Session, DeltasMatchAnEdgeMapModel) {
   // Random deltas against a std::map model: after each one the version's
   // CSR, size and fingerprint are the model's, and the incremental hints
@@ -237,26 +263,11 @@ TEST(Session, DeltasMatchAnEdgeMapModel) {
 
     session_desc desc = tab.apply("m", d);
     snapshot_input s = tab.snapshot("m");
-    const wgraph& g = base_of(s).g;
-    edge_map got;
-    std::vector<std::pair<vertex_t, vertex_t>> order;
-    for (vertex_t u = 0; u < n; ++u) {
-      auto nbrs = g.out_neighbors(u);
-      auto ws = g.out_weights(u);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        got[{u, nbrs[i]}] = ws[i];
-        order.emplace_back(u, nbrs[i]);
-      }
-    }
-    ASSERT_EQ(got, model) << "round " << round;
-    ASSERT_EQ(order.size(), model.size()) << "round " << round << ": duplicate edges";
-    ASSERT_TRUE(std::is_sorted(order.begin(), order.end())) << "round " << round;
+    ASSERT_TRUE(csr_matches(base_of(s).g, model)) << "round " << round;
     EXPECT_EQ(base_of(s).source, source);
     EXPECT_EQ(desc.elems, model.size());
     EXPECT_EQ(desc.version, static_cast<uint64_t>(round + 1));
-
-    session_table fresh(0);
-    EXPECT_EQ(desc.fp, fresh.create("f", from_model(n, model, source)).fp) << "round " << round;
+    EXPECT_EQ(desc.fp, fresh_fp(from_model(n, model, source))) << "round " << round;
 
     EXPECT_EQ(desc.hints, !invalidate) << "round " << round;
     EXPECT_EQ(s.prior_dist != nullptr, !invalidate) << "round " << round;
@@ -351,6 +362,122 @@ TEST(Session, SnapshotIsolationAcrossDeltas) {
   // Dropping the session does not invalidate outstanding pins.
   tab.drop("p");
   EXPECT_TRUE(pp_check::sssp_distances_equal(dijkstra_dist(v0), before));
+}
+
+TEST(Session, RetiredVersionBuffersAreReused) {
+  // With no pins held, version k is built into the storage of version k-2,
+  // which retired when k-1 was installed. Edge-growing deltas now and then
+  // outgrow that storage, so it is replaced; every version must still be
+  // exactly the model's.
+  constexpr vertex_t n = 64;
+  std::mt19937_64 gen(11);
+  edge_map model;
+  for (vertex_t u = 0; u + 1 < n; ++u) model[{u, u + 1}] = 10;
+  session_table tab(0);
+  tab.create("r", path_graph(n));
+  // The head's adjacency storage; the pin is dropped at once.
+  auto head_adj = [&] { return base_of(tab.snapshot("r")).g.adj().data(); };
+  auto apply = [&](const session_delta& d) {
+    for (const auto& e : d.add_edges) model[{e.u, e.v}] = e.w;
+    for (const auto& e : d.remove_edges) model.erase({e.u, e.v});
+    session_desc desc = tab.apply("r", d);
+    snapshot_input s = tab.snapshot("r");
+    EXPECT_TRUE(csr_matches(base_of(s).g, model)) << "version " << desc.version;
+    EXPECT_EQ(desc.elems, model.size());
+    EXPECT_EQ(desc.fp, fresh_fp(from_model(n, model, 0))) << "version " << desc.version;
+  };
+  auto reweight = [&](uint32_t w) {
+    session_delta d;
+    d.add_edges = {{0, 1, w}, {n - 2, n - 1, w + 1}};
+    return d;
+  };
+
+  const vertex_t* v0 = head_adj();
+  apply(reweight(3));
+  const vertex_t* v1 = head_adj();
+  EXPECT_NE(v1, v0);  // v0 was still the head while v1 was built
+  // Take every free block near v0's adjacency size, so that had v0's
+  // storage been freed, the allocator could not hand it to v2 by chance.
+  std::vector<std::vector<vertex_t>> soak;
+  soak.reserve(4 * 48);
+  for (size_t len = 48; len < 96; ++len)
+    for (int copy = 0; copy < 4; ++copy) soak.emplace_back(len);
+  apply(reweight(4));
+  EXPECT_EQ(head_adj(), v0);  // v2 lives in retired v0's storage
+
+  // Nine growing deltas: three inserts and one removal each.
+  for (int round = 0; round < 9; ++round) {
+    session_delta d;
+    while (d.add_edges.size() < 3) {
+      auto u = static_cast<vertex_t>(gen() % n), v = static_cast<vertex_t>(gen() % n);
+      if (!model.count({u, v})) d.add_edges.push_back({u, v, 1 + static_cast<uint32_t>(gen() % 9)});
+    }
+    auto it = model.begin();
+    std::advance(it, static_cast<long>(gen() % model.size()));
+    d.remove_edges = {{it->first.first, it->first.second}};
+    apply(d);
+  }
+
+  // Once the graph stops growing, storage cycles again: two versions on,
+  // the head is back in the storage of today's head.
+  const vertex_t* vk = head_adj();
+  apply(reweight(5));
+  apply(reweight(6));
+  EXPECT_EQ(head_adj(), vk);
+}
+
+TEST(Session, PinnedVersionsSurviveRecycling) {
+  // v0 and v2 stay pinned while six more deltas recycle retired versions'
+  // storage: each pinned CSR stays byte-equal to a copy taken at pin time
+  // and still hashes to the fingerprint it was pinned with.
+  constexpr vertex_t n = 500;
+  session_table tab(0);
+  tab.create("p", registry::instance().make_input("sssp", n, 4));
+  struct pinned {
+    snapshot_input s;
+    std::vector<size_t> offsets;
+    std::vector<vertex_t> adj;
+    std::vector<uint32_t> wts;
+  };
+  auto pin = [&] {
+    snapshot_input s = tab.snapshot("p");
+    const wgraph& g = base_of(s).g;
+    return pinned{s,
+                  {g.offsets().begin(), g.offsets().end()},
+                  {g.adj().begin(), g.adj().end()},
+                  {g.wts().begin(), g.wts().end()}};
+  };
+  std::vector<pinned> pins{pin()};
+  for (vertex_t i = 0; i < 8; ++i) {
+    if (i == 2) pins.push_back(pin());
+    // Four inserts and, from the head, one removal and one reweight.
+    snapshot_input cur = tab.snapshot("p");
+    const wgraph& head = base_of(cur).g;
+    session_delta d;
+    for (vertex_t j = 0; j < 4; ++j)
+      d.add_edges.push_back({(i * 97 + j) % n, (i * 31 + 7 * j + 1) % n, 2});
+    for (vertex_t u = i * 53 % n; d.remove_edges.empty() || d.add_edges.size() < 5;
+         u = (u + 1) % n) {
+      auto nbrs = head.out_neighbors(u);
+      if (nbrs.empty()) continue;
+      if (d.remove_edges.empty()) {
+        d.remove_edges.push_back({u, nbrs.front()});
+      } else if (nbrs.size() > 1) {
+        d.add_edges.push_back({u, nbrs.back(), 1000});
+      }
+    }
+    tab.apply("p", d);
+
+    for (const auto& p : pins) {
+      SCOPED_TRACE("v" + std::to_string(p.s.version) + " after delta " + std::to_string(i));
+      const wgraph& g = base_of(p.s).g;
+      EXPECT_TRUE(std::ranges::equal(g.offsets(), p.offsets));
+      EXPECT_TRUE(std::ranges::equal(g.adj(), p.adj));
+      EXPECT_TRUE(std::ranges::equal(g.wts(), p.wts));
+      EXPECT_EQ(fresh_fp(*p.s.base), p.s.fp);
+    }
+  }
+  EXPECT_EQ(tab.describe("p").version, 8u);
 }
 
 // The incremental solvers this file runs on session snapshots.
@@ -538,6 +665,49 @@ TEST(Session, ConcurrentSolveAndDeltaAgree) {
   solver.join();
   for (auto& [snap, dist] : solved)
     EXPECT_TRUE(pp_check::sssp_distances_equal(dijkstra_dist(snap), dist));
+}
+
+TEST(Session, SolvesDroppingTheirPinsRacingDeltasAgree) {
+  // Like ConcurrentSolveAndDeltaAgree, but the reader drops each pin right
+  // after solving, so the last pin of a version (and with it the return of
+  // its storage to the spare slot) often falls on the reader thread while
+  // apply() takes the slot. Each solve must equal a solve of its version
+  // rebuilt from the model.
+  constexpr vertex_t n = 64;
+  constexpr int kDeltas = 48;
+  std::vector<edge_map> models(1);
+  for (vertex_t u = 0; u + 1 < n; ++u) models[0][{u, u + 1}] = 10;
+  std::vector<session_delta> deltas(kDeltas);
+  for (int i = 0; i < kDeltas; ++i) {
+    const auto u = static_cast<vertex_t>(i % 63);
+    deltas[i].add_edges = {{u, 63 - u, 3}};
+    if (i % 3 == 2) deltas[i].remove_edges = {{(u * 5) % 63, (u * 5) % 63 + 1}};
+    edge_map next = models.back();
+    for (const auto& e : deltas[i].add_edges) next[{e.u, e.v}] = e.w;
+    for (const auto& e : deltas[i].remove_edges) next.erase({e.u, e.v});
+    models.push_back(std::move(next));
+  }
+
+  session_table tab(0);
+  tab.create("g", path_graph(n));
+  std::atomic<bool> started{false}, stop{false};
+  std::vector<std::pair<uint64_t, std::vector<int64_t>>> solved;
+  std::thread solver([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      snapshot_input s = tab.snapshot("g");
+      started.store(true, std::memory_order_relaxed);
+      solved.emplace_back(s.version, dijkstra_dist(s));
+    }  // the pin drops here
+  });
+  while (!started.load(std::memory_order_relaxed)) std::this_thread::yield();
+  for (const auto& d : deltas) tab.apply("g", d);
+  stop.store(true, std::memory_order_relaxed);
+  solver.join();
+
+  for (const auto& [version, dist] : solved)
+    EXPECT_TRUE(pp_check::sssp_distances_equal(dijkstra_dist(from_model(n, models[version], 0)),
+                                               dist))
+        << "version " << version;
 }
 
 TEST(Session, EngineCacheHitsAcrossVersionsByContent) {
