@@ -97,22 +97,18 @@ std::future<response> engine::enqueue(request&& req, std::function<void(response
     return ready_error("expired: deadline passed before admission", cb);
   }
 
-  pending p;
-  p.solver = std::move(req.solver);
-  p.input = std::move(req.input);
-  p.submit_time = std::chrono::steady_clock::now();
-  p.deadline = req.deadline;
-  p.prio = req.prio;
-  p.session = std::move(req.session);
-  p.cb = std::move(cb);
+  waiter w;
+  w.cb = std::move(cb);
+  w.deadline = req.deadline;
+  w.prio = req.prio;
+  w.submit_time = std::chrono::steady_clock::now();
+  std::future<response> fut;
+  if (!w.cb) fut = w.prom.get_future();
   // Fingerprint outside the lock: the canonicalization pass is O(input)
   // and must not serialize against executors sweeping the queues.
-  p.fp = fingerprint_of(p.input);
-  std::future<response> fut;
-  if (!p.cb) fut = p.prom.get_future();
+  result_key key{std::move(req.solver), fingerprint_of(req.input)};
 
   response hit;
-  bool from_cache = false;
   {
     sync::unique_lock<sync::mutex> lk(m_);
     {
@@ -125,49 +121,51 @@ std::future<response> engine::enqueue(request&& req, std::function<void(response
     }
     if (stopping_) {
       lk.unlock();
-      response r;
-      r.error = "engine stopped";
-      count(ctr::failed);
-      deliver(p, std::move(r));
+      fail(w, "engine stopped");
       return fut;
     }
-    p.seed = req.seed ? *req.seed : reserve_anonymous_seed();
-    if (cache_lookup_locked(key_of(p), hit)) {
-      from_cache = true;  // delivered below, outside the lock
-    } else {
+    key.seed = req.seed ? *req.seed : reserve_anonymous_seed();
+    if (!cache_lookup_locked(key, hit)) {
       if (opts_.cache_entries > 0) count(ctr::cache_misses);
-      if (attach_dup_locked(p)) {
-        // Collapsed onto an identical execution: no queue entry, no
-        // notify (nothing new became runnable).
+      exec_ptr& slot = inflight_[key];
+      // Join the key's execution unless it is sealed with a cancel token:
+      // the token fires at ITS waiters' latest deadline, and a joiner
+      // outliving that would be poisoned by the shared cancellation. The
+      // duplicate then executes fresh and takes over the slot, so later
+      // duplicates join it instead.
+      if (slot && !slot->use_token) {
+        if (slot->queued && w.prio > slot->prio) {
+          // An interactive waiter promotes a queued batch-class execution:
+          // it pops (and coalesces) at the interactive class from now on.
+          std::deque<exec_ptr>& q = queue_of(slot->prio);
+          q.erase(std::find(q.begin(), q.end(), slot));
+          slot->prio = w.prio;
+          queue_of(w.prio).push_back(slot);
+        }
+        slot->waiters.push_back(std::move(w));
+        // No notify: nothing new became runnable.
         count(ctr::deduped);
         return fut;
       }
-      if (!p.session.empty()) {
-        // Take a position in the session's admission order. Dedup waiters
-        // above never reach here: they ride their leader's position, and
-        // content addressing makes their envelope order-independent.
-        session_state& ss = sessions_[p.session];
-        p.session_seq = ss.next_seq++;
-        ss.queued.push_back(p.session_seq);
-      }
-      queues_[queue_index(p.prio)].push_back(std::move(p));
+      slot = std::make_shared<execution>(execution{key, std::move(req.input), w.prio, {}});
+      slot->waiters.push_back(std::move(w));
+      queue_of(slot->prio).push_back(slot);
       count(ctr::submitted);
-      metrics::catalog::get().serve_queue_depth.set(
-          static_cast<int64_t>(queued_locked()));
+      metrics::catalog::get().serve_queue_depth.set(static_cast<int64_t>(queued_locked()));
+      lk.unlock();
+      // notify_all, not notify_one: a single notify can be swallowed by an
+      // executor coalescing a *different* solver inside its batch window
+      // (it gathers nothing and re-waits), leaving an idle executor asleep
+      // and this request stuck until that window expires.
+      not_empty_.notify_all();
+      return fut;
     }
   }
-  if (from_cache) {
-    trace::instant("serve/cache_hit");
-    count(ctr::cache_hits);
-    count(ctr::completed);
-    deliver(p, std::move(hit));
-    return fut;
-  }
-  // notify_all, not notify_one: a single notify can be swallowed by an
-  // executor coalescing a *different* solver inside its batch window (it
-  // gathers nothing and re-waits), leaving an idle executor asleep and
-  // this request stuck until that window expires.
-  not_empty_.notify_all();
+  // A cache hit, answered outside the lock.
+  trace::instant("serve/cache_hit");
+  count(ctr::cache_hits);
+  count(ctr::completed);
+  deliver(w, std::move(hit));
   return fut;
 }
 
@@ -197,268 +195,121 @@ void engine::cache_insert_locked(const result_key& k, const response& r) {
   cache_.emplace(k, lru_.begin());
 }
 
-bool engine::attach_dup_locked(pending& w) {
-  // Queued leaders first. O(queue) scan — the same bound every pop-time
-  // sweep already pays, and capped by queue_capacity.
-  for (size_t ci = 0; ci < 2; ++ci) {
-    std::deque<pending>& q = queues_[ci];
-    for (auto it = q.begin(); it != q.end(); ++it) {
-      pending& e = *it;
-      if (e.solver != w.solver || e.fp != w.fp || e.seed != w.seed) continue;
-      size_t want = queue_index(w.prio);
-      if (want > ci) {
-        // Priority classes respected: an interactive duplicate of a
-        // batch-class leader promotes the whole group — it pops (and
-        // coalesces) at the interactive class from now on, instead of the
-        // interactive waiter queuing behind batch traffic.
-        e.prio = w.prio;
-        e.followers.push_back(std::move(w));
-        queues_[want].push_back(std::move(e));
-        q.erase(it);
-      } else {
-        e.followers.push_back(std::move(w));
-      }
-      return true;
-    }
-  }
-  // Then executions in their window or mid-run — but never a cancellable
-  // flush: its token fires at ITS waiters' latest deadline, and a joiner
-  // outliving that would be poisoned by the shared cancellation. Such a
-  // duplicate queues its own execution instead (correct, just uncollapsed).
-  auto it = running_.find(result_key{w.solver, w.fp, w.seed});
-  if (it != running_.end() && !(it->second->started && it->second->cancellable)) {
-    it->second->waiters.push_back(std::move(w));
-    return true;
-  }
-  return false;
+void engine::unregister_locked(const execution& e) {
+  auto it = inflight_.find(e.key);
+  if (it != inflight_.end() && it->second.get() == &e) inflight_.erase(it);
 }
 
-void engine::register_running_locked(pending& p) {
-  auto [it, inserted] = running_.try_emplace(key_of(p), nullptr);
-  if (!inserted) return;  // a cancellable twin is already running; stay invisible
-  it->second = std::make_shared<fanout>();
-  p.fan = it->second;
-}
-
-void engine::seal_for_flush_locked(pending& p) {
-  if (p.fan) {
-    for (auto& w : p.fan->waiters) p.followers.push_back(std::move(w));
-    p.fan->waiters.clear();
-  }
+void engine::seal_locked(execution& e) {
   // A token cancels the solve for EVERY waiter at once, so the flush is
   // cancellable only when all waiters consent (each has a deadline); it
   // then fires at the latest one — the moment nobody can still want the
   // result. Mixed groups run uncancellable: one waiter's deadline never
   // poisons the others' shared execution.
-  bool all = p.deadline.has_value();
-  auto latest = p.deadline.value_or(std::chrono::steady_clock::time_point::min());
-  for (const auto& f : p.followers) {
-    if (!f.deadline) {
-      all = false;
-      break;
+  e.use_token = true;
+  e.token_deadline = std::chrono::steady_clock::time_point::min();
+  for (const waiter& w : e.waiters) {
+    if (!w.deadline) {
+      e.use_token = false;
+      return;
     }
-    latest = std::max(latest, *f.deadline);
-  }
-  p.use_token = all;
-  if (all) p.token_deadline = latest;
-  if (p.fan) {
-    p.fan->started = true;
-    p.fan->cancellable = all;
+    e.token_deadline = std::max(e.token_deadline, *w.deadline);
   }
 }
 
-void engine::finish_running_locked(pending& p, const response* ok, std::vector<pending>& out) {
-  if (p.fan) {
-    auto it = running_.find(key_of(p));
-    // Identity check: a later execution of the same key may have
-    // registered its own slot; never erase someone else's.
-    if (it != running_.end() && it->second == p.fan) running_.erase(it);
-    for (auto& w : p.fan->waiters) out.push_back(std::move(w));
-    p.fan->waiters.clear();
-    p.fan.reset();
-  }
-  for (auto& f : p.followers) out.push_back(std::move(f));
-  p.followers.clear();
-  if (ok) cache_insert_locked(key_of(p), *ok);
+std::vector<engine::waiter> engine::finish_locked(execution& e, const response* ok) {
+  unregister_locked(e);
+  if (ok) cache_insert_locked(e.key, *ok);
+  return std::exchange(e.waiters, {});
 }
 
-bool engine::sweep_entry_locked(pending& p, std::vector<pending>& dead,
-                                std::chrono::steady_clock::time_point now) {
-  for (auto it = p.followers.begin(); it != p.followers.end();) {
-    if (is_expired(*it, now)) {
-      dead.push_back(std::move(*it));
-      it = p.followers.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (!is_expired(p, now)) return false;
-  if (p.followers.empty()) return true;
-  // The leader expired but other waiters still want this execution: hand
-  // the role (input, fingerprint, seed, remaining followers — all shared
-  // by key equality) to the first survivor and expire only the old
-  // leader's promise.
-  pending corpse;
-  corpse.solver = p.solver;
-  corpse.deadline = p.deadline;
-  corpse.prom = std::move(p.prom);
-  corpse.cb = std::move(p.cb);
-  dead.push_back(std::move(corpse));
-  pending& heir = p.followers.front();
-  p.prom = std::move(heir.prom);
-  p.cb = std::move(heir.cb);
-  p.deadline = heir.deadline;
-  p.followers.erase(p.followers.begin());
-  return false;
-}
-
-bool engine::session_eligible_locked(const pending& p, uint64_t tag) const {
-  if (p.session.empty()) return true;
-  auto it = sessions_.find(p.session);
-  if (it == sessions_.end()) return true;  // order book dropped (stop): run freely
-  const session_state& ss = it->second;
-  if (ss.queued.empty() || ss.queued.front() != p.session_seq) return false;
-  return ss.live == 0 || ss.owner == tag;
-}
-
-void engine::session_claim_locked(const pending& p, uint64_t tag) {
-  if (p.session.empty()) return;
-  auto it = sessions_.find(p.session);
-  if (it == sessions_.end()) return;
-  session_state& ss = it->second;
-  ss.queued.pop_front();
-  ++ss.live;
-  ss.owner = tag;
-}
-
-void engine::session_release_queued_locked(const pending& p) {
-  if (p.session.empty()) return;
-  auto it = sessions_.find(p.session);
-  if (it == sessions_.end()) return;
-  session_state& ss = it->second;
-  // Out-of-order erase: an expired entry dies from the middle of the
-  // admission order, unblocking its successors.
-  auto q = std::find(ss.queued.begin(), ss.queued.end(), p.session_seq);
-  if (q != ss.queued.end()) ss.queued.erase(q);
-  if (ss.queued.empty() && ss.live == 0) sessions_.erase(it);
-}
-
-void engine::session_release_flushed_locked(const pending& p) {
-  if (p.session.empty()) return;
-  auto it = sessions_.find(p.session);
-  if (it == sessions_.end()) return;
-  session_state& ss = it->second;
-  if (ss.live > 0) --ss.live;
-  if (ss.live == 0) {
-    ss.owner = 0;
-    if (ss.queued.empty()) sessions_.erase(it);
-  }
-}
-
-bool engine::pop_head_locked(std::vector<pending>& dead, pending& head, uint64_t tag) {
-  auto now = std::chrono::steady_clock::now();
-  // Every pop sweeps expired entries out of BOTH deques — not just the
-  // one the head comes from. Under sustained interactive traffic the
-  // batch deque might otherwise never be examined, leaving an expired
-  // batch request unresolved (a hung future) while it pins bounded queue
-  // capacity for work that can never run. O(queue) per pop, same bound
-  // the gather sweep already pays. The sweep is per-waiter: an entry with
-  // surviving dedup followers outlives its own leader's deadline.
-  for (auto& q : queues_) {
-    for (auto it = q.begin(); it != q.end();) {
-      if (sweep_entry_locked(*it, dead, now)) {
-        // Every waiter's deadline blew while queued: drop without a pool
-        // lease (and free its session position — successors unblock).
-        session_release_queued_locked(*it);
-        dead.push_back(std::move(*it));
-        it = q.erase(it);
+bool engine::sweep_locked(std::deque<exec_ptr>& q, std::vector<waiter>& dead,
+                          std::chrono::steady_clock::time_point now) {
+  const size_t before = q.size();
+  for (auto it = q.begin(); it != q.end();) {
+    std::vector<waiter>& ws = (*it)->waiters;
+    for (auto w = ws.begin(); w != ws.end();) {
+      if (is_expired(*w, now)) {
+        dead.push_back(std::move(*w));
+        w = ws.erase(w);
       } else {
-        ++it;
+        ++w;
       }
     }
-  }
-  // Higher class first. With priority_classes off everything lives in
-  // queues_[0], so the order collapses to plain FIFO. Session-blocked
-  // entries (an earlier entry of their session is queued ahead or mid
-  // flush) are skipped in place — they keep their FIFO slot, later
-  // traffic flows around them.
-  for (size_t ci = 2; ci-- > 0;) {
-    std::deque<pending>& q = queues_[ci];
-    for (auto it = q.begin(); it != q.end(); ++it) {
-      if (!session_eligible_locked(*it, tag)) continue;
-      head = std::move(*it);
-      q.erase(it);
-      session_claim_locked(head, tag);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool engine::gather_locked(std::deque<pending>& q, const std::string& solver, priority cls,
-                           uint64_t tag, std::vector<pending>& batch, std::vector<pending>& dead) {
-  bool removed = false;
-  auto now = std::chrono::steady_clock::now();
-  for (auto it = q.begin(); it != q.end() && batch.size() < opts_.max_batch;) {
-    if (sweep_entry_locked(*it, dead, now)) {
-      session_release_queued_locked(*it);
-      dead.push_back(std::move(*it));
+    if (ws.empty()) {
+      // Every waiter's deadline blew while queued: drop without a lease.
+      unregister_locked(**it);
       it = q.erase(it);
-      removed = true;
-    } else if (it->solver == solver && (!opts_.priority_classes || it->prio == cls) &&
-               session_eligible_locked(*it, tag)) {
-      // Consecutive entries of one session coalesce into THIS flush in
-      // admission order (claiming seq k makes k+1 the session head, and
-      // the deque scan reaches k+1 after k); run_batch executes items
-      // as given, so in-flush order is preserved too.
-      session_claim_locked(*it, tag);
-      batch.push_back(std::move(*it));
-      register_running_locked(batch.back());
-      it = q.erase(it);
-      removed = true;
     } else {
       ++it;
     }
+  }
+  return q.size() != before;
+}
+
+engine::exec_ptr engine::pop_head_locked(std::vector<waiter>& dead) {
+  // Every pop sweeps expired waiters out of BOTH deques — not just the one
+  // the head comes from. Under sustained interactive traffic the batch
+  // deque might otherwise never be examined, leaving an expired batch
+  // request unresolved (a hung future) while it pins bounded queue
+  // capacity for work that can never run. O(queue) per pop, same bound the
+  // gather sweep already pays.
+  auto now = std::chrono::steady_clock::now();
+  for (auto& q : queues_) sweep_locked(q, dead, now);
+  for (size_t ci = 2; ci-- > 0;) {  // higher class first
+    std::deque<exec_ptr>& q = queues_[ci];
+    if (q.empty()) continue;
+    exec_ptr head = std::move(q.front());
+    q.pop_front();
+    head->queued = false;
+    return head;
+  }
+  return nullptr;
+}
+
+bool engine::gather_locked(std::deque<exec_ptr>& q, const std::string& solver,
+                           std::vector<exec_ptr>& batch, std::vector<waiter>& dead) {
+  bool removed = sweep_locked(q, dead, std::chrono::steady_clock::now());
+  for (auto it = q.begin(); it != q.end() && batch.size() < opts_.max_batch;) {
+    if ((*it)->key.solver != solver) {
+      ++it;
+      continue;
+    }
+    (*it)->queued = false;
+    batch.push_back(std::move(*it));
+    it = q.erase(it);
+    removed = true;
   }
   return removed;
 }
 
 void engine::executor_loop() {
   for (;;) {
-    std::vector<pending> batch;
-    std::vector<pending> dead;  // expired while queued; resolved below, leaseless
+    std::vector<exec_ptr> batch;
+    std::vector<waiter> dead;  // expired while queued; resolved below, leaseless
     {
       sync::unique_lock<sync::mutex> lk(m_);
       // Loop, not wait(lk, pred): see enqueue() — guarded reads must stay
       // inside the scope the analysis knows holds m_.
       while (!stopping_ && queued_locked() == 0) not_empty_.wait(lk);
       if (queued_locked() == 0) return;  // stopping_ && drained
-      pending head;
-      // This iteration's flush identity: session entries claimed under one
-      // tag (the popped head and its gathered session-mates) share one
-      // flush; a different tag must wait for their release.
-      const uint64_t tag = ++flush_tag_;
-      if (pop_head_locked(dead, head, tag)) {
+      if (exec_ptr head = pop_head_locked(dead)) {
+        // The head is out of the queue, so its class no longer changes.
+        std::deque<exec_ptr>& q = queue_of(head->prio);
         batch.push_back(std::move(head));
-        register_running_locked(batch.back());
-        // By value: growing `batch` reallocates and would invalidate a
-        // reference into batch.front().
-        const std::string solver = batch.front().solver;
-        const priority cls = batch.front().prio;
+        const std::string& solver = batch.front()->key.solver;
 
-        // Sweep everything for this solver (and, with QoS on, this class —
-        // a batch request must never ride an interactive flush's lease)
-        // already waiting, then keep the window open for late arrivals
-        // until the batch fills, the window closes, or the engine is
-        // stopping (stop cuts windows short so drain is prompt). Each
-        // sweep rescans the class deque under m_ — O(queue) per window
-        // wakeup, which the operator bounds via queue_capacity. Expired
-        // entries encountered on the way are dropped leaselessly like at
-        // pop time.
-        std::deque<pending>& q = queues_[queue_index(cls)];
+        // Sweep everything for this solver and class (a batch request must
+        // never ride an interactive flush's lease) already waiting, then
+        // keep the window open for late arrivals until the batch fills,
+        // the window closes, or the engine is stopping (stop cuts windows
+        // short so drain is prompt). Each sweep rescans the class deque
+        // under m_ — O(queue) per window wakeup, which the operator bounds
+        // via queue_capacity. Expired waiters encountered on the way are
+        // dropped leaselessly like at pop time.
         {
           trace_span g("serve/gather");
-          if (gather_locked(q, solver, cls, tag, batch, dead)) not_full_.notify_all();
+          if (gather_locked(q, solver, batch, dead)) not_full_.notify_all();
           // Expiry path annotation: how many queued waiters this sweep
           // dropped for blown deadlines (leaseless "expired" responses).
           g.args("expired", dead.size());
@@ -468,31 +319,21 @@ void engine::executor_loop() {
           trace_span co("serve/coalesce");
           auto window_end = std::chrono::steady_clock::now() + opts_.batch_window;
           while (batch.size() < opts_.max_batch && !stopping_) {
-            if (not_empty_.wait_until(lk, window_end) == std::cv_status::timeout) {
-              if (gather_locked(q, solver, cls, tag, batch, dead)) not_full_.notify_all();
-              break;
-            }
-            if (gather_locked(q, solver, cls, tag, batch, dead)) not_full_.notify_all();
+            bool timeout = not_empty_.wait_until(lk, window_end) == std::cv_status::timeout;
+            if (gather_locked(q, solver, batch, dead)) not_full_.notify_all();
+            if (timeout) break;
           }
           co.args("batch", batch.size(), "expired", dead.size());
         }
-        // The flush is decided: freeze each entry's cancellability and
-        // absorb window-time joiners. Post-seal joiners keep accumulating
-        // in the fanout (uncancellable flushes only) and are delivered at
-        // completion.
-        for (auto& p : batch) seal_for_flush_locked(p);
-      } else if (queued_locked() > 0) {
-        // Nothing runnable but the queue is non-empty: everything left is
-        // session-blocked behind an in-flight flush. Sleep until a release
-        // notification (or a short timeout as a missed-wakeup backstop)
-        // instead of spinning on the pop.
-        not_empty_.wait_for(lk, std::chrono::milliseconds(1));
+        // The flush is decided: freeze each execution's cancellability.
+        // Later joiners keep landing on uncancellable executions and are
+        // answered at completion.
+        for (auto& e : batch) seal_locked(*e);
       }
-      metrics::catalog::get().serve_queue_depth.set(
-          static_cast<int64_t>(queued_locked()));
+      metrics::catalog::get().serve_queue_depth.set(static_cast<int64_t>(queued_locked()));
     }
     not_full_.notify_all();
-    for (auto& p : dead) deliver_expired(p);
+    for (auto& w : dead) deliver_expired(w);
     if (batch.empty()) {
       // Everything we popped had expired; go back to waiting (or exit if
       // the engine is stopping and the queues drained meanwhile).
@@ -507,8 +348,8 @@ void engine::executor_loop() {
   }
 }
 
-void engine::execute(std::vector<pending> batch) {
-  unsigned now = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
+void engine::execute(std::vector<exec_ptr> batch) {
+  unsigned now = live_runs_.fetch_add(1, std::memory_order_relaxed) + 1;
   metrics::catalog::get().serve_inflight.add(1);
   metrics::catalog::get().serve_batch_size.observe(batch.size());
   unsigned peak = peak_inflight_.load(std::memory_order_relaxed);
@@ -521,28 +362,28 @@ void engine::execute(std::vector<pending> batch) {
   batch_options opts;
   opts.seeds.reserve(batch.size());
   bool any_token = false;
-  for (auto& p : batch) {
-    inputs.push_back(std::move(p.input));
-    opts.seeds.push_back(p.seed);
-    if (p.use_token) any_token = true;
+  for (auto& e : batch) {
+    inputs.push_back(std::move(e->input));
+    opts.seeds.push_back(e->key.seed);
+    if (e->use_token) any_token = true;
   }
   // Each cancellable item carries its own token, so a blown deadline
   // cancels exactly that item at its next phase boundary (or skips it
   // before it starts) while batchmates with live or absent deadlines
   // complete normally — one expired request never fails its flush. The
   // cancellability decision itself was sealed under m_ (an item with any
-  // deadline-less waiter runs to completion; see seal_for_flush_locked).
+  // deadline-less waiter runs to completion; see seal_locked).
   if (any_token) {
     opts.tokens.reserve(batch.size());
-    for (auto& p : batch)
-      opts.tokens.push_back(p.use_token ? cancel_token::at(p.token_deadline) : cancel_token{});
+    for (auto& e : batch)
+      opts.tokens.push_back(e->use_token ? cancel_token::at(e->token_deadline) : cancel_token{});
   }
 
   auto t0 = std::chrono::steady_clock::now();
   size_t delivered = 0;  // entries already resolved; never re-delivered on error
   try {
     trace_span flush("serve/flush", "batch", batch.size());
-    auto br = registry::run_batch(batch.front().solver,
+    auto br = registry::run_batch(batch.front()->key.solver,
                                   std::span<const problem_input>(inputs), exec_ctx_, opts);
     // Cancellation path annotation: items whose deadline token fired
     // mid-run (the solve unwound at a phase boundary, batchmates intact).
@@ -559,32 +400,26 @@ void engine::execute(std::vector<pending> batch) {
     count(ctr::batches);
     if (batch.size() > 1) count(ctr::batched, batch.size());
     for (; delivered < batch.size(); ++delivered) {
-      pending& p = batch[delivered];
       response r;
       r.result = std::move(br.items[delivered]);
       const bool ok_item = !r.result.cancelled();
       if (!ok_item) r.error = "cancelled: deadline exceeded mid-run";
-      // Unregister the dedup slot, collect every waiter, and cache a
-      // successful envelope — atomically w.r.t. new submissions, so a
-      // duplicate arriving now either finds the cache entry or queues a
-      // fresh execution; it can never join a completed fanout.
-      std::vector<pending> waiters;
+      // Unregister, collect every waiter, and cache a successful envelope
+      // — atomically w.r.t. new submissions, so a duplicate arriving now
+      // either finds the cache entry or queues a fresh execution; it can
+      // never join a completed one.
+      std::vector<waiter> waiters;
       {
         sync::lock_guard<sync::mutex> lk(m_);
-        finish_running_locked(p, ok_item ? &r : nullptr, waiters);
-        session_release_flushed_locked(p);
+        waiters = finish_locked(*batch[delivered], ok_item ? &r : nullptr);
       }
       // Fan the envelope out: one execution, every waiter answered. A
       // waiter whose deadline lapsed mid-run still gets the result — the
       // work is already paid for; deadlines shed queued work, not
       // finished envelopes.
-      for (auto& w : waiters) {
-        response copy = r;
-        count(ok_item ? ctr::completed : ctr::cancelled);
-        deliver(w, std::move(copy));
-      }
-      count(ok_item ? ctr::completed : ctr::cancelled);
-      deliver(p, std::move(r));
+      count(ok_item ? ctr::completed : ctr::cancelled, waiters.size());
+      for (size_t i = 0; i < waiters.size(); ++i)
+        deliver(waiters[i], i + 1 < waiters.size() ? response(r) : std::move(r));
     }
   } catch (const std::exception& e) {
     // Admission-time validation makes this unreachable for well-formed
@@ -596,98 +431,78 @@ void engine::execute(std::vector<pending> batch) {
     // std::terminate the whole process; fail the flush instead.
     fail_from(batch, delivered, "solver threw a non-std exception");
   }
-  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  live_runs_.fetch_sub(1, std::memory_order_relaxed);
   metrics::catalog::get().serve_inflight.sub(1);
-  // Session releases above may have unblocked a skipped entry; wake
-  // executors parked on the session-blocked wait.
-  not_empty_.notify_all();
 }
 
-void engine::fail_from(std::vector<pending>& batch, size_t first, const char* what) {
+void engine::fail_from(std::vector<exec_ptr>& batch, size_t first, const char* what) {
   for (size_t i = first; i < batch.size(); ++i) {
-    // A genuinely failed flush is a shared fact: every deduped waiter
-    // gets the same error its leader does (and nothing is cached).
-    std::vector<pending> waiters;
+    // A genuinely failed flush is a shared fact: every waiter gets the
+    // same error (and nothing is cached).
+    std::vector<waiter> waiters;
     {
       sync::lock_guard<sync::mutex> lk(m_);
-      finish_running_locked(batch[i], nullptr, waiters);
-      session_release_flushed_locked(batch[i]);
+      waiters = finish_locked(*batch[i], nullptr);
     }
-    count(ctr::failed, 1 + waiters.size());
-    for (auto& w : waiters) {
-      response r;
-      r.error = what;
-      deliver(w, std::move(r));
-    }
-    response r;
-    r.error = what;
-    deliver(batch[i], std::move(r));
+    for (auto& w : waiters) fail(w, what);
   }
 }
 
-void engine::deliver(pending& p, response&& r) {
+void engine::fail(waiter& w, const char* what) {
+  count(ctr::failed);
+  response r;
+  r.error = what;
+  deliver(w, std::move(r));
+}
+
+void engine::deliver(waiter& w, response&& r) {
   // Per-class submit-to-delivery latency (cache hits and errors count
-  // too — the client waited exactly this long either way). Entries that
-  // never passed admission have a zero submit_time and are skipped.
-  if (p.submit_time.time_since_epoch().count() != 0) {
-    auto usec = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - p.submit_time)
-                    .count();
-    metrics::catalog& m = metrics::catalog::get();
-    (p.prio == priority::interactive ? m.serve_latency_interactive : m.serve_latency_batch)
-        .observe(static_cast<uint64_t>(usec < 0 ? 0 : usec));
-  }
-  if (p.cb) {
-    detail::guarded_invoke(p.cb, std::move(r));
+  // too — the client waited exactly this long either way).
+  auto usec = std::chrono::duration_cast<std::chrono::microseconds>(
+                  std::chrono::steady_clock::now() - w.submit_time)
+                  .count();
+  metrics::catalog& m = metrics::catalog::get();
+  (w.prio == priority::interactive ? m.serve_latency_interactive : m.serve_latency_batch)
+      .observe(static_cast<uint64_t>(usec < 0 ? 0 : usec));
+  if (w.cb) {
+    detail::guarded_invoke(w.cb, std::move(r));
   } else {
-    p.prom.set_value(std::move(r));
+    w.prom.set_value(std::move(r));
   }
 }
 
-void engine::deliver_expired(pending& p) {
+void engine::deliver_expired(waiter& w) {
   // Expiry path annotation: how long the request sat queued before its
   // deadline blew (it never took a pool lease).
   trace::instant("serve/expired", "queued_usec",
                  static_cast<uint64_t>(std::max<int64_t>(
                      0, std::chrono::duration_cast<std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - p.submit_time)
+                            std::chrono::steady_clock::now() - w.submit_time)
                             .count())));
   count(ctr::expired);
   response r;
   r.error = "expired: deadline passed while queued";
-  deliver(p, std::move(r));
+  deliver(w, std::move(r));
 }
 
 void engine::stop(bool drain) {
-  std::deque<pending> orphans;
+  std::vector<waiter> orphans;
   {
     sync::lock_guard<sync::mutex> lk(m_);
     stopping_ = true;
     if (!drain) {
       for (auto& q : queues_) {
-        for (auto& p : q) orphans.push_back(std::move(p));
+        for (auto& e : q) {
+          unregister_locked(*e);
+          for (auto& w : e->waiters) orphans.push_back(std::move(w));
+        }
         q.clear();
       }
-      // The orphans' session positions die with them. In-flight flushes
-      // release against the (now absent) books as no-ops.
-      sessions_.clear();
     }
   }
   not_empty_.notify_all();
   not_full_.notify_all();
-  for (auto& p : orphans) {
-    // Dedup waiters orphan along with their leader.
-    for (auto& f : p.followers) {
-      response r;
-      r.error = "engine stopped";
-      count(ctr::failed);
-      deliver(f, std::move(r));
-    }
-    response r;
-    r.error = "engine stopped";
-    count(ctr::failed);
-    deliver(p, std::move(r));
-  }
+  for (auto& w : orphans) fail(w, "engine stopped");
   std::call_once(join_once_, [&] {
     for (auto& t : executors_) t.join();
   });

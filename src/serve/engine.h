@@ -11,7 +11,7 @@
 //   auto fut = eng.submit({.solver = "lis/parallel", .input = in, .seed = 7});
 //   pp::serve::response r = fut.get();   // r.result is a run_result envelope
 //
-// Two mechanisms:
+// The mechanisms:
 //
 //  * Admission control. Clients enqueue into a bounded MPMC queue (submit
 //    blocks when it is full — backpressure, not unbounded buffering). A
@@ -32,30 +32,26 @@
 //  * Content addressing (dedup + result cache). Every run is deterministic
 //    given (solver, input, seed), so the engine fingerprints each input at
 //    admission (core/fingerprint.h) and treats (solver, fingerprint, seed)
-//    as the address of its result. An identical submission collapses onto
-//    the existing queued/running execution as a *waiter* — one pool lease,
-//    the envelope fanned out to everyone — and a bounded LRU of recent
-//    envelopes answers repeat traffic at submit time with zero queue slots
-//    and zero leases (`response::cached`). See engine_options::cache_entries
-//    and the cache_hits/cache_misses/deduped counters.
+//    as the address of its result. Each execution keeps one list of
+//    waiters and is registered under its address from admission until it
+//    completes: an identical submission is one map lookup that adds a
+//    waiter, whether the execution is queued, in its batch window or
+//    running — one pool lease, the envelope fanned out to every waiter.
+//    A bounded LRU of recent envelopes answers repeat traffic at submit
+//    time with zero queue slots and zero leases (`response::cached`). See
+//    engine_options::cache_entries and the cache_hits/cache_misses/deduped
+//    counters.
 //
 //  * QoS. Requests carry a priority class and an optional deadline.
 //    Interactive requests pop before batch requests (FIFO within a
-//    class), coalescing never crosses classes, a request whose deadline
-//    passes while queued is dropped at pop time without taking a pool
-//    lease (`expired`), and an in-flight request carries a
-//    pp::cancel_token so a blown deadline unwinds its solve at the next
-//    phase boundary (`cancelled`) while unexpired batchmates complete.
-//
-//  * Session affinity. Requests carrying a session key (stateful clients:
-//    src/serve/session.h) execute in admission order per session — a
-//    later solve on a session never starts before an earlier one
-//    finishes, so version-ordered feedback (note_solve) and callbacks
-//    observe the session's timeline. Entries of ONE session may still
-//    coalesce into a single flush (run_batch preserves item order), but
-//    never into two concurrent flushes; cross-session and sessionless
-//    traffic coalesces exactly as before. A session-blocked entry is
-//    skipped at pop time rather than blocking the head of the queue.
+//    class), coalescing never crosses classes, and an interactive
+//    duplicate promotes a queued batch-class execution. A waiter whose
+//    deadline passes while its execution is queued is dropped at pop time
+//    (`expired`); the execution is dropped, without taking a pool lease,
+//    only when its last waiter expires. An in-flight execution whose
+//    waiters all have deadlines carries a pp::cancel_token, so a blown
+//    deadline unwinds its solve at the next phase boundary (`cancelled`)
+//    while unexpired batchmates complete.
 //
 // Every batch executes under the engine's single execution profile
 // (options::ctx + workers_per_run), with a per-item seed. Each executor's
@@ -129,11 +125,6 @@ struct request {
   std::optional<uint64_t> seed;
   std::optional<std::chrono::steady_clock::time_point> deadline;
   priority prio = priority::interactive;
-  // Session affinity key; empty = unordered. Requests sharing a key
-  // execute in admission order (see the header note). Dedup and cache
-  // still apply: an identical submission may be answered out of band —
-  // content addressing makes its envelope order-independent.
-  std::string session;
 };
 
 struct response {
@@ -161,10 +152,6 @@ struct engine_options {
   std::chrono::microseconds batch_window{200};
   // Largest coalesced batch; 1 disables coalescing.
   size_t max_batch = 16;
-  // QoS classes on: interactive requests pop before batch requests and
-  // classes never share a flush. Off: one FIFO queue, classes ignored —
-  // the A/B baseline bench/serving_qos measures against.
-  bool priority_classes = true;
   // Bounded LRU of recent (solver, input fingerprint, seed) → response
   // envelopes. A repeat submission is answered at admission with a copy
   // of the stored envelope (response::cached), zero queue slots and zero
@@ -195,8 +182,8 @@ struct engine_options {
 //   cache_hits: answered from the LRU at submit: zero queue slots, zero pool
 //               leases (response::cached)
 //   cache_misses: cache enabled but held no entry for the key
-//   deduped:    collapsed onto an identical queued/running execution as a
-//               waiter (zero extra leases)
+//   deduped:    joined an identical queued/running execution as a waiter
+//               (zero extra leases)
 //   exec_seconds: summed wall-clock of the run_batch flushes themselves
 //               (batch window waits excluded). exec_seconds minus the
 //               per-item solve seconds is the engine's total dispatch
@@ -263,49 +250,6 @@ class engine {
   const context& execution_context() const { return exec_ctx_; }
 
  private:
-  struct pending;
-
-  // Mid-run attach slot for in-flight dedup: while a (solver, fingerprint,
-  // seed) execution sits in its batch window or runs, running_ maps its
-  // key here so late identical submissions can still join. Every field is
-  // protected by m_ (the attribute syntax cannot name engine::m_ from a
-  // nested struct, so the guard is by construction: all access sites hold
-  // it).
-  struct fanout {
-    bool started = false;      // flush launched; `cancellable` is final
-    bool cancellable = false;  // flush carries a cancel token: no more joins
-    std::vector<pending> waiters;
-  };
-
-  struct pending {
-    std::string solver;
-    problem_input input;
-    fingerprint fp;  // canonical input fingerprint (computed at admission)
-    // Admission timestamp, for the per-class latency histograms
-    // (pp_serve_latency_*_usec in core/metrics.h).
-    std::chrono::steady_clock::time_point submit_time{};
-    uint64_t seed = 0;
-    std::optional<std::chrono::steady_clock::time_point> deadline;
-    priority prio = priority::interactive;
-    std::promise<response> prom;
-    std::function<void(response)> cb;  // when set, used instead of prom
-    // Deduped waiters riding this entry's execution (leaders only; a
-    // waiter's own list is empty). Mutated under m_; the executing thread
-    // owns it after seal_for_flush_locked.
-    std::vector<pending> followers;
-    // This entry's running_ slot, while registered (executing entries only).
-    std::shared_ptr<fanout> fan;
-    // Flush decision (seal_for_flush_locked): carry a cancel token iff
-    // every waiter has a deadline; it fires at the latest one.
-    bool use_token = false;
-    std::chrono::steady_clock::time_point token_deadline{};
-    // Session affinity: the key and this entry's position in the
-    // session's admission order (sessions_[session].queued holds the
-    // live positions, FIFO).
-    std::string session;
-    uint64_t session_seq = 0;
-  };
-
   // Content address of a response — the cache and dedup key.
   struct result_key {
     std::string solver;
@@ -313,18 +257,50 @@ class engine {
     uint64_t seed = 0;
     friend auto operator<=>(const result_key&, const result_key&) = default;
   };
-  static result_key key_of(const pending& p) { return {p.solver, p.fp, p.seed}; }
+
+  // One client waiting for an execution's envelope.
+  struct waiter {
+    std::promise<response> prom;
+    std::function<void(response)> cb;  // when set, used instead of prom
+    std::optional<std::chrono::steady_clock::time_point> deadline;
+    // The class it was submitted with and its admission time, for the
+    // per-class latency histograms (pp_serve_latency_*_usec in
+    // core/metrics.h).
+    priority prio = priority::interactive;
+    std::chrono::steady_clock::time_point submit_time{};
+  };
+
+  // One unit of work and everyone waiting for it, registered in inflight_
+  // from admission until it completes. `input` belongs to the executor
+  // once the execution leaves the queue; every other field is protected
+  // by m_ (the attribute syntax cannot name engine::m_ from a nested
+  // struct, so the guard is by construction: all access sites hold it).
+  struct execution {
+    result_key key;
+    problem_input input;
+    priority prio = priority::interactive;  // its queue; raised by promotion
+    std::vector<waiter> waiters;
+    bool queued = true;  // false once an executor took it
+    // Flush decision (seal_locked): carry a cancel token iff every waiter
+    // has a deadline; it fires at the latest one. A sealed execution with
+    // a token refuses joiners.
+    bool use_token = false;
+    std::chrono::steady_clock::time_point token_deadline{};
+  };
+  using exec_ptr = std::shared_ptr<execution>;
 
   std::future<response> enqueue(request&& req, std::function<void(response)> cb);
   void executor_loop();
-  void execute(std::vector<pending> batch);
+  void execute(std::vector<exec_ptr> batch);
   // Fail batch entries [first, end) with `what` (the not-yet-delivered
   // tail when a flush throws).
-  void fail_from(std::vector<pending>& batch, size_t first, const char* what);
-  static void deliver(pending& p, response&& r);
-  // Resolve `p` with an "expired" error (deadline passed before any pool
+  void fail_from(std::vector<exec_ptr>& batch, size_t first, const char* what);
+  // Resolve `w` with error `what` and count it failed.
+  void fail(waiter& w, const char* what);
+  static void deliver(waiter& w, response&& r);
+  // Resolve `w` with an "expired" error (deadline passed before any pool
   // lease was taken) and count it.
-  void deliver_expired(pending& p);
+  void deliver_expired(waiter& w);
 
   // ---- cache + dedup helpers; the m_ requirement is machine-checked ---------
   // LRU lookup; on hit copies the stored envelope into `out` with
@@ -333,83 +309,41 @@ class engine {
   // Insert a successful envelope, evicting the least-recently-used entry
   // past the bound. Cancelled/errored responses are never inserted.
   void cache_insert_locked(const result_key& k, const response& r) PP_REQUIRES(m_);
-  // Collapse an identical (solver, fingerprint, seed) submission onto an
-  // existing queued or joinable running execution; true = `w` was consumed.
-  bool attach_dup_locked(pending& w) PP_REQUIRES(m_);
-  // Make a just-popped entry joinable while it waits out the batch window
-  // and runs: running_[key] → a fresh fanout (skipped if the key is
-  // already running — the second execution simply collects no joiners).
-  void register_running_locked(pending& p) PP_REQUIRES(m_);
-  // Freeze an entry's flush decision: absorb window-time joiners into
-  // `followers`, decide cancellability (all waiters deadline'd → token at
-  // the latest deadline), and mark the fanout started.
-  void seal_for_flush_locked(pending& p) PP_REQUIRES(m_);
-  // Completion bookkeeping for one flushed entry: unregister its running_
-  // slot, move every remaining waiter into `out` for delivery, and cache
-  // the envelope (successful results only — a cancelled sole execution
-  // must not poison future hits).
-  void finish_running_locked(pending& p, const response* ok, std::vector<pending>& out)
-      PP_REQUIRES(m_);
-  // Per-waiter deadline sweep of one queued entry: expired followers move
-  // into `dead`, an expired leader hands the execution role to its first
-  // surviving follower (work other waiters still want is never dropped).
-  // True = every waiter expired; the caller erases the entry after moving
-  // it into `dead`.
-  bool sweep_entry_locked(pending& p, std::vector<pending>& dead,
-                          std::chrono::steady_clock::time_point now) PP_REQUIRES(m_);
-
-  // ---- session affinity helpers; the m_ requirement is machine-checked ------
-  // Per-session ordering state. `queued` holds the admission positions of
-  // the session's queued entries (front = next allowed to run); `live` /
-  // `owner` track entries claimed into a not-yet-finished flush and which
-  // flush holds them. Erased when both drain, so idle sessions cost zero.
-  struct session_state {
-    uint64_t next_seq = 0;
-    std::deque<uint64_t> queued;
-    size_t live = 0;
-    uint64_t owner = 0;  // flush tag; meaningful while live > 0
-  };
-  // May `p` start under flush `tag`? True when p is sessionless, or is the
-  // session's FIFO head with no other flush in flight (entries already
-  // claimed by THIS tag don't block their session-mates — that is what
-  // lets one flush carry several consecutive entries of a session).
-  bool session_eligible_locked(const pending& p, uint64_t tag) const PP_REQUIRES(m_);
-  // Claim an eligible entry into flush `tag` (pops its queued position).
-  void session_claim_locked(const pending& p, uint64_t tag) PP_REQUIRES(m_);
-  // Un-queue an entry that dies without running (expired / orphaned).
-  void session_release_queued_locked(const pending& p) PP_REQUIRES(m_);
-  // Release a flushed entry; when the session's flush fully drains, its
-  // next queued entry becomes eligible (callers notify not_empty_).
-  void session_release_flushed_locked(const pending& p) PP_REQUIRES(m_);
+  // Drop `e`'s inflight_ slot, unless a later execution of its key owns it.
+  void unregister_locked(const execution& e) PP_REQUIRES(m_);
+  // Freeze the flush decision: all waiters deadline'd → token at the
+  // latest deadline.
+  void seal_locked(execution& e) PP_REQUIRES(m_);
+  // Completion bookkeeping: unregister `e`, cache the envelope (successful
+  // results only — a cancelled execution must not poison future hits), and
+  // hand back every waiter for delivery.
+  std::vector<waiter> finish_locked(execution& e, const response* ok) PP_REQUIRES(m_);
 
   // ---- queue helpers; the m_ requirement is machine-checked -----------------
-  // Which deque a pending lands in: its class when priority_classes, the
-  // single FIFO otherwise.
-  size_t queue_index(priority p) const {
-    return opts_.priority_classes ? static_cast<size_t>(p) : 0;
+  std::deque<exec_ptr>& queue_of(priority p) PP_REQUIRES(m_) {
+    return queues_[static_cast<size_t>(p)];
   }
   size_t queued_locked() const PP_REQUIRES(m_) {
     return queues_[0].size() + queues_[1].size();
   }
-  static bool is_expired(const pending& p, std::chrono::steady_clock::time_point now) {
-    return p.deadline && *p.deadline <= now;
+  static bool is_expired(const waiter& w, std::chrono::steady_clock::time_point now) {
+    return w.deadline && *w.deadline <= now;
   }
-  // Pop the next runnable head — highest class first, FIFO within a class
-  // — moving every already-expired entry encountered into `dead` and
-  // skipping (not disturbing) session-blocked entries. Returns false when
-  // nothing runnable is queued.
-  bool pop_head_locked(std::vector<pending>& dead, pending& head, uint64_t tag)
-      PP_REQUIRES(m_);
-  // Sweep-and-coalesce into `batch` every queued entry of `q` matching
-  // the flush head (same solver; same class when QoS is on; session
-  // eligible under `tag`), up to max_batch, registering each as joinable.
-  // True = entries left the queue, so the caller wakes backpressured
-  // submitters NOW — with a small queue, a window-waiting executor that
-  // just drained it is waiting for exactly the requests those submitters
-  // hold.
-  bool gather_locked(std::deque<pending>& q, const std::string& solver, priority cls,
-                     uint64_t tag, std::vector<pending>& batch, std::vector<pending>& dead)
-      PP_REQUIRES(m_);
+  // Move the expired waiters of q's executions into `dead`, dropping (and
+  // unregistering) each execution whose last waiter expired. True =
+  // entries left q.
+  bool sweep_locked(std::deque<exec_ptr>& q, std::vector<waiter>& dead,
+                    std::chrono::steady_clock::time_point now) PP_REQUIRES(m_);
+  // Sweep both queues, then pop the next head — highest class first, FIFO
+  // within a class. Null when nothing is queued.
+  exec_ptr pop_head_locked(std::vector<waiter>& dead) PP_REQUIRES(m_);
+  // Sweep q, then move into `batch` every queued execution of `solver`, up
+  // to max_batch. True = entries left the queue, so the caller wakes
+  // backpressured submitters NOW — with a small queue, a window-waiting
+  // executor that just drained it is waiting for exactly the requests
+  // those submitters hold.
+  bool gather_locked(std::deque<exec_ptr>& q, const std::string& solver,
+                     std::vector<exec_ptr>& batch, std::vector<waiter>& dead) PP_REQUIRES(m_);
 
   engine_options opts_;
   context exec_ctx_;  // opts_.ctx with workers = resolved workers_per_run
@@ -417,10 +351,10 @@ class engine {
   mutable sync::mutex m_;
   std::condition_variable_any not_empty_;  // executors wait here
   std::condition_variable_any not_full_;   // blocked submitters wait here
-  // [0] = batch class, [1] = interactive; everything in [0] when
-  // priority_classes is off. Capacity bounds the sum of *entries*; deduped
-  // waiters ride their leader's slot and are not counted.
-  std::deque<pending> queues_[2] PP_GUARDED_BY(m_);
+  // [0] = batch class, [1] = interactive. Capacity bounds the number of
+  // queued executions; deduped waiters ride their execution's slot and
+  // are not counted.
+  std::deque<exec_ptr> queues_[2] PP_GUARDED_BY(m_);
   bool stopping_ PP_GUARDED_BY(m_) = false;
   // Result cache: LRU list (front = most recent) + key index into it.
   struct cache_entry {
@@ -429,13 +363,9 @@ class engine {
   };
   std::list<cache_entry> lru_ PP_GUARDED_BY(m_);
   std::map<result_key, std::list<cache_entry>::iterator> cache_ PP_GUARDED_BY(m_);
-  // In-flight dedup: keys currently in a batch window or executing.
-  std::map<result_key, std::shared_ptr<fanout>> running_ PP_GUARDED_BY(m_);
-  // Session affinity order books (erased when a session fully drains).
-  std::map<std::string, session_state> sessions_ PP_GUARDED_BY(m_);
-  // Flush identity: each executor iteration that pops a head draws a tag;
-  // session entries claimed under one tag share one flush.
-  uint64_t flush_tag_ PP_GUARDED_BY(m_) = 0;
+  // In-flight dedup: each key's latest execution, queued, in its batch
+  // window or running.
+  std::map<result_key, exec_ptr> inflight_ PP_GUARDED_BY(m_);
 
   std::vector<std::thread> executors_;
   std::once_flag join_once_;
@@ -452,7 +382,7 @@ class engine {
   void count(ctr c, uint64_t n = 1);
 
   std::atomic<uint64_t> anon_seq_{0};  // anonymous-seed counter (engine-wide)
-  std::atomic<unsigned> inflight_{0};
+  std::atomic<unsigned> live_runs_{0};  // concurrent run_scopes right now
   std::atomic<unsigned> peak_inflight_{0};
   std::atomic<uint64_t> counts_[static_cast<size_t>(ctr::n_counters)]{};
   std::atomic<uint64_t> exec_nanos_{0};

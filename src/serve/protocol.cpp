@@ -247,8 +247,7 @@ connection::body connection::answer(const std::string& id, const json::value& do
 
 // Session verbs against the shared session_table. create/delta/drop
 // answer at once (the table is the source of truth, no solve happens);
-// solve pins the current version and rides the normal engine path with
-// session affinity.
+// solve pins the current version and rides the normal engine path.
 connection::body connection::session_verb(const std::string& id, const std::string& verb,
                                           const json::value& doc) {
   const json::value* nv = doc.find("name");
@@ -268,7 +267,6 @@ connection::body connection::session_verb(const std::string& id, const std::stri
   if (verb == "delta") return ok_line(id, "session", to_json(tab_.apply(name, delta_of(doc))));
   if (verb == "solve") {
     request req = run_fields(doc);
-    req.session = name;
     // Pin the head: the solve reads THIS version even if deltas land
     // while it is queued, and answers with that version's descriptor,
     // read under the same lock as the pin.

@@ -68,10 +68,12 @@
 //       keep reading the version they pinned.
 //   {"session":"solve","name":"g","solver":"sssp/incremental", ...}
 //       solve the CURRENT version (seed / deadline_ms / priority as for a
-//       one-shot solve) and report the version it pinned. Runs with engine
-//       session affinity: solves on one session never reorder, and an ok
-//       sssp solve feeds its distances back as incremental labels for
-//       later sssp/incremental solves.
+//       one-shot solve) and report the version it pinned: the solve reads
+//       that version even when later deltas land while it is queued. The
+//       engine may run a connection's solves in any order; the connection
+//       hands out their replies, and feeds an ok sssp solve's distances
+//       back as incremental labels for later sssp/incremental solves, in
+//       request order.
 //   {"session":"drop","name":"g"}
 //       forget the instance ("dropped": false when the name was unknown)
 #pragma once

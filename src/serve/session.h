@@ -9,7 +9,7 @@
 //   tab.create("road", registry::instance().make_input("sssp", n, seed));
 //   tab.apply("road", delta);               // writer installs version v+1
 //   snapshot_input s = tab.snapshot("road");  // immutable view of version v+1
-//   eng.submit({.solver="sssp/incremental", .input=s, .session="road"});
+//   eng.submit({.solver="sssp/incremental", .input=s});
 //
 // Versioning model (immutable CSR versions):
 //

@@ -143,11 +143,8 @@ try:
 finally:
     for s in socks or []:
         s.close()
-    proc.stdin.close()  # stdin EOF ends the daemon
-    try:
-        proc.wait(timeout=30)
-    except subprocess.TimeoutExpired:
-        proc.kill()
+    proc.terminate()
+    proc.wait()
 
 # ---- 4. QoS request fields ---------------------------------------------------
 stdin = (

@@ -587,15 +587,14 @@ TEST(Serve, BlownDeadlineFailsOnlyExpiredBatchmates) {
   EXPECT_EQ(st.completed, 1u);
 }
 
-TEST(Serve, PriorityClassesOffIsPlainFifo) {
-  // The bench baseline: with priority_classes off, an interactive request
-  // queued after batch requests waits its FIFO turn.
+TEST(Serve, SameClassIsPlainFifo) {
+  // The serving_qos bench's FIFO row: traffic of one class pops in strict
+  // admission order behind a busy executor.
   engine_options opt;
   opt.max_inflight_runs = 1;
   opt.workers_per_run = 2;
   opt.batch_window = std::chrono::microseconds{0};
   opt.max_batch = 1;
-  opt.priority_classes = false;
   opt.ctx = native2().with_seed(7);
   engine eng(opt);
 
@@ -613,23 +612,19 @@ TEST(Serve, PriorityClassesOffIsPlainFifo) {
       order.push_back(label);
     };
   };
-  request b;
-  b.solver = "lis/parallel";
-  b.input = small;
-  b.seed = 10;
-  b.prio = pp::serve::priority::batch;
-  eng.submit(std::move(b), tag("b"));
-  request i;
-  i.solver = "lis/parallel";
-  i.input = small;
-  i.seed = 11;
-  i.prio = pp::serve::priority::interactive;
-  eng.submit(std::move(i), tag("i"));
+  for (int i = 0; i < 4; ++i) {
+    request b;
+    b.solver = "lis/parallel";
+    b.input = small;
+    b.seed = 10 + i;
+    b.prio = pp::serve::priority::batch;
+    eng.submit(std::move(b), tag("b" + std::to_string(i)));
+  }
   EXPECT_TRUE(blocker.get().ok());
   eng.stop(/*drain=*/true);
 
-  std::vector<std::string> want = {"b", "i"};
-  EXPECT_EQ(order, want) << "classes off: strict FIFO";
+  std::vector<std::string> want = {"b0", "b1", "b2", "b3"};
+  EXPECT_EQ(order, want) << "one class: strict FIFO";
 }
 
 TEST(Serve, AnonymousSeedsUniqueAcrossThreads) {
@@ -1003,6 +998,57 @@ TEST(Serve, RunningCancellableExecutionRefusesJoiners) {
   EXPECT_EQ(pp::score_of(r1.result.value), pp::score_of(full.value));
 }
 
+TEST(Serve, InteractiveDuplicatePromotesQueuedBatchExecution) {
+  // Queue batch-class A then B behind a busy executor, then submit an
+  // interactive duplicate of B: B's one execution jumps ahead of A and
+  // answers both of its callers with the same envelope.
+  engine_options opt;
+  opt.max_inflight_runs = 1;
+  opt.workers_per_run = 2;
+  opt.batch_window = std::chrono::microseconds{0};
+  opt.max_batch = 1;
+  opt.ctx = native2().with_seed(7);
+  engine eng(opt);
+
+  auto big = registry::instance().make_input("lis", 30'000, 9);
+  auto small = registry::instance().make_input("lis", 200, 9);
+  auto blocker = eng.submit({"lis/parallel", big, 1});
+  std::this_thread::sleep_for(20ms);  // executor now busy with the blocker
+
+  std::mutex m;
+  std::vector<std::pair<std::string, response>> got;
+  auto tag = [&](std::string label) {
+    return [&, label = std::move(label)](response r) {
+      std::lock_guard<std::mutex> lk(m);
+      got.emplace_back(label, std::move(r));
+    };
+  };
+  auto submit = [&](uint64_t seed, pp::serve::priority prio, std::string label) {
+    request req;
+    req.solver = "lis/parallel";
+    req.input = small;
+    req.seed = seed;
+    req.prio = prio;
+    eng.submit(std::move(req), tag(std::move(label)));
+  };
+  submit(10, pp::serve::priority::batch, "a");
+  submit(11, pp::serve::priority::batch, "b");
+  const uint64_t deduped_before = eng.stats().deduped;
+  submit(11, pp::serve::priority::interactive, "b");
+  const uint64_t deduped_after = eng.stats().deduped;
+  EXPECT_TRUE(blocker.get().ok());
+  eng.stop(/*drain=*/true);
+
+  EXPECT_EQ(deduped_after, deduped_before + 1) << "the duplicate must join B's execution";
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].first, "b");
+  EXPECT_EQ(got[1].first, "b");
+  EXPECT_EQ(got[2].first, "a") << "the promoted execution must run before A";
+  for (const auto& [label, r] : got) ASSERT_TRUE(r.ok()) << label << ": " << r.error;
+  EXPECT_EQ(pp::to_json(got[0].second.result), pp::to_json(got[1].second.result));
+  EXPECT_NE(pp::to_json(got[0].second.result), pp::to_json(got[2].second.result));
+}
+
 TEST(Serve, LruEvictionHonorsCacheBound) {
   engine_options opt;
   opt.max_inflight_runs = 1;
@@ -1196,6 +1242,58 @@ TEST(Protocol, SessionSolveDescribesThePinnedVersionUnderDeltas) {
     ASSERT_NE(desc, nullptr) << rep.line;
     EXPECT_EQ(desc->find("elems")->as_uint64(), elems0 + desc->find("version")->as_uint64())
         << rep.line;
+  }
+}
+
+TEST(Protocol, PipelinedSessionTrafficAnswersInRequestOrder) {
+  // Two sessions' create/solve/delta lines, interleaved and all fed before
+  // any reply is read, through an engine with two executors: the
+  // connection hands the replies out in request order, each solve reports
+  // the version it pinned at parse time, and the label feedback leaves
+  // incremental hints on each session's head.
+  engine_options opt = protocol_engine();
+  opt.max_inflight_runs = 2;
+  engine eng(opt);
+  pp::serve::session_table tab(4);
+  std::vector<std::string> lines;
+  std::vector<int64_t> pinned;  // the version each line's solve must report; -1 = not a solve
+  for (const char* s : {"g", "h"}) {
+    lines.push_back(std::string(R"({"session":"create","name":")") + s +
+                    R"(","problem":"sssp","n":300,"seed":5})");
+    pinned.push_back(-1);
+  }
+  for (int v = 0; v < 3; ++v) {
+    for (const char* s : {"g", "h"}) {
+      lines.push_back(std::string(R"({"session":"solve","name":")") + s +
+                      R"(","solver":"sssp/incremental","seed":11})");
+      pinned.push_back(v);
+    }
+    if (v == 2) break;
+    for (const char* s : {"g", "h"}) {
+      lines.push_back(std::string(R"({"session":"delta","name":")") + s +
+                      R"(","add_edges":[[0,)" + std::to_string(10 + v) + R"(,1]]})");
+      pinned.push_back(-1);
+    }
+  }
+
+  pp::serve::connection conn(eng, tab, /*max_n=*/1'000);
+  for (const auto& l : lines) conn.feed_line(l);
+  conn.finish();
+  std::vector<pp::serve::connection::reply> replies;
+  while (auto r = conn.next()) replies.push_back(std::move(*r));
+
+  ASSERT_EQ(replies.size(), lines.size());
+  for (size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_EQ(replies[i].id, std::to_string(i));
+    pp::json::value r = parsed(replies[i].line);
+    ASSERT_TRUE(r.find("ok")->as_bool()) << replies[i].line;
+    if (pinned[i] < 0) continue;
+    EXPECT_EQ(r.find("result")->find("status")->as_string(), "ok") << replies[i].line;
+    EXPECT_EQ(r.find("session")->find("version")->as_int64(), pinned[i]) << replies[i].line;
+  }
+  for (const char* s : {"g", "h"}) {
+    EXPECT_EQ(tab.describe(s).version, 2u) << s;
+    EXPECT_TRUE(tab.describe(s).hints) << s << ": the head's solve must leave labels";
   }
 }
 

@@ -728,7 +728,6 @@ TEST(Session, EngineCacheHitsAcrossVersionsByContent) {
     req.solver = solver;
     req.input = tab.snapshot("g");
     req.seed = 42;
-    req.session = "g";
     return eng.submit(std::move(req)).get();
   };
 
@@ -759,8 +758,8 @@ TEST(Session, EngineCacheHitsAcrossVersionsByContent) {
 TEST(Session, EngineSessionAffinityCompletesInOrderTraffic) {
   // Interleaved session solves and deltas through the engine: every solve
   // completes ok and scores match a quiet re-solve of the version each one
-  // pinned (affinity keeps per-session admission order; correctness here
-  // is that nothing deadlocks, drops, or mixes inputs).
+  // pinned (correctness here is that nothing deadlocks, drops, or mixes
+  // inputs).
   pp::serve::engine_options opt;
   opt.max_inflight_runs = 2;
   opt.workers_per_run = 1;
@@ -777,7 +776,6 @@ TEST(Session, EngineSessionAffinityCompletesInOrderTraffic) {
     req.solver = "sssp/dijkstra";
     req.input = snap;
     req.seed = 100 + i;
-    req.session = "s";
     futs.emplace_back(std::move(snap), eng.submit(std::move(req)));
     session_delta d;
     d.add_edges = {{0, static_cast<vertex_t>(i + 2), static_cast<uint32_t>(i + 1)}};
