@@ -1,10 +1,13 @@
 // google-benchmark microbenchmarks for the substrates (Appendix A
 // structures): 2D range tree query/update, TAS-tree marks, Fenwick
-// prefix-max, and the Type-2 pivot buckets.
+// prefix-max, and the Type-2 pivot buckets; and for the input factories
+// every graph and list request pays before its solve: R-MAT generation,
+// CSR construction and random permutations (args: n, workers).
 #include <benchmark/benchmark.h>
 
 #include "core/fenwick.h"
 #include "core/pivot_buckets.h"
+#include "graph/generators.h"
 #include "parallel/random.h"
 #include "rangetree/policies.h"
 #include "rangetree/range_tree2d.h"
@@ -87,6 +90,44 @@ void BM_PivotBucketsInsertExtract(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_PivotBucketsInsertExtract)->Arg(1 << 16);
+
+// The registry's graph problem: ~8n R-MAT edges, generated and built.
+void BM_RmatGraph(benchmark::State& state) {
+  auto n = static_cast<pp::vertex_t>(state.range(0));
+  pp::run_scope scope(pp::context{}.with_workers(static_cast<unsigned>(state.range(1))));
+  for (auto _ : state) benchmark::DoNotOptimize(pp::rmat_graph(n, 8 * size_t{n}, 1).num_edges());
+  state.SetItemsProcessed(state.iterations() * 8 * state.range(0));
+}
+
+// CSR construction alone, from 8n uniform edges (duplicates and self-loops
+// included); the per-iteration copy of the edge list is timed too.
+void BM_GraphFromEdges(benchmark::State& state) {
+  auto n = static_cast<pp::vertex_t>(state.range(0));
+  pp::run_scope scope(pp::context{}.with_workers(static_cast<unsigned>(state.range(1))));
+  pp::random_stream rs(1);
+  auto edges = pp::tabulate<pp::edge>(8 * size_t{n}, [&](size_t i) {
+    return pp::edge{static_cast<pp::vertex_t>(rs.ith_bounded(2 * i, n)),
+                    static_cast<pp::vertex_t>(rs.ith_bounded(2 * i + 1, n))};
+  });
+  for (auto _ : state) benchmark::DoNotOptimize(pp::graph::from_edges(n, edges).num_edges());
+  state.SetItemsProcessed(state.iterations() * 8 * state.range(0));
+}
+
+void BM_RandomPermutation(benchmark::State& state) {
+  auto n = static_cast<size_t>(state.range(0));
+  pp::run_scope scope(pp::context{}.with_workers(static_cast<unsigned>(state.range(1))));
+  for (auto _ : state) benchmark::DoNotOptimize(pp::random_permutation(n, 1).data());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void factory_args(benchmark::internal::Benchmark* b) {
+  for (int64_t n : {2000, 200000})
+    for (int64_t workers : {1, 4}) b->Args({n, workers});
+  b->Unit(benchmark::kMicrosecond);
+}
+BENCHMARK(BM_RmatGraph)->Apply(factory_args);
+BENCHMARK(BM_GraphFromEdges)->Apply(factory_args);
+BENCHMARK(BM_RandomPermutation)->Apply(factory_args);
 
 }  // namespace
 

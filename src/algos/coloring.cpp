@@ -36,7 +36,7 @@ coloring_result coloring_sequential(const graph& g, std::span<const uint32_t> pr
   vertex_t n = g.num_vertices();
   coloring_result res;
   res.color.assign(n, kUncolored);
-  auto order = sort_indices(n, [&](uint32_t a, uint32_t b) { return priority[a] < priority[b]; });
+  auto order = order_by_priority(priority);
   std::vector<vertex_t> colored_nbrs;
   for (auto v : order) {
     colored_nbrs.clear();

@@ -25,9 +25,7 @@ matching_result matching_sequential(const graph& g, std::span<const uint32_t> ed
   auto edges = canonical_edges(g);
   matching_result res;
   res.partner.assign(g.num_vertices(), kUnmatched);
-  auto order = sort_indices(edges.size(), [&](uint32_t a, uint32_t b) {
-    return edge_priority[a] < edge_priority[b];
-  });
+  auto order = order_by_priority(edge_priority.first(edges.size()));
   for (auto e : order) {
     auto [u, v] = edges[e];
     if (res.partner[u] == kUnmatched && res.partner[v] == kUnmatched) {

@@ -17,7 +17,7 @@ mis_result mis_sequential(const graph& g, std::span<const uint32_t> priority,
   vertex_t n = g.num_vertices();
   mis_result res;
   res.in_mis.assign(n, 0);
-  auto order = sort_indices(n, [&](uint32_t a, uint32_t b) { return priority[a] < priority[b]; });
+  auto order = order_by_priority(priority);
   std::vector<uint8_t> removed(n, 0);
   for (auto v : order) {
     if (removed[v]) continue;

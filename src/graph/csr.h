@@ -2,6 +2,7 @@
 // (directed) graphs, and a builder from edge lists.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -18,11 +19,6 @@ using vertex_t = uint32_t;
 struct edge {
   vertex_t u;
   vertex_t v;
-  friend bool operator<(const edge& a, const edge& b) {
-    if (a.u != b.u) return a.u < b.u;
-    return a.v < b.v;
-  }
-  friend bool operator==(const edge& a, const edge& b) { return a.u == b.u && a.v == b.v; }
 };
 
 // Undirected simple graph in CSR form. Each undirected edge {u,v} appears
@@ -32,30 +28,39 @@ class graph {
   graph() = default;
 
   // Build from an undirected edge list; self-loops and duplicates are
-  // removed, and both directions are materialized.
+  // removed, and both directions are materialized. O(n + m) work, no
+  // comparison sort: each non-loop edge's two ends are scattered into their
+  // endpoints' runs, then the runs are transposed (v goes into the run of
+  // every u in v's run, for v in increasing order). The adjacency is
+  // symmetric, so the transposed runs hold the same neighbours, now in
+  // increasing order; duplicates sit side by side and are dropped. The
+  // transpose has n items for n buckets, so bucket_scatter runs it as one
+  // block: O(m) span there, against O(m / workers) for the first scatter.
   static graph from_edges(vertex_t n, std::vector<edge> edges) {
-    // symmetrize
-    size_t m = edges.size();
-    std::vector<edge> dir(2 * m);
-    parallel_for(0, m, [&](size_t i) {
-      dir[2 * i] = edges[i];
-      dir[2 * i + 1] = {edges[i].v, edges[i].u};
+    auto [runs, nbrs] = bucket_scatter<vertex_t>(edges.size(), n, [&](size_t i, auto put) {
+      auto [u, v] = edges[i];
+      if (u == v) return;
+      put(u, v);
+      put(v, u);
     });
-    // sort, drop self-loops + duplicates
-    sort_inplace(std::span<edge>(dir));
-    auto keep = pack(std::span<const edge>(dir), [&](size_t i) {
-      if (dir[i].u == dir[i].v) return false;
-      return i == 0 || !(dir[i] == dir[i - 1]);
+    edges = {};  // free each input before the next array is allocated
+    auto [sorted_runs, sorted] = bucket_scatter<vertex_t>(n, n, [&](size_t v, auto put) {
+      for (size_t k = runs[v]; k < runs[v + 1]; ++k) put(nbrs[k], static_cast<vertex_t>(v));
     });
+    nbrs = {};
     graph g;
     g.n_ = n;
-    g.offsets_.assign(n + 1, 0);
-    g.adj_.resize(keep.size());
-    parallel_for(0, keep.size(), [&](size_t i) { g.adj_[i] = keep[i].v; });
-    // offsets: count per source
-    std::vector<size_t> deg(n, 0);
-    for (auto& e : keep) deg[e.u]++;  // serial: cheap vs the sort above
-    for (vertex_t v = 0; v < n; ++v) g.offsets_[v + 1] = g.offsets_[v] + deg[v];
+    g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
+    size_t grain = detail::grain_for_cost(sorted.size() / std::max<size_t>(1, n) + 1);
+    parallel_for(0, n, [&](size_t v) {
+      auto first = sorted.begin() + sorted_runs[v], last = sorted.begin() + sorted_runs[v + 1];
+      g.offsets_[v] = static_cast<size_t>(std::unique(first, last) - first);
+    }, grain);
+    g.adj_.resize(scan_exclusive_add(std::span<size_t>(g.offsets_)));
+    parallel_for(0, n, [&](size_t v) {
+      std::copy_n(sorted.begin() + sorted_runs[v], g.degree(static_cast<vertex_t>(v)),
+                  g.adj_.begin() + g.offsets_[v]);
+    }, grain);
     return g;
   }
 
@@ -67,8 +72,9 @@ class graph {
     return std::span<const vertex_t>(adj_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]);
   }
   size_t degree(vertex_t v) const { return offsets_[v + 1] - offsets_[v]; }
-  // v's neighbors occupy adjacency slots [offsets()[v], offsets()[v + 1]).
+  // v's neighbors occupy adj() slots [offsets()[v], offsets()[v + 1]).
   std::span<const size_t> offsets() const { return offsets_; }
+  std::span<const vertex_t> adj() const { return adj_; }
   vertex_t max_degree() const {
     vertex_t d = 0;
     for (vertex_t v = 0; v < n_; ++v) d = std::max<vertex_t>(d, static_cast<vertex_t>(degree(v)));
@@ -93,6 +99,9 @@ class wgraph {
 
   wgraph() = default;
 
+  // Build from a directed edge list, keeping duplicate (u, v) pairs: the
+  // runs hold the edges stably sorted by (u, v), so duplicates keep their
+  // input order.
   static wgraph from_edges(vertex_t n, std::vector<wedge> edges) {
     sort_inplace(std::span<wedge>(edges), [](const wedge& a, const wedge& b) {
       if (a.u != b.u) return a.u < b.u;
@@ -100,16 +109,15 @@ class wgraph {
     });
     wgraph g;
     g.n_ = n;
-    g.offsets_.assign(n + 1, 0);
+    g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
     g.adj_.resize(edges.size());
     g.wts_.resize(edges.size());
     parallel_for(0, edges.size(), [&](size_t i) {
       g.adj_[i] = edges[i].v;
       g.wts_[i] = edges[i].w;
     });
-    std::vector<size_t> deg(n, 0);
-    for (auto& e : edges) deg[e.u]++;
-    for (vertex_t v = 0; v < n; ++v) g.offsets_[v + 1] = g.offsets_[v] + deg[v];
+    for (auto& e : edges) g.offsets_[e.u + 1]++;
+    for (vertex_t v = 0; v < n; ++v) g.offsets_[v + 1] += g.offsets_[v];
     return g;
   }
 

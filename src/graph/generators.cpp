@@ -23,18 +23,12 @@ graph rmat_graph(vertex_t n, size_t m, uint64_t seed) {
   auto gen_edge = [&](uint64_t key) {
     vertex_t u = 0, v = 0;
     for (uint32_t l = 0; l < levels; ++l) {
+      // Quadrant q in 0..3 without a branch: its high bit is u's, its low
+      // bit v's.
       double r = random_stream(key).ith_double(l);
-      u <<= 1;
-      v <<= 1;
-      if (r < a) {
-      } else if (r < a + b) {
-        v |= 1;
-      } else if (r < a + b + c) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
+      uint32_t q = (r >= a) + (r >= a + b) + (r >= a + b + c);
+      u = u << 1 | q >> 1;
+      v = v << 1 | (q & 1);
     }
     return edge{u, v};
   };
@@ -68,22 +62,22 @@ graph grid_graph(vertex_t rows, vertex_t cols) {
 wgraph add_weights(const graph& g, uint32_t w_min, uint32_t w_max, uint64_t seed) {
   random_stream rs(seed);
   vertex_t n = g.num_vertices();
-  std::vector<wgraph::wedge> edges(g.num_directed_edges());
-  // Weight keyed on the canonical (min,max) endpoint pair so both
-  // directions of an undirected edge agree.
-  std::vector<size_t> offs(n + 1, 0);
-  for (vertex_t v = 0; v < n; ++v) offs[v + 1] = offs[v] + g.degree(v);
+  // g's runs are sorted and duplicate-free, so its CSR already lists the
+  // directed edges in (u, v) order: copy it and weigh each slot. The weight
+  // is keyed on the canonical (min,max) endpoint pair so both directions of
+  // an undirected edge agree.
+  std::vector<size_t> offsets(g.offsets().begin(), g.offsets().end());
+  std::vector<vertex_t> adj(g.adj().begin(), g.adj().end());
+  std::vector<uint32_t> wts(adj.size());
   parallel_for(0, n, [&](size_t v) {
-    auto nbrs = g.neighbors(static_cast<vertex_t>(v));
-    for (size_t j = 0; j < nbrs.size(); ++j) {
-      vertex_t u = static_cast<vertex_t>(v), w = nbrs[j];
+    for (size_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+      vertex_t u = static_cast<vertex_t>(v), w = adj[k];
       uint64_t key = std::min(u, w) * (static_cast<uint64_t>(1) << 32) | std::max(u, w);
-      uint32_t wt = static_cast<uint32_t>(
+      wts[k] = static_cast<uint32_t>(
           rs.ith_range(hash64(key), static_cast<int64_t>(w_min), static_cast<int64_t>(w_max)));
-      edges[offs[v] + j] = {u, w, wt};
     }
-  });
-  return wgraph::from_edges(n, std::move(edges));
+  }, detail::grain_for_cost(adj.size() / std::max<size_t>(1, n) + 1));
+  return wgraph::from_csr(n, std::move(offsets), std::move(adj), std::move(wts));
 }
 
 }  // namespace pp

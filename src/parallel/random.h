@@ -6,6 +6,8 @@
 // regardless of worker count or backend.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -56,17 +58,27 @@ class random_stream {
   uint64_t seed_;
 };
 
-// A random permutation of [0, n): indices sorted by a random key. O(n log n)
-// work — fine for our scales, and fully deterministic per seed. Each key is
-// (hash, index) so duplicate hashes cannot make the result depend on sort
-// internals.
+// A random permutation of [0, n): the indices sorted by (key, index), for
+// one random 64-bit key per index, so it is fully deterministic per seed.
+// The indices are bucketed by the top bits of their key, two to four to a
+// bucket on average, and each bucket is then sorted by (key, index); the
+// buckets partition the key range in order, so this is the full sort.
+// Expected O(n) work; the span is bucket_scatter's plus the largest
+// bucket's sort, and that bucket holds O(log n) keys with high probability.
 inline std::vector<uint32_t> random_permutation(size_t n, uint64_t seed) {
   random_stream rs(seed);
   std::vector<uint64_t> keys = tabulate<uint64_t>(n, [&](size_t i) { return rs.ith(i); });
-  return sort_indices(n, [&](uint32_t a, uint32_t b) {
-    if (keys[a] != keys[b]) return keys[a] < keys[b];
-    return a < b;
+  const int bits = n < 4 ? 0 : std::bit_width(n) - 2;  // 2^bits buckets, in (n/4, n/2]
+  const size_t num_buckets = size_t{1} << bits;
+  auto [starts, perm] = bucket_scatter<uint32_t>(n, num_buckets, [&](size_t i, auto put) {
+    put(bits == 0 ? 0 : keys[i] >> (64 - bits), static_cast<uint32_t>(i));
   });
+  parallel_for(0, num_buckets, [&](size_t b) {
+    std::sort(perm.begin() + starts[b], perm.begin() + starts[b + 1], [&](uint32_t x, uint32_t y) {
+      return keys[x] != keys[y] ? keys[x] < keys[y] : x < y;
+    });
+  }, detail::grain_for_cost(16));
+  return perm;
 }
 
 }  // namespace pp

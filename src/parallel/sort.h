@@ -1,13 +1,17 @@
 // Parallel sorting: stable merge sort with a parallel merge (O(n log n)
 // work, O(log^2 n) span for the merge tree — polylog span overall), plus a
-// stable parallel counting sort for small integer key spaces (used to build
-// pivot tables and CSR graphs).
+// stable O(n + buckets) bucket scatter for integer keys, which
+// graph::from_edges and random_permutation use in place of a comparison
+// sort, and the O(n) inverse of a priority permutation.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "parallel/api.h"
@@ -112,51 +116,65 @@ std::vector<uint32_t> sort_indices(size_t n, Less less_on_index) {
   return idx;
 }
 
-// ---------------------------------------------------------------------------
-// Stable parallel counting sort for keys in [0, num_buckets).
-// Returns bucket offsets (size num_buckets + 1); reorders xs into out.
-// O(n + num_buckets) work per pass, O(polylog) span for machine-sized block
-// counts. Used for grouping pivot pairs and building CSR adjacency.
-// ---------------------------------------------------------------------------
-template <typename T, typename KeyFn>
-std::vector<size_t> counting_sort_by_key(std::span<const T> xs, std::span<T> out,
-                                         size_t num_buckets, KeyFn key) {
-  size_t n = xs.size();
-  size_t nblocks = std::max<size_t>(1, std::min<size_t>(static_cast<size_t>(num_workers()) * 4,
-                                                        n / std::max<size_t>(1, num_buckets) + 1));
-  size_t bsize = (n + nblocks - 1) / nblocks;
-  if (bsize == 0) bsize = 1;
-  nblocks = n == 0 ? 0 : (n + bsize - 1) / bsize;
-
-  // counts[b * num_buckets + k] = #elements with key k in block b
-  std::vector<size_t> counts(nblocks * num_buckets, 0);
-  parallel_for(0, nblocks, [&](size_t b) {
-    size_t lo = b * bsize, hi = std::min(n, lo + bsize);
-    size_t* my = counts.data() + b * num_buckets;
-    for (size_t i = lo; i < hi; ++i) my[key(xs[i])]++;
-  }, detail::grain_for_cost(bsize));
-
-  // Column-major prefix: for key k, blocks in order → stable placement.
-  std::vector<size_t> offsets(num_buckets + 1, 0);
-  {
-    size_t acc = 0;
-    for (size_t k = 0; k < num_buckets; ++k) {
-      offsets[k] = acc;
-      for (size_t b = 0; b < nblocks; ++b) {
-        size_t c = counts[b * num_buckets + k];
-        counts[b * num_buckets + k] = acc;
-        acc += c;
-      }
-    }
-    offsets[num_buckets] = acc;
+// Indices 0..n-1 in increasing order of priority[i], for priorities that
+// are a permutation of [0, n): the inverse permutation, order[priority[v]]
+// = v, in O(n) sequential work. Anything else (a value >= n or a repeat)
+// throws std::invalid_argument.
+inline std::vector<uint32_t> order_by_priority(std::span<const uint32_t> priority) {
+  const size_t n = priority.size();
+  constexpr uint32_t kUnset = ~0u;
+  std::vector<uint32_t> order(n, kUnset);
+  for (size_t v = 0; v < n; ++v) {
+    uint32_t p = priority[v];
+    if (p >= n || order[p] != kUnset)
+      throw std::invalid_argument("pp::order_by_priority: priorities are not a permutation of [0, " +
+                                  std::to_string(n) + ")");
+    order[p] = static_cast<uint32_t>(v);
   }
+  return order;
+}
 
-  parallel_for(0, nblocks, [&](size_t b) {
-    size_t lo = b * bsize, hi = std::min(n, lo + bsize);
-    size_t* my = counts.data() + b * num_buckets;
-    for (size_t i = lo; i < hi; ++i) out[my[key(xs[i])]++] = xs[i];
-  }, detail::grain_for_cost(bsize));
-  return offsets;
+// ---------------------------------------------------------------------------
+// Stable parallel bucketing by count, scan and scatter. items(i, put) calls
+// put(bucket, value) once for each value item i contributes (any number,
+// buckets in [0, num_buckets)); it is called twice per item, so it must be
+// pure. Returns the bucket offsets (num_buckets + 1 entries) and the values
+// grouped by bucket, each bucket in item order. The items are cut into
+// blocks, and each block keeps its own row of bucket counters, so no counter
+// is shared and the result does not depend on the schedule. There is one
+// block per max(num_buckets, kMinGrain) items, at most one per worker, so
+// the counter rows hold at most max(n, num_buckets) entries at any width.
+// O(n + num_buckets + values) work; the span is one block's items and
+// values plus O(log n). Used to build CSR graphs and random permutations.
+// ---------------------------------------------------------------------------
+template <typename V, typename Items>
+std::pair<std::vector<size_t>, std::vector<V>> bucket_scatter(size_t n, size_t num_buckets,
+                                                              Items items) {
+  const size_t nblocks = std::clamp<size_t>(
+      n / std::max<size_t>(num_buckets, detail::kMinGrain), 1, num_workers());
+  const size_t bsize = (n + nblocks - 1) / nblocks;
+  std::vector<size_t> rows(nblocks * num_buckets, 0);  // rows[blk * num_buckets + b]
+  auto each_block = [&](auto visit) {
+    parallel_for(0, nblocks, [&](size_t blk) {
+      size_t* row = rows.data() + blk * num_buckets;
+      for (size_t i = blk * bsize; i < std::min(n, (blk + 1) * bsize); ++i) visit(row, i);
+    }, 1);
+  };
+  each_block([&](size_t* row, size_t i) { items(i, [&](size_t b, const V&) { ++row[b]; }); });
+  std::vector<size_t> offsets(num_buckets + 1, 0);
+  parallel_for(0, num_buckets, [&](size_t b) {
+    for (size_t blk = 0; blk < nblocks; ++blk) offsets[b] += rows[blk * num_buckets + b];
+  });
+  std::vector<V> values(scan_exclusive_add(std::span<size_t>(offsets)));
+  // Bucket b's values start at offsets[b], block by block in item order.
+  parallel_for(0, num_buckets, [&](size_t b) {
+    size_t at = offsets[b];
+    for (size_t blk = 0; blk < nblocks; ++blk) at += std::exchange(rows[blk * num_buckets + b], at);
+  });
+  each_block([&](size_t* row, size_t i) {
+    items(i, [&](size_t b, const V& v) { values[row[b]++] = v; });
+  });
+  return {std::move(offsets), std::move(values)};
 }
 
 }  // namespace pp

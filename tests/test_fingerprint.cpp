@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fingerprint.h"
@@ -182,6 +183,24 @@ TEST(Fingerprint, GoldenFingerprintsAndScoresAreStable) {
     auto res = registry::run(row.solver, input, seq_ctx(row.seed));
     EXPECT_EQ(res.status, pp::run_status::ok) << row.solver;
     EXPECT_EQ(static_cast<long long>(pp::score_of(res.value)), row.score) << row.solver;
+  }
+}
+
+// The golden table builds its inputs at n = 256, where no factory loop is
+// long enough to fork. These digests pin the graph, sssp and list factories
+// at n = 20000, seed 1, where they cut their work into blocks and fork:
+// each input must be byte-identical at every width.
+TEST(Fingerprint, ForkingFactoriesAreStableAtEveryWidth) {
+  const std::pair<const char*, const char*> pinned[] = {
+      {"graph", "411f64e35b05207fe9cdb11e5c22a71e"},
+      {"sssp", "c13cb954ab66ab624202d493a9f44b53"},
+      {"list", "4557863fa0c29c8807ca85fd5e8b7b05"},
+  };
+  for (unsigned workers : {1u, 4u}) {
+    pp::run_scope scope(pp::context{}.with_workers(workers));
+    for (auto [problem, hex] : pinned)
+      EXPECT_EQ(fingerprint_of(registry::instance().make_input(problem, 20000, 1)).hex(), hex)
+          << problem << " at " << workers << " workers";
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "parallel/api.h"
 #include "parallel/random.h"
 
 namespace {
@@ -62,6 +63,24 @@ TEST(RandomPermutation, IsPermutationAndDeterministic) {
       ASSERT_LT(i, n);
       ASSERT_FALSE(seen[i]);
       seen[i] = true;
+    }
+  }
+}
+
+// random_permutation buckets its keys; it must equal the plain comparison
+// sort of the indices by (key, index), at every width.
+TEST(RandomPermutation, EqualsComparisonSortByKeyThenIndex) {
+  for (size_t n : {0ul, 1ul, 2ul, 3ul, 1000ul, 50000ul, 1ul << 17}) {
+    pp::random_stream rs(77);
+    std::vector<uint32_t> model(n);
+    for (size_t i = 0; i < n; ++i) model[i] = static_cast<uint32_t>(i);
+    std::sort(model.begin(), model.end(), [&](uint32_t a, uint32_t b) {
+      uint64_t ka = rs.ith(a), kb = rs.ith(b);
+      return ka != kb ? ka < kb : a < b;
+    });
+    for (unsigned workers : {1u, 4u}) {
+      pp::run_scope scope(pp::context{}.with_workers(workers));
+      EXPECT_EQ(pp::random_permutation(n, 77), model) << "n = " << n << ", workers = " << workers;
     }
   }
 }

@@ -37,6 +37,17 @@ pp::context native2() {
   return pp::context{}.with_backend(pp::backend_kind::native).with_workers(2);
 }
 
+// Wait (for at most 10 s) until the engine has started an execution. The
+// executor seals an execution before it starts it, so a duplicate
+// submitted after this returns cannot join that execution's flush.
+void await_first_execution(engine& eng) {
+  const auto give_up = std::chrono::steady_clock::now() + 10s;
+  while (eng.stats().peak_inflight == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up) << "no execution started within 10 s";
+    std::this_thread::sleep_for(1ms);
+  }
+}
+
 TEST(Serve, EverySolverMatchesStandaloneRun) {
   // Acceptance (a): a submit through the engine returns the same score as
   // a standalone registry::run with the same seed — for every solver.
@@ -332,7 +343,7 @@ TEST(Serve, ExpiredBeforePopTakesNoLease) {
   // Occupy the executor, then queue a request that expires long before
   // the executor frees up.
   auto blocker = eng.submit({"lis/parallel", big, 1});
-  std::this_thread::sleep_for(20ms);  // let the executor pop the blocker
+  await_first_execution(eng);  // let the executor pop the blocker
   request doomed;
   doomed.solver = "lis/parallel";
   doomed.input = small;
@@ -370,7 +381,7 @@ TEST(Serve, ExpiredBatchEntryResolvedDespiteInteractiveTraffic) {
   auto big = registry::instance().make_input("lis", 30'000, 9);
   auto small = registry::instance().make_input("lis", 200, 9);
   auto blocker = eng.submit({"lis/parallel", big, 1});
-  std::this_thread::sleep_for(20ms);  // executor busy with the blocker
+  await_first_execution(eng);  // executor busy with the blocker
 
   request doomed;
   doomed.solver = "lis/parallel";
@@ -434,7 +445,7 @@ TEST(Serve, InteractiveClassPopsBeforeBatchClass) {
   auto big = registry::instance().make_input("lis", 30'000, 9);
   auto small = registry::instance().make_input("lis", 200, 9);
   auto blocker = eng.submit({"lis/parallel", big, 1});
-  std::this_thread::sleep_for(20ms);  // executor now busy with the blocker
+  await_first_execution(eng);  // executor now busy with the blocker
 
   std::mutex order_m;
   std::vector<std::string> order;
@@ -484,10 +495,10 @@ TEST(Serve, CoalescingNeverCrossesClasses) {
   auto big = registry::instance().make_input("lis", 30'000, 9);
   auto small = registry::instance().make_input("lis", 300, 9);
   auto blocker = eng.submit({"lis/parallel", big, 1});
-  // Outwait the blocker's own batch window (100ms): its flush must be
-  // closed and running before the probe requests arrive, or they would
-  // legitimately coalesce into it (same solver, same class).
-  std::this_thread::sleep_for(150ms);
+  // The blocker's flush must be closed and running before the probe
+  // requests arrive, or they would legitimately coalesce into it (same
+  // solver, same class) during its 100ms batch window.
+  await_first_execution(eng);
 
   std::vector<std::future<response>> futs;
   for (int i = 0; i < 2; ++i) {
@@ -601,7 +612,7 @@ TEST(Serve, SameClassIsPlainFifo) {
   auto big = registry::instance().make_input("lis", 30'000, 9);
   auto small = registry::instance().make_input("lis", 200, 9);
   auto blocker = eng.submit({"lis/parallel", big, 1});
-  std::this_thread::sleep_for(20ms);
+  await_first_execution(eng);
 
   std::mutex order_m;
   std::vector<std::string> order;
@@ -743,7 +754,7 @@ TEST(Serve, ConcurrentIdenticalSubmissionsExecuteOnce) {
   uint64_t leases_before = cache.acquires();
 
   auto blocker = eng.submit({"lis/parallel", big, 1});
-  std::this_thread::sleep_for(20ms);  // executor now busy with the blocker
+  await_first_execution(eng);  // executor now busy with the blocker
 
   constexpr size_t kN = 4;
   std::vector<std::future<response>> futs;
@@ -803,7 +814,7 @@ TEST(Serve, CachedAndDedupedMatchStandaloneForEverySolver) {
   // second of each pair attaches to the first (in-flight dedup).
   auto big = registry::instance().make_input("lis", 12'000, 9);
   auto blocker = eng.submit({"lis/parallel", big, 1});
-  std::this_thread::sleep_for(20ms);
+  await_first_execution(eng);
 
   std::vector<std::pair<std::future<response>, std::future<response>>> pairs;
   for (size_t i = 0; i < names.size(); ++i) {
@@ -860,7 +871,7 @@ TEST(Serve, WaiterDeadlineNeverPoisonsSharedExecution) {
     opt.ctx = native2().with_seed(5);
     engine eng(opt);
     auto blocker = eng.submit({"lis/parallel", big, 1});
-    std::this_thread::sleep_for(20ms);
+    await_first_execution(eng);
 
     auto leader = eng.submit({"lis/parallel", small, 60});
     request dup;
@@ -897,7 +908,7 @@ TEST(Serve, WaiterDeadlineNeverPoisonsSharedExecution) {
     opt.ctx = native2().with_seed(5);
     engine eng(opt);
     auto blocker = eng.submit({"lis/parallel", big, 1});
-    std::this_thread::sleep_for(20ms);
+    await_first_execution(eng);
 
     request doomed;
     doomed.solver = "lis/parallel";
@@ -982,7 +993,7 @@ TEST(Serve, RunningCancellableExecutionRefusesJoiners) {
   first.seed = 7;
   first.deadline = std::chrono::steady_clock::now() + 10s;  // cancellable, never fires
   auto f1 = eng.submit(std::move(first));
-  std::this_thread::sleep_for(20ms);  // first is now running under its token
+  await_first_execution(eng);  // first is now running under its token
   auto f2 = eng.submit({"lis/parallel", in, 7});  // no deadline
 
   response r1 = f1.get();
@@ -1013,7 +1024,7 @@ TEST(Serve, InteractiveDuplicatePromotesQueuedBatchExecution) {
   auto big = registry::instance().make_input("lis", 30'000, 9);
   auto small = registry::instance().make_input("lis", 200, 9);
   auto blocker = eng.submit({"lis/parallel", big, 1});
-  std::this_thread::sleep_for(20ms);  // executor now busy with the blocker
+  await_first_execution(eng);  // executor now busy with the blocker
 
   std::mutex m;
   std::vector<std::pair<std::string, response>> got;

@@ -1,4 +1,4 @@
-// Tests for parallel merge sort, parallel merge stability, counting sort.
+// Tests for parallel merge sort, parallel merge stability, bucket scatter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -92,37 +92,69 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-TEST(CountingSort, GroupsStable) {
+// A permutation is inverted in O(n); anything else (duplicates, values out
+// of range) is rejected rather than written out of bounds.
+TEST(OrderByPriority, InvertsPermutationsAndRejectsAnythingElse) {
+  std::vector<uint32_t> perm = {2, 0, 3, 1};
+  EXPECT_EQ(pp::order_by_priority(perm), (std::vector<uint32_t>{1, 3, 0, 2}));
+  std::vector<uint32_t> dups = {2, 1, 2, 0, 1};
+  EXPECT_THROW(pp::order_by_priority(dups), std::invalid_argument);
+  std::vector<uint32_t> sparse = {40, 10, 30};
+  EXPECT_THROW(pp::order_by_priority(sparse), std::invalid_argument);
+  EXPECT_TRUE(pp::order_by_priority({}).empty());
+}
+
+// bucket_scatter cuts its items into one block per worker; at every width
+// each bucket must hold its values in item order.
+TEST(BucketScatter, GroupsStableAtEveryWidth) {
   constexpr size_t n = 100000, buckets = 64;
   std::mt19937_64 gen(3);
   std::vector<uint64_t> xs(n);
   for (size_t i = 0; i < n; ++i) xs[i] = (gen() % buckets) * n + i;  // key*n+i: unique, ordered
-  std::vector<uint64_t> out(n);
-  auto offs = pp::counting_sort_by_key(std::span<const uint64_t>(xs), std::span<uint64_t>(out),
-                                       buckets, [&](uint64_t x) { return x / n; });
-  ASSERT_EQ(offs.size(), buckets + 1);
-  EXPECT_EQ(offs.front(), 0u);
-  EXPECT_EQ(offs.back(), n);
-  for (size_t k = 0; k < buckets; ++k) {
-    for (size_t i = offs[k]; i < offs[k + 1]; ++i) {
-      ASSERT_EQ(out[i] / n, k);
-      if (i > offs[k]) ASSERT_LT(out[i - 1], out[i]);  // stability → ascending i
+  for (unsigned workers : {1u, 3u, 4u}) {
+    pp::run_scope scope(pp::context{}.with_workers(workers));
+    auto [offs, out] = pp::bucket_scatter<uint64_t>(
+        n, buckets, [&](size_t i, auto put) { put(xs[i] / n, xs[i]); });
+    ASSERT_EQ(offs.size(), buckets + 1);
+    EXPECT_EQ(offs.front(), 0u);
+    EXPECT_EQ(offs.back(), n);
+    ASSERT_EQ(out.size(), n);
+    for (size_t k = 0; k < buckets; ++k) {
+      for (size_t i = offs[k]; i < offs[k + 1]; ++i) {
+        ASSERT_EQ(out[i] / n, k) << workers;
+        if (i > offs[k]) ASSERT_LT(out[i - 1], out[i]) << workers;  // stability → ascending i
+      }
     }
   }
 }
 
-TEST(CountingSort, SingleBucketAndEmpty) {
+// An item may contribute no value or several; their values land in their
+// buckets in (item, call) order.
+TEST(BucketScatter, ItemsContributeAnyNumberOfValues) {
+  constexpr size_t n = 5000, buckets = 7;
+  std::vector<std::vector<size_t>> model(buckets);
+  for (size_t i = 0; i < n; ++i)
+    for (size_t j = 0; j < i % 3; ++j) model[(i + j) % buckets].push_back(i * 10 + j);
+  for (unsigned workers : {1u, 4u}) {
+    pp::run_scope scope(pp::context{}.with_workers(workers));
+    auto [offs, out] = pp::bucket_scatter<size_t>(n, buckets, [](size_t i, auto put) {
+      for (size_t j = 0; j < i % 3; ++j) put((i + j) % buckets, i * 10 + j);
+    });
+    for (size_t k = 0; k < buckets; ++k)
+      EXPECT_EQ(std::vector<size_t>(out.begin() + offs[k], out.begin() + offs[k + 1]), model[k]);
+  }
+}
+
+TEST(BucketScatter, SingleBucketAndEmpty) {
   std::vector<int> xs = {5, 3, 1};
-  std::vector<int> out(3);
-  auto offs = pp::counting_sort_by_key(std::span<const int>(xs), std::span<int>(out), 1,
-                                       [](int) { return 0; });
+  auto [offs, out] =
+      pp::bucket_scatter<int>(xs.size(), 1, [&](size_t i, auto put) { put(0, xs[i]); });
   EXPECT_EQ(out, xs);  // stable, single bucket = identity
   EXPECT_EQ(offs, (std::vector<size_t>{0, 3}));
 
-  std::vector<int> empty, eout;
-  auto offs2 = pp::counting_sort_by_key(std::span<const int>(empty), std::span<int>(eout), 4,
-                                        [](int) { return 0; });
-  EXPECT_EQ(offs2.back(), 0u);
+  auto [offs2, out2] = pp::bucket_scatter<int>(0, 4, [](size_t, auto put) { put(0, 0); });
+  EXPECT_EQ(offs2, (std::vector<size_t>(5, 0)));
+  EXPECT_TRUE(out2.empty());
 }
 
 }  // namespace
